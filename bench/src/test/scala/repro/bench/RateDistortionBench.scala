@@ -17,7 +17,7 @@ class RateDistortionBench extends AnyFunSuite {
   }
 
   test("Fig 12 shape: at equal eb, LCP's bit rate beats the error-bounded baselines in most cells") {
-    val combos = for ((ds, f) <- BenchData.singleFrame; eb <- Seq(1e-1, 1e-2)) yield (f, eb)
+    val combos = for ((_, f) <- BenchData.singleFrame; eb <- Seq(1e-1, 1e-2)) yield (f, eb)
     val results = Par.map(combos) { case (f, eb) =>
       val frames = IndexedSeq(f)
       val lcp = BenchData.codecs.head.compress(frames, eb, 1).payload.length

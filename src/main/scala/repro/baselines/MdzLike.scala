@@ -2,7 +2,7 @@ package repro.baselines
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
 import repro.coding.{ByteIO, Dictionary, IntCoder, Zigzag}
-import repro.core.Frame
+import repro.core.{Frame, Quantizer}
 
 /** MDZ-style baseline: molecular-dynamics compressor with *batch-level*
   * method selection — the paper's key contrast with LCP's per-frame FSM
@@ -53,7 +53,7 @@ object MdzLike extends ParticleCodec {
     Seq((f.x, prev.x), (f.y, prev.y), (f.z, prev.z)).foreach { case (cur, pv) =>
       val q = new Array[Long](cur.length)
       var i = 0
-      while (i < cur.length) { q(i) = PredCoding.quantResidual(cur(i), pv(i), eb); i += 1 }
+      while (i < cur.length) { q(i) = Quantizer.quantizeResidual(cur(i), pv(i), eb); i += 1 }
       ByteIO.writeSection(body, IntCoder.encode(q, delta = false))
     }
     ByteIO.writeSection(out, Dictionary.compress(body.toByteArray))
@@ -70,7 +70,7 @@ object MdzLike extends ParticleCodec {
       val q   = IntCoder.decode(new ByteArrayInputStream(ByteIO.readSection(body)))
       val out = new Array[Double](n)
       var i = 0
-      while (i < n) { out(i) = PredCoding.recon(pv(i), q(i), eb); i += 1 }
+      while (i < n) { out(i) = Quantizer.reconResidual(pv(i), q(i), eb); i += 1 }
       out
     }
     Frame(dims(0), dims(1), dims(2))

@@ -2,7 +2,7 @@ package repro.baselines
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
 import repro.coding.{ByteIO, Dictionary, IntCoder, Zigzag}
-import repro.core.Frame
+import repro.core.{Frame, Quantizer}
 
 /** SPERR-style baseline: multi-level orthonormal Haar wavelet transform on
   * each coordinate array, uniform coefficient quantization, then — like
@@ -43,7 +43,7 @@ object SperrLike extends FrameWiseCodec {
     i = 0
     while (i < n) {
       if (math.abs(v(i) - rec(i)) > eb) {
-        val qc = PredCoding.quantResidual(v(i), rec(i), eb)
+        val qc = Quantizer.quantizeResidual(v(i), rec(i), eb)
         corrIdx += i.toLong
         corrQ += qc
       }
@@ -70,7 +70,7 @@ object SperrLike extends FrameWiseCodec {
       i = 0
       while (i < corrIdx.length) {
         val j = corrIdx(i).toInt
-        rec(j) = PredCoding.recon(rec(j), corrQ(i), eb)
+        rec(j) = Quantizer.reconResidual(rec(j), corrQ(i), eb)
         i += 1
       }
       rec

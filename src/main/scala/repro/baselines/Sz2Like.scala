@@ -2,7 +2,7 @@ package repro.baselines
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
 import repro.coding.{ByteIO, Dictionary, IntCoder, Zigzag}
-import repro.core.Frame
+import repro.core.{Frame, Quantizer}
 
 /** SZ2-style baseline: 1-D Lorenzo prediction (previous reconstructed
   * value) over each coordinate array in storage order, error-bounded
@@ -32,8 +32,8 @@ object Sz2Like extends FrameWiseCodec {
     var pred = 0.0
     var i = 0
     while (i < v.length) {
-      q(i) = PredCoding.quantResidual(v(i), pred, eb)
-      pred = PredCoding.recon(pred, q(i), eb)
+      q(i) = Quantizer.quantizeResidual(v(i), pred, eb)
+      pred = Quantizer.reconResidual(pred, q(i), eb)
       i += 1
     }
     q
@@ -50,7 +50,7 @@ object Sz2Like extends FrameWiseCodec {
       val out = new Array[Double](n)
       var pred = 0.0
       var i = 0
-      while (i < n) { pred = PredCoding.recon(pred, q(i), eb); out(i) = pred; i += 1 }
+      while (i < n) { pred = Quantizer.reconResidual(pred, q(i), eb); out(i) = pred; i += 1 }
       out
     }
     Frame(dims(0), dims(1), dims(2))

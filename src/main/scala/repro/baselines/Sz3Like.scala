@@ -2,7 +2,7 @@ package repro.baselines
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
 import repro.coding.{ByteIO, Dictionary, IntCoder, Zigzag}
-import repro.core.Frame
+import repro.core.{Frame, Quantizer}
 
 /** SZ3-style baseline: multi-level interpolation prediction along the
   * storage axis (coarse anchor points first, then midpoints predicted by
@@ -40,8 +40,8 @@ object Sz3Like extends FrameWiseCodec {
     var pred = 0.0
     var i = 0
     while (i < n) {
-      q(pos) = PredCoding.quantResidual(v(i), pred, eb)
-      recon(i) = PredCoding.recon(pred, q(pos), eb)
+      q(pos) = Quantizer.quantizeResidual(v(i), pred, eb)
+      recon(i) = Quantizer.reconResidual(pred, q(pos), eb)
       pred = recon(i)
       pos += 1
       i += top
@@ -53,8 +53,8 @@ object Sz3Like extends FrameWiseCodec {
       var j = half
       while (j < n) {
         val p = if (j + half < n) (recon(j - half) + recon(j + half)) / 2 else recon(j - half)
-        q(pos) = PredCoding.quantResidual(v(j), p, eb)
-        recon(j) = PredCoding.recon(p, q(pos), eb)
+        q(pos) = Quantizer.quantizeResidual(v(j), p, eb)
+        recon(j) = Quantizer.reconResidual(p, q(pos), eb)
         pos += 1
         j += s
       }
@@ -86,7 +86,7 @@ object Sz3Like extends FrameWiseCodec {
     var pred  = 0.0
     var i = 0
     while (i < n) {
-      recon(i) = PredCoding.recon(pred, q(pos), eb)
+      recon(i) = Quantizer.reconResidual(pred, q(pos), eb)
       pred = recon(i)
       pos += 1
       i += top
@@ -97,7 +97,7 @@ object Sz3Like extends FrameWiseCodec {
       var j = half
       while (j < n) {
         val p = if (j + half < n) (recon(j - half) + recon(j + half)) / 2 else recon(j - half)
-        recon(j) = PredCoding.recon(p, q(pos), eb)
+        recon(j) = Quantizer.reconResidual(p, q(pos), eb)
         pos += 1
         j += s
       }

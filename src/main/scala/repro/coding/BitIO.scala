@@ -95,9 +95,4 @@ final class BitReader(bytes: Array[Byte]) {
     require(bitPos + nbits <= limit, "skip past end of stream")
     bitPos += nbits
   }
-
-  /** Bits consumed so far. */
-  def position: Long = bitPos
-
-  def remainingBits: Long = limit - bitPos
 }

@@ -12,8 +12,14 @@ object ByteIO {
     out.write(bytes)
   }
 
+  /** Read a section written by [[writeSection]]. The length comes from the
+    * input, so it is checked against the bytes remaining before anything is
+    * allocated; every container here decodes from an in-memory stream, whose
+    * `available()` is exactly that count. */
   def readSection(in: InputStream): Array[Byte] = {
-    val n   = Zigzag.readVarLong(in).toInt
+    val len = Zigzag.readVarLong(in)
+    require(len >= 0 && len <= in.available(), s"section: bad length $len, ${in.available()} bytes remain")
+    val n   = len.toInt
     val buf = new Array[Byte](n)
     var off = 0
     while (off < n) {

@@ -181,9 +181,7 @@ object Huffman {
     private val symTable  = new Array[Long](if (n == 0) 0 else 1 << tableBits)
     private val lenTable  = new Array[Byte](if (n == 0) 0 else 1 << tableBits)
     locally {
-      var idx  = 0
-      var code = 0L
-      var l    = 1
+      var l = 1
       // Re-walk canonical codes in (length, symbol) order.
       while (l <= maxLen) {
         var k = 0
@@ -202,7 +200,6 @@ object Huffman {
         }
         l += 1
       }
-      idx += 0; code += 0 // (locals kept for clarity of the canonical walk)
     }
 
     /** Decode `m` symbols from `r`. */

@@ -1,6 +1,6 @@
 package repro.coding
 
-import java.io.{ByteArrayOutputStream, DataInputStream, DataOutputStream}
+import java.io.ByteArrayOutputStream
 
 /** Zigzag mapping between signed and unsigned Longs, plus LEB128 varints.
   *
@@ -17,7 +17,6 @@ object Zigzag {
   @inline def decode(v: Long): Long = (v >>> 1) ^ -(v & 1)
 
   def encodeArray(a: Array[Long]): Array[Long] = a.map(encode)
-  def decodeArray(a: Array[Long]): Array[Long] = a.map(decode)
 
   /** Write an unsigned LEB128 varint. */
   def writeVarLong(out: ByteArrayOutputStream, value: Long): Unit = {

@@ -1,7 +1,5 @@
 package repro.core
 
-import repro.coding.IntCoder
-
 /** Dynamic block-size optimization (§7.4.1).
   *
   * The CR-vs-block-size curve is neither monotonic nor unimodal, so instead

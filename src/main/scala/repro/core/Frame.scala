@@ -9,9 +9,6 @@ final case class Frame(x: Array[Double], y: Array[Double], z: Array[Double]) {
   /** Particle count. */
   def n: Int = x.length
 
-  /** Uncompressed size in bytes (3 FP64 fields, as the paper counts). */
-  def sizeBytes: Long = 3L * 8L * n
-
   /** A new frame with position i holding old `perm(i)`. `perm` may select a
     * subset (sampling) — the result has `perm.length` particles. */
   def reorder(perm: Array[Int]): Frame = {
@@ -35,10 +32,6 @@ final case class Frame(x: Array[Double], y: Array[Double], z: Array[Double]) {
 object Frame {
   /** Empty frame (zero particles). */
   val empty: Frame = Frame(Array.emptyDoubleArray, Array.emptyDoubleArray, Array.emptyDoubleArray)
-
-  /** Build from a row-major sequence of (x, y, z) points. */
-  def fromPoints(pts: Seq[(Double, Double, Double)]): Frame =
-    Frame(pts.map(_._1).toArray, pts.map(_._2).toArray, pts.map(_._3).toArray)
 
   /** Canonical multiset view for order-insensitive equality in tests. */
   def canonical(f: Frame): Seq[(Double, Double, Double)] =

@@ -104,12 +104,12 @@ object Lcp {
 
   /** Compression output. `perms(i)(s)` = original index of the particle at
     * stored slot s of frame i (codec-internal correspondence, used by tests
-    * to verify the error bound per particle). `methods` and `tTrials`
-    * expose the FSM's behaviour for the ablation/overhead benches. */
-  final case class Result(archive: LcpArchive,
-                          perms: IndexedSeq[Array[Int]],
-                          methods: IndexedSeq[Char],
-                          tTrials: Int)
+    * to verify the error bound per particle). `methods` (derived from the
+    * archive's entries) and `tTrials` expose the FSM's behaviour for the
+    * ablation/overhead benches. */
+  final case class Result(archive: LcpArchive, perms: IndexedSeq[Array[Int]], tTrials: Int) {
+    def methods: IndexedSeq[Char] = archive.entries.map(e => if (e.temporal) 'T' else 'S')
+  }
 
   /** §7.4.2 micro-trial: compress a particle-sampled prefix of 3 batches
     * with and without the anchor scale factor and compare total sizes. */
@@ -158,7 +158,6 @@ object Lcp {
     var batchLen = 0
     val entries = IndexedSeq.newBuilder[FrameEntry]
     val perms   = IndexedSeq.newBuilder[Array[Int]]
-    val methods = IndexedSeq.newBuilder[Char]
 
     // Codec state: previous frame's reconstruction + permutation, the last
     // anchor's ditto, the last actual LCP-S size (the FSM's S estimate).
@@ -180,31 +179,19 @@ object Lcp {
       // Anchor frames (first-in-batch spatial) may use the scaled bound.
       val sEb = if (firstInBatch) cfg.eb / scale else cfg.eb
 
-      var spatial: LcpS.SResult = null
-      var temporalBytes: Array[Byte] = null
-      var temporalRecon: Frame = null
+      // LCP-FSM step (§7.2): LCP-T runs only when the FSM asks to compare.
+      // A comparison estimates LCP-S's size from the last actual LCP-S frame
+      // (measured once if there is none yet), so otherwise LCP-S runs only
+      // when it is the method chosen.
+      val compare = canTemporal && fsm.nextAction() == LcpFsm.Compare
+      val t = if (compare) { tTrials += 1; LcpT.compress(f.reorder(basisPerm), basisRecon, cfg.eb) } else null
+      val sTrial = if (!compare || lastSSize < 0) LcpS.compress(f, sEb, p) else null
+      val spatialWon =
+        !compare || (if (sTrial != null) sTrial.bytes.length.toLong else lastSSize) <= t.bytes.length
+      fsm.observe(compare, spatialWon)
 
-      if (!canTemporal) {
-        spatial = LcpS.compress(f, sEb, p)
-        fsm.observe(compared = false, spatialWon = true)
-      } else fsm.nextAction() match {
-        case LcpFsm.UseSpatial =>
-          spatial = LcpS.compress(f, sEb, p)
-          fsm.observe(compared = false, spatialWon = true)
-        case LcpFsm.Compare =>
-          val aligned = f.reorder(basisPerm)
-          val t = LcpT.compress(aligned, basisRecon, cfg.eb)
-          tTrials += 1
-          // LCP-S size is estimated from the last actual LCP-S frame (§7.2);
-          // before any LCP-S run exists, measure it once.
-          val sEst = if (lastSSize >= 0) lastSSize else { spatial = LcpS.compress(f, sEb, p); spatial.bytes.length.toLong }
-          val spatialWon = sEst <= t.bytes.length
-          if (spatialWon) { if (spatial == null) spatial = LcpS.compress(f, sEb, p) }
-          else { spatial = null; temporalBytes = t.bytes; temporalRecon = t.recon }
-          fsm.observe(compared = true, spatialWon = spatialWon)
-      }
-
-      if (spatial != null) {
+      if (spatialWon) {
+        val spatial = if (sTrial != null) sTrial else LcpS.compress(f, sEb, p)
         lastSSize = spatial.bytes.length.toLong
         if (firstInBatch) {
           anchors += spatial.bytes
@@ -217,14 +204,12 @@ object Lcp {
         }
         prevRecon = spatial.recon; prevPerm = spatial.perm
         perms += spatial.perm
-        methods += 'S'
       } else {
         entries += FrameEntry(temporal = true, inAnchor = false, slot = batchLen,
           anchorRef = if (firstInBatch) anchorIdx else -1)
-        batch += temporalBytes; batchLen += 1
-        prevRecon = temporalRecon; prevPerm = basisPerm
+        batch += t.bytes; batchLen += 1
+        prevRecon = t.recon; prevPerm = basisPerm
         perms += basisPerm
-        methods += 'T'
       }
 
       if ((i + 1) % cfg.batchSize == 0 || i == frames.size - 1) {
@@ -236,7 +221,27 @@ object Lcp {
 
     val archive = LcpArchive(cfg.eb, scale, cfg.batchSize, p,
       entries.result(), anchors.result(), batches.result())
-    Result(archive, perms.result(), methods.result(), tTrials)
+    Result(archive, perms.result(), tTrials)
+  }
+
+  /** The §7.3 retrieval primitive: decode frames `from..to` of batch
+    * `batchIdx`, lazily and in order. `from` must start a temporal chain:
+    * a spatial frame, or the batch head, whose temporal basis is the anchor
+    * frame it references. Each later temporal frame decodes against its
+    * predecessor, so only the previous frame is kept live. */
+  private def decodeChain(a: LcpArchive, batchIdx: Int, from: Int, to: Int): Iterator[Frame] = {
+    val head = batchIdx * a.batchSize
+    var prev: Frame = null
+    (from to to).iterator.map { i =>
+      val e = a.entries(i)
+      prev =
+        if (!e.temporal) LcpS.decompress(if (e.inAnchor) a.anchors(e.slot) else a.batches(batchIdx)(e.slot))
+        else {
+          val basis = if (i == head) LcpS.decompress(a.anchors(e.anchorRef)) else prev
+          LcpT.decompress(a.batches(batchIdx)(e.slot), basis)
+        }
+      prev
+    }
   }
 
   /** Decompress every frame of one batch — the paper's retrieval unit
@@ -244,53 +249,18 @@ object Lcp {
     * are touched. */
   def decompressBatch(a: LcpArchive, batchIdx: Int): IndexedSeq[Frame] = {
     val start = batchIdx * a.batchSize
-    val end   = math.min(start + a.batchSize, a.numFrames)
-    var prev: Frame = null
-    (start until end).map { i =>
-      val e = a.entries(i)
-      val f =
-        if (!e.temporal) {
-          if (e.inAnchor) LcpS.decompress(a.anchors(e.slot))
-          else LcpS.decompress(a.batches(batchIdx)(e.slot))
-        } else {
-          val basis =
-            if (i == start) LcpS.decompress(a.anchors(e.anchorRef)) // nearest anchor (§7.3)
-            else prev
-          LcpT.decompress(a.batches(batchIdx)(e.slot), basis)
-        }
-      prev = f
-      f
-    }
+    decodeChain(a, batchIdx, start, math.min(start + a.batchSize, a.numFrames) - 1).toIndexedSeq
   }
 
   /** Decompress a single frame: decode only its batch up to the frame (plus
     * one anchor when needed) — the §7.3 worst case. */
   def decompressFrame(a: LcpArchive, frameIdx: Int): Frame = {
     val batchIdx = frameIdx / a.batchSize
-    val start    = batchIdx * a.batchSize
     // A temporal chain starts at the nearest spatial frame at or before the
-    // target (or at the batch head, whose basis is an anchor frame) — only
-    // that suffix of the batch needs decoding.
+    // target, or at the batch head — only that suffix of the batch is decoded.
     var chainStart = frameIdx
-    while (chainStart > start && a.entries(chainStart).temporal) chainStart -= 1
-    var prev: Frame = null
-    var out: Frame  = null
-    var i = chainStart
-    while (i <= frameIdx) {
-      val e = a.entries(i)
-      val f =
-        if (!e.temporal) {
-          if (e.inAnchor) LcpS.decompress(a.anchors(e.slot))
-          else LcpS.decompress(a.batches(batchIdx)(e.slot))
-        } else {
-          val basis = if (i == start) LcpS.decompress(a.anchors(e.anchorRef)) else prev
-          LcpT.decompress(a.batches(batchIdx)(e.slot), basis)
-        }
-      prev = f
-      out = f
-      i += 1
-    }
-    out
+    while (chainStart > batchIdx * a.batchSize && a.entries(chainStart).temporal) chainStart -= 1
+    decodeChain(a, batchIdx, chainStart, frameIdx).reduceLeft((_, f) => f)
   }
 
   /** Decompress the whole archive, batch by batch. */

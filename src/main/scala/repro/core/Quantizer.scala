@@ -36,13 +36,6 @@ object Quantizer {
   @inline def dequantize(q: Long, min: Double, eb: Double): Double =
     (2.0 * q + 1.0) * eb + min
 
-  /** Prediction-side quantization: plain floor, NO edge correction. Both
-    * compressor and decompressor quantize the previous reconstruction with
-    * this exact function, so they derive identical predictions (LCP-T).
-    */
-  @inline def quantizeForPrediction(d: Double, min: Double, eb: Double): Long =
-    math.floor((d - min) / (2.0 * eb)).toLong
-
   /** Error-bound-aware residual quantization: code `v` in 2·eb bins
     * *centred on a prediction* (LCP-T §7.1, and the SZ-family temporal
     * coders). Centring on the prediction instead of the absolute Eq. 5
@@ -64,14 +57,6 @@ object Quantizer {
     val out = new Array[Long](a.length)
     var i = 0
     while (i < a.length) { out(i) = quantize(a(i), min, eb); i += 1 }
-    out
-  }
-
-  /** Quantize a dimension for prediction (floor only, see above). */
-  def quantizeArrayForPrediction(a: Array[Double], min: Double, eb: Double): Array[Long] = {
-    val out = new Array[Long](a.length)
-    var i = 0
-    while (i < a.length) { out(i) = quantizeForPrediction(a(i), min, eb); i += 1 }
     out
   }
 

@@ -1,7 +1,6 @@
 package repro.sparkio
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.core.{Frame, Lcp}
 import repro.core.Lcp.{LcpArchive, LcpConfig}
 
@@ -25,12 +24,16 @@ object LcpSpark {
     * packed as a standalone LCP archive. */
   final case class CompressedGroup(group: Int, firstFrame: Int, numFrames: Int, blob: Array[Byte])
 
+  /** One row per particle of `frames`, whose first frame has index `first`. */
+  private def toRows(frames: Seq[Frame], first: Int): Seq[ParticleRow] =
+    frames.zipWithIndex.flatMap { case (f, k) =>
+      (0 until f.n).map(i => ParticleRow(first + k, i, f.x(i), f.y(i), f.z(i)))
+    }
+
   /** Frames → row-per-particle DataFrame. */
   def framesToDf(spark: SparkSession, frames: Seq[Frame]): DataFrame = {
     import spark.implicits._
-    frames.zipWithIndex.flatMap { case (f, t) =>
-      (0 until f.n).map(i => ParticleRow(t, i, f.x(i), f.y(i), f.z(i)))
-    }.toDF()
+    toRows(frames, 0).toDF()
   }
 
   /** Collect a group's rows (already sorted by frame, id) into frames. */
@@ -61,13 +64,7 @@ object LcpSpark {
   def decompressToDf(groups: Dataset[CompressedGroup]): DataFrame = {
     val spark = groups.sparkSession
     import spark.implicits._
-    groups.flatMap { g =>
-      val archive = LcpArchive.fromBytes(g.blob)
-      Lcp.decompressAll(archive).zipWithIndex.flatMap { case (f, k) =>
-        val t = g.firstFrame + k
-        (0 until f.n).map(i => ParticleRow(t, i, f.x(i), f.y(i), f.z(i)))
-      }
-    }.toDF()
+    groups.flatMap(g => toRows(Lcp.decompressAll(LcpArchive.fromBytes(g.blob)), g.firstFrame)).toDF()
   }
 
   /** Write compressed groups to Parquet at `path`. */
@@ -87,11 +84,7 @@ object LcpSpark {
         val archive    = LcpArchive.fromBytes(g.blob)
         val localFrame = frameIdx - g.firstFrame
         val batchIdx   = localFrame / archive.batchSize
-        val start      = batchIdx * archive.batchSize
-        Lcp.decompressBatch(archive, batchIdx).zipWithIndex.flatMap { case (f, k) =>
-          val t = g.firstFrame + start + k
-          (0 until f.n).map(i => ParticleRow(t, i, f.x(i), f.y(i), f.z(i)))
-        }
+        toRows(Lcp.decompressBatch(archive, batchIdx), g.firstFrame + batchIdx * archive.batchSize)
       }.toDF()
   }
 }

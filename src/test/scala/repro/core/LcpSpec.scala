@@ -16,6 +16,9 @@ class LcpSpec extends AnyFunSuite with PropSupport {
     }
   }
 
+  private def sameFrame(a: Frame, b: Frame): Boolean =
+    a.x.sameElements(b.x) && a.y.sameElements(b.y) && a.z.sameElements(b.z)
+
   test("single frame archive roundtrip") {
     val frames = IndexedSeq(TestFrames.bunny(500))
     val r = Lcp.compress(frames, LcpConfig(0.01, batchSize = 8))
@@ -71,12 +74,24 @@ class LcpSpec extends AnyFunSuite with PropSupport {
   }
 
   test("decompressFrame matches decompressAll for every frame") {
-    val frames = TestFrames.copper(300, 9)
-    val r = Lcp.compress(frames, LcpConfig(0.03, batchSize = 4))
-    val all = Lcp.decompressAll(r.archive)
-    frames.indices.foreach { i =>
-      val f = Lcp.decompressFrame(r.archive, i)
-      assert(f.x.sameElements(all(i).x), s"frame $i")
+    // 10 frames leave a partial last batch at batch sizes 3 and 4; batch
+    // size 1 makes every frame a head that may decode against an anchor.
+    for (gen <- Seq(TestFrames.copper _, TestFrames.helium _, TestFrames.lj _, TestFrames.yiip _);
+         bs  <- Seq(1, 3, 4)) {
+      val frames = gen(300, 10)
+      val a = Lcp.compress(frames, LcpConfig(0.03, batchSize = bs)).archive
+      val all = Lcp.decompressAll(a)
+      assert(all.size == frames.size)
+      frames.indices.foreach { i =>
+        assert(sameFrame(Lcp.decompressFrame(a, i), all(i)), s"frame $i, batch size $bs")
+      }
+      a.batches.indices.foreach { b =>
+        val batch = Lcp.decompressBatch(a, b)
+        assert(batch.size == math.min(bs, frames.size - b * bs), s"batch $b, batch size $bs")
+        batch.zipWithIndex.foreach { case (f, k) =>
+          assert(sameFrame(f, all(b * bs + k)), s"batch $b frame $k, batch size $bs")
+        }
+      }
     }
   }
 
@@ -89,6 +104,9 @@ class LcpSpec extends AnyFunSuite with PropSupport {
     val b1 = Lcp.decompressBatch(crippled, 1)
     val orig = Lcp.decompressBatch(a, 1)
     b1.zip(orig).foreach { case (fa, fb) => assert(fa.x.sameElements(fb.x)) }
+    (4 until 8).foreach { i =>
+      assert(sameFrame(Lcp.decompressFrame(crippled, i), orig(i - 4)), s"frame $i")
+    }
   }
 
   test("anchor frames enable temporal batch heads") {

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import org.scalacheck.Gen
 import repro.{PropSupport, TestFrames}
 import repro.metrics.Metrics
 
@@ -89,11 +88,5 @@ class QuantizerSpec extends AnyFunSuite with PropSupport {
         i += 1
       }
     }
-  }
-
-  test("prediction-side quantization is deterministic floor") {
-    assert(Quantizer.quantizeForPrediction(0.999, 0.0, 0.5) == 0)
-    assert(Quantizer.quantizeForPrediction(1.0, 0.0, 0.5) == 1)
-    assert(Quantizer.quantizeForPrediction(-0.1, 0.0, 0.5) == -1)
   }
 }

@@ -84,14 +84,6 @@ class LcpSparkSpec extends SparkSpec {
       "particles" -> back)
   }
 
-  test("Oracle smoke test on provided TPC-H-lite generator") {
-    val li = repro.SynthData.lineitem(spark, sf = 0.001)
-    val out = li.groupBy("l_returnflag").agg(count(lit(1)) as "cnt")
-    Oracle.assertEquivalent(out,
-      "SELECT l_returnflag, COUNT(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-      "lineitem" -> li)
-  }
-
   test("distributed compression ratio matches single-node codec within metadata slack") {
     val df     = LcpSpark.framesToDf(spark, frames)
     val groups = LcpSpark.compress(df, cfg, batchesPerGroup = 2).collect()
