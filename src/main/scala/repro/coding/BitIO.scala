@@ -2,44 +2,116 @@ package repro.coding
 
 import java.util.Arrays
 
-/** MSB-first bit writer backed by a growable byte array.
+/** MSB-first bit packing through a 64-bit accumulator, the encode side of
+  * the fixed-length and Huffman coders (DESIGN.md §3). Values are written
+  * most-significant-bit first so canonical Huffman codes compare correctly
+  * during decode.
   *
-  * This is the low-level substrate shared by the fixed-length and Huffman
-  * coders (DESIGN.md §3). Values are written most-significant-bit first so
-  * canonical Huffman codes compare correctly during decode.
+  * The accumulator holds the pending bits in its low bits; a value that
+  * does not fit completes the current 64-bit word, which is stored as 8
+  * big-endian bytes, and its remaining low bits start the next word. The
+  * bulk packers write into an exactly sized array, so the hot loops have no
+  * per-value bounds check, `require` or per-byte loop.
   */
+private[coding] object BitPack {
+
+  /** Store `word` big-endian at `out(p..p+7)`. */
+  @inline private def putWord(out: Array[Byte], p: Int, word: Long): Unit = {
+    out(p) = (word >>> 56).toByte; out(p + 1) = (word >>> 48).toByte
+    out(p + 2) = (word >>> 40).toByte; out(p + 3) = (word >>> 32).toByte
+    out(p + 4) = (word >>> 24).toByte; out(p + 5) = (word >>> 16).toByte
+    out(p + 6) = (word >>> 8).toByte; out(p + 7) = word.toByte
+  }
+
+  /** Store the `bits` (1..63) pending low bits of `acc`, zero-padded to a
+    * byte boundary, at `out(p..)`. */
+  @inline private def putTail(out: Array[Byte], p: Int, acc: Long, bits: Int): Unit = {
+    var w = acc << (64 - bits)
+    var q = p
+    while (q < p + (bits + 7) / 8) { out(q) = (w >>> 56).toByte; w <<= 8; q += 1 }
+  }
+
+  /** Pack the low `width` bits of every value of `a` into `out`, which
+    * must hold exactly `(a.length * width + 7) / 8` bytes. */
+  def packFixed(a: Array[Long], width: Int, out: Array[Byte]): Unit = {
+    if (width == 0) return
+    val mask = if (width == 64) -1L else (1L << width) - 1
+    var acc  = 0L
+    var bits = 0
+    var p    = 0
+    var i    = 0
+    while (i < a.length) {
+      val v    = a(i) & mask
+      val free = 64 - bits
+      if (width < free) { acc = (acc << width) | v; bits += width }
+      else {
+        putWord(out, p, if (free == 64) v else (acc << free) | (v >>> (width - free)))
+        p += 8; bits = width - free; acc = v
+      }
+      i += 1
+    }
+    if (bits > 0) putTail(out, p, acc, bits)
+  }
+
+  /** Pack symbol `ids(i)`'s codeword `codes(ids(i))` of `lengths(ids(i))`
+    * bits (1..58, codeword below 2^length) for every i into `out`, which
+    * must hold exactly the payload's bytes. */
+  def packCodes(ids: Array[Int], codes: Array[Long], lengths: Array[Int], out: Array[Byte]): Unit = {
+    var acc  = 0L
+    var bits = 0
+    var p    = 0
+    var i    = 0
+    while (i < ids.length) {
+      val id   = ids(i)
+      val v    = codes(id)
+      val l    = lengths(id)
+      val free = 64 - bits
+      if (l < free) { acc = (acc << l) | v; bits += l }
+      else {
+        putWord(out, p, (acc << free) | (v >>> (l - free)))
+        p += 8; bits = l - free; acc = v
+      }
+      i += 1
+    }
+    if (bits > 0) putTail(out, p, acc, bits)
+  }
+}
+
+/** Incremental MSB-first bit writer on the same accumulator as [[BitPack]],
+  * for coders that interleave widths (the ZFP-style baseline). */
 final class BitWriter(initialCapacity: Int = 64) {
   private var buf: Array[Byte] = new Array[Byte](math.max(8, initialCapacity))
-  private var bitPos: Long     = 0L
-
-  private def ensure(bytes: Int): Unit = {
-    val need = ((bitPos + 7) >> 3).toInt + bytes
-    if (need > buf.length) buf = Arrays.copyOf(buf, math.max(need, buf.length * 2))
-  }
+  private var pos  = 0   // bytes of completed 64-bit words
+  private var acc  = 0L  // pending bits, in the low `bits` bits
+  private var bits = 0
 
   /** Append the low `nbits` bits of `value` (0 <= nbits <= 64). */
   def writeBits(value: Long, nbits: Int): Unit = {
     require(nbits >= 0 && nbits <= 64, s"nbits out of range: $nbits")
-    ensure((nbits >> 3) + 2)
-    var remaining = nbits
-    while (remaining > 0) {
-      val byteIdx = (bitPos >> 3).toInt
-      val bitOff  = (bitPos & 7).toInt
-      val room    = 8 - bitOff
-      val take    = math.min(room, remaining)
-      // Bits of `value` still to be written, highest first.
-      val chunk = ((value >>> (remaining - take)) & ((1L << take) - 1)).toInt
-      buf(byteIdx) = (buf(byteIdx) | (chunk << (room - take))).toByte
-      bitPos += take
-      remaining -= take
+    if (nbits == 0) return
+    val v    = if (nbits == 64) value else value & ((1L << nbits) - 1)
+    val free = 64 - bits
+    if (nbits < free) { acc = (acc << nbits) | v; bits += nbits }
+    else {
+      if (pos + 8 > buf.length) buf = Arrays.copyOf(buf, math.max(pos + 8, buf.length * 2))
+      val word = if (free == 64) v else (acc << free) | (v >>> (nbits - free))
+      var k = 0
+      while (k < 8) { buf(pos + k) = (word >>> (56 - 8 * k)).toByte; k += 1 }
+      pos += 8; bits = nbits - free; acc = v
     }
   }
 
   /** Number of bits written so far. */
-  def lengthInBits: Long = bitPos
+  def lengthInBits: Long = pos * 8L + bits
 
   /** Snapshot of the written bits, padded with zero bits to a byte boundary. */
-  def toBytes: Array[Byte] = Arrays.copyOf(buf, ((bitPos + 7) >> 3).toInt)
+  def toBytes: Array[Byte] = {
+    val out = Arrays.copyOf(buf, pos + (bits + 7) / 8)
+    var w = acc << (64 - bits)
+    var q = pos
+    while (q < out.length) { out(q) = (w >>> 56).toByte; w <<= 8; q += 1 }
+    out
+  }
 }
 
 /** MSB-first bit reader over a byte array.

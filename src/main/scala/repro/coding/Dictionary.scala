@@ -16,11 +16,19 @@ object Dictionary {
     out.toByteArray
   }
 
-  /** Inverse of [[compress]]. */
+  /** Inverse of [[compress]]. The size prefix comes from the input, so it
+    * must agree with the content size the Zstd frame declares before the
+    * output is allocated. */
   def decompress(bytes: Array[Byte]): Array[Byte] = {
     val in   = new java.io.ByteArrayInputStream(bytes)
-    val size = Zigzag.readVarLong(in).toInt
+    val size = Zigzag.readVarLong(in)
     val rest = in.readAllBytes()
-    if (size == 0) Array.emptyByteArray else Zstd.decompress(rest, size)
+    require(size >= 0 && size <= Int.MaxValue, s"Dictionary: bad size $size")
+    if (size == 0) Array.emptyByteArray
+    else {
+      require(Zstd.getFrameContentSize(rest) == size,
+        s"Dictionary: size $size disagrees with the Zstd frame (${Zstd.getFrameContentSize(rest)})")
+      Zstd.decompress(rest, size.toInt)
+    }
   }
 }

@@ -17,12 +17,11 @@ object FixedLength {
   /** Exact payload cost in bits for coding `a` fixed-length (excl. headers). */
   def costBits(a: Array[Long]): Long = widthFor(a).toLong * a.length
 
-  /** Pack `a` at width `width` bits per value. */
+  /** Pack the low `width` bits of each value of `a`. */
   def encode(a: Array[Long], width: Int): Array[Byte] = {
-    val w = new BitWriter(((a.length.toLong * width + 7) / 8).toInt + 8)
-    var i = 0
-    while (i < a.length) { w.writeBits(a(i), width); i += 1 }
-    w.toBytes
+    val out = new Array[Byte](((a.length.toLong * width + 7) / 8).toInt)
+    BitPack.packFixed(a, width, out)
+    out
   }
 
   /** Unpack `n` values of `width` bits each. */

@@ -1,6 +1,6 @@
 package repro.coding
 
-import java.io.{ByteArrayOutputStream, InputStream}
+import java.io.InputStream
 import scala.collection.mutable
 
 /** Canonical Huffman coder over Long symbols — the variable-length coding
@@ -10,126 +10,226 @@ import scala.collection.mutable
   */
 object Huffman {
 
-  /** A built code: symbol -> (codeword, bit length), canonical ordering. */
-  final case class Code(lengths: Map[Long, Int], codes: Map[Long, Long]) {
-    def maxLen: Int = if (lengths.isEmpty) 0 else lengths.valuesIterator.max
+  /** Histogram of a symbol array, with no boxing: `ids(i)` numbers the
+    * distinct symbol of element i in first-occurrence order, and
+    * `symbols(id)`/`counts(id)` describe that symbol. */
+  final class Histogram(val ids: Array[Int], val symbols: Array[Long], val counts: Array[Long]) {
+    def size: Int = symbols.length
 
-    /** Exact payload bits to code `a` with this table. */
-    def payloadBits(freq: mutable.LongMap[Long]): Long =
-      freq.iterator.map { case (s, f) => f * lengths(s) }.sum
-
-    /** Serialized table size in bytes. */
-    def tableBytes: Int = {
-      val out = new ByteArrayOutputStream()
-      writeTable(out)
-      out.size()
-    }
-
-    def writeTable(out: ByteArrayOutputStream): Unit = {
-      Zigzag.writeVarLong(out, lengths.size.toLong)
-      // Canonical order (length, symbol) keeps decode tables reconstructible.
-      lengths.toSeq.sortBy { case (s, l) => (l, s) }.foreach { case (s, l) =>
-        Zigzag.writeVarLong(out, s)
-        out.write(l)
-      }
+    /** Ids in the iteration order of a `mutable.LongMap` into which the
+      * symbols were inserted in first-occurrence order. That map's layout
+      * depends only on the order of its new keys, so this is the leaf order
+      * of a histogram counted into a `LongMap`, which fixes how the code
+      * builder breaks weight ties (and with it the coded bytes). */
+    def leafOrder: Array[Int] = {
+      val m = new mutable.LongMap[Int]()
+      var id = 0
+      while (id < size) { m.update(symbols(id), id); id += 1 }
+      val order = new Array[Int](size)
+      var k = 0
+      m.foreach { case (_, i) => order(k) = i; k += 1 }
+      order
     }
   }
 
-  /** Histogram of `a` as a primitive-friendly LongMap. */
-  def frequencies(a: Array[Long]): mutable.LongMap[Long] = {
-    val m = new mutable.LongMap[Long]()
+  /** Codes below this (and below 8 per element) are counted in a dense
+    * array indexed by code; others in an open-addressing table. */
+  private val DenseCodes = 1 << 16
+
+  /** Histogram of `a`. */
+  def frequencies(a: Array[Long]): Histogram = {
+    var or = 0L
+    var i  = 0
+    while (i < a.length) { or |= a(i); i += 1 }
+    histogram(a, or, Int.MaxValue).get
+  }
+
+  /** Histogram of `a`, whose values OR to `or`; None as soon as more than
+    * `limit` distinct symbols appear. */
+  private[coding] def histogram(a: Array[Long], or: Long, limit: Int): Option[Histogram] = {
+    val n      = a.length
+    val cap    = math.min(n, limit)
+    val ids    = new Array[Int](n)
+    val syms   = new Array[Long](cap)
+    val counts = new Array[Long](cap)
+    var m = 0
     var i = 0
-    while (i < a.length) { m(a(i)) = m.getOrElse(a(i), 0L) + 1L; i += 1 }
-    m
+    if (or >= 0 && or < DenseCodes && or < 8L * n) {
+      val slot = new Array[Int](or.toInt + 1) // code -> id + 1
+      while (i < n) {
+        val c = a(i).toInt
+        var s = slot(c)
+        if (s == 0) {
+          if (m == limit) return None
+          syms(m) = c; m += 1; s = m; slot(c) = s
+        }
+        ids(i) = s - 1
+        counts(s - 1) += 1
+        i += 1
+      }
+    } else {
+      // Linear probing at load <= 1/2: the table has >= 2 * cap slots.
+      val bits  = math.max(4, 65 - java.lang.Long.numberOfLeadingZeros(math.max(1L, cap.toLong)))
+      val mask  = (1 << bits) - 1
+      val keys  = new Array[Long](1 << bits)
+      val slot  = new Array[Int](1 << bits) // id + 1, 0 = empty
+      while (i < n) {
+        val k = a(i)
+        var h = ((k * 0x9e3779b97f4a7c15L) >>> (64 - bits)).toInt
+        while (slot(h) != 0 && keys(h) != k) h = (h + 1) & mask
+        var s = slot(h)
+        if (s == 0) {
+          if (m == limit) return None
+          keys(h) = k; syms(m) = k; m += 1; s = m; slot(h) = s
+        }
+        ids(i) = s - 1
+        counts(s - 1) += 1
+        i += 1
+      }
+    }
+    Some(new Histogram(ids, java.util.Arrays.copyOf(syms, m), java.util.Arrays.copyOf(counts, m)))
+  }
+
+  /** A built code as flat arrays. `symbols`, `lengths` and `codes` are in
+    * canonical (length, symbol) order, the order of the serialized table;
+    * `idCodes`/`idLengths` hold the same codewords by histogram id. */
+  final class Code(val symbols: Array[Long], val lengths: Array[Int], val codes: Array[Long],
+                   idCodes: Array[Long], idLengths: Array[Int]) {
+    def maxLen: Int = if (lengths.isEmpty) 0 else lengths(lengths.length - 1)
+
+    /** Exact payload bits to code the histogram's array with this table. */
+    def payloadBits(h: Histogram): Long = {
+      var bits = 0L
+      var id   = 0
+      while (id < h.size) { bits += h.counts(id) * idLengths(id); id += 1 }
+      bits
+    }
+
+    /** Serialized table size in bytes: the count varint, then a symbol
+      * varint and one length byte per symbol. */
+    def tableBytes: Int = {
+      var bytes = Zigzag.varLongLen(symbols.length.toLong) + symbols.length
+      var k = 0
+      while (k < symbols.length) { bytes += Zigzag.varLongLen(symbols(k)); k += 1 }
+      bytes
+    }
+
+    /** Write the table into `out` at `pos`; returns the next position. */
+    def putTable(out: Array[Byte], pos: Int): Int = {
+      var p = Zigzag.putVarLong(out, pos, symbols.length.toLong)
+      var k = 0
+      while (k < symbols.length) {
+        p = Zigzag.putVarLong(out, p, symbols(k))
+        out(p) = lengths(k).toByte
+        p += 1
+        k += 1
+      }
+      p
+    }
+
+    /** The bit-packed codewords of the histogram's array. */
+    def encodePayload(h: Histogram): Array[Byte] = {
+      val out = new Array[Byte](((payloadBits(h) + 7) / 8).toInt)
+      BitPack.packCodes(h.ids, idCodes, idLengths, out)
+      out
+    }
   }
 
   /** Build a canonical Huffman code from a histogram. Returns None when the
-    * code is unusable (empty input or code lengths exceeding 58 bits, which
-    * cannot happen for realistic block arrays but guards adversarial input).
+    * code is unusable (code lengths exceeding 58 bits, which cannot happen
+    * for realistic block arrays but guards adversarial input).
     */
-  def build(freq: mutable.LongMap[Long]): Option[Code] = {
-    if (freq.isEmpty) return Some(Code(Map.empty, Map.empty))
-    if (freq.size == 1) {
-      val s = freq.keysIterator.next()
-      return Some(Code(Map(s -> 1), Map(s -> 0L)))
-    }
-    // Array-based Huffman tree: leaves 0..m-1, internals m..2m-2, parent
-    // pointers let each leaf's depth be read off in O(depth). Leaves are
-    // weight-sorted once; merging then uses the classic two-queue scan
-    // (internal nodes are produced in non-decreasing weight order), so the
-    // build is O(m log m) with no boxed priority queue — large alphabets
-    // (Morton deltas, big blocks) build in milliseconds, not seconds.
-    val m       = freq.size
-    val symbols = new Array[Long](m)
-    val weight  = new Array[Long](2 * m - 1)
-    val parent  = new Array[Int](2 * m - 1)
-    java.util.Arrays.fill(parent, -1)
-    locally {
-      var i = 0
-      freq.foreach { case (s, f) => symbols(i) = s; weight(i) = f; i += 1 }
-    }
-    locally {
-      val order = (0 until m).toArray.sortBy(weight(_))
-      val leafQ  = order
-      var leafPos = 0
-      val nodeQ   = new Array[Int](m - 1)
+  def build(h: Histogram): Option[Code] = {
+    val m      = h.size
+    val leaves = h.leafOrder
+    // Code length of each leaf (a position in `leaves`).
+    val depth  = new Array[Int](math.max(1, 2 * m - 1))
+    if (m == 1) depth(0) = 1
+    else if (m > 1) {
+      // Array-based Huffman tree: leaves 0..m-1, internals m..2m-2. Leaves
+      // are sorted once by weight, ties in leaf order (a packed primitive
+      // sort); merging then uses the classic two-queue scan (internal
+      // nodes are produced in non-decreasing weight order), so the build is
+      // O(m log m) with no boxing.
+      val weight = new Array[Long](2 * m - 1)
+      val parent = new Array[Int](2 * m - 1)
+      val leafQ  = new Array[Int](m)
+      locally {
+        val packed = new Array[Long](m)
+        var k = 0
+        while (k < m) { weight(k) = h.counts(leaves(k)); packed(k) = (weight(k) << 31) | k; k += 1 }
+        java.util.Arrays.sort(packed)
+        k = 0
+        while (k < m) { leafQ(k) = (packed(k) & 0x7fffffffL).toInt; k += 1 }
+      }
+      val nodeQ    = new Array[Int](m - 1)
+      var leafPos  = 0
       var nodeHead = 0
       var nodeTail = 0
       var next = m
-      @inline def takeMin(): Int = {
-        val leafOk = leafPos < m
-        val nodeOk = nodeHead < nodeTail
-        if (leafOk && (!nodeOk || weight(leafQ(leafPos)) <= weight(nodeQ(nodeHead)))) {
-          leafPos += 1; leafQ(leafPos - 1)
-        } else { nodeHead += 1; nodeQ(nodeHead - 1) }
-      }
       while (next < 2 * m - 1) {
-        val a = takeMin(); val b = takeMin()
-        weight(next) = weight(a) + weight(b)
-        parent(a) = next; parent(b) = next
+        // Merge the two lightest nodes; a leaf wins a weight tie.
+        var j = 0
+        while (j < 2) {
+          val pick =
+            if (leafPos < m && (nodeHead == nodeTail || weight(leafQ(leafPos)) <= weight(nodeQ(nodeHead)))) {
+              leafPos += 1; leafQ(leafPos - 1)
+            } else { nodeHead += 1; nodeQ(nodeHead - 1) }
+          weight(next) += weight(pick)
+          parent(pick) = next
+          j += 1
+        }
         nodeQ(nodeTail) = next; nodeTail += 1
         next += 1
       }
+      // A parent always has a larger index than its children, so depths
+      // fill top-down from the root (2m-2, depth 0).
+      var k = 2 * m - 3
+      while (k >= 0) { depth(k) = depth(parent(k)) + 1; k -= 1 }
     }
-    val lengths = Map.newBuilder[Long, Int]
-    var maxLen  = 0
-    var i = 0
-    while (i < m) {
-      var d = 0
-      var p = i
-      while (parent(p) >= 0) { p = parent(p); d += 1 }
-      if (d > maxLen) maxLen = d
-      lengths += symbols(i) -> d
-      i += 1
-    }
-    if (maxLen > 58) return None
-    Some { val ls = lengths.result(); Code(ls, canonicalCodes(ls)) }
+    var maxLen = 0
+    var k = 0
+    while (k < m) { if (depth(k) > maxLen) maxLen = depth(k); k += 1 }
+    if (maxLen > 58) None else Some(canonical(h, leaves, depth))
   }
 
-  /** Assign canonical codewords given code lengths. */
-  private def canonicalCodes(lengths: Map[Long, Int]): Map[Long, Long] = {
-    var code   = 0L
-    var prevL  = 0
-    val sorted = lengths.toSeq.sortBy { case (s, l) => (l, s) }
-    sorted.map { case (s, l) =>
+  /** Assign canonical codewords given each leaf's code length: leaves are
+    * ordered by (length, symbol) through one packed primitive sort of
+    * (length, symbol rank) keys. */
+  private def canonical(h: Histogram, leaves: Array[Int], depth: Array[Int]): Code = {
+    val m      = leaves.length
+    val sorted = java.util.Arrays.copyOf(h.symbols, m)
+    java.util.Arrays.sort(sorted)
+    val leafOfRank = new Array[Int](m)
+    val keys       = new Array[Long](m)
+    var k = 0
+    while (k < m) {
+      val r = java.util.Arrays.binarySearch(sorted, h.symbols(leaves(k)))
+      leafOfRank(r) = k
+      keys(k) = (depth(k).toLong << 32) | r
+      k += 1
+    }
+    java.util.Arrays.sort(keys)
+    val symbols   = new Array[Long](m)
+    val lengths   = new Array[Int](m)
+    val codes     = new Array[Long](m)
+    val idCodes   = new Array[Long](m)
+    val idLengths = new Array[Int](m)
+    var code  = 0L
+    var prevL = 0
+    k = 0
+    while (k < m) {
+      val l = (keys(k) >>> 32).toInt
+      val r = (keys(k) & 0xffffffffL).toInt
       code <<= (l - prevL)
       prevL = l
-      val c = code
+      symbols(k) = sorted(r); lengths(k) = l; codes(k) = code
+      val id = leaves(leafOfRank(r))
+      idCodes(id) = code; idLengths(id) = l
       code += 1
-      s -> c
-    }.toMap
-  }
-
-  /** Encode `a` with `code` into a bit-packed byte array. */
-  def encodePayload(a: Array[Long], code: Code): Array[Byte] = {
-    val w = new BitWriter(a.length)
-    var i = 0
-    while (i < a.length) {
-      val s = a(i)
-      w.writeBits(code.codes(s), code.lengths(s))
-      i += 1
+      k += 1
     }
-    w.toBytes
+    new Code(symbols, lengths, codes, idCodes, idLengths)
   }
 
   object Decoder {
@@ -142,7 +242,12 @@ object Huffman {
 
   /** Decoder tables reconstructed from a serialized table stream. */
   final class Decoder(in: InputStream) {
-    private val n = Zigzag.readVarLong(in).toInt
+    // Each table entry takes at least two bytes (symbol varint, length).
+    private val n = {
+      val count = Zigzag.readVarLong(in)
+      require(count >= 0 && count <= in.available() / 2, s"Huffman table: bad symbol count $count")
+      count.toInt
+    }
     // Symbols arrive in canonical (length, symbol) order.
     private val syms = new Array[Long](n)
     private val lens = new Array[Int](n)

@@ -1,6 +1,6 @@
 package repro.coding
 
-import java.io.{ByteArrayOutputStream, InputStream}
+import java.io.InputStream
 
 /** The §6.2.2 coding chain for one integer array: delta coding, zigzag,
   * then *either* canonical Huffman or fixed-length packing — whichever has
@@ -9,7 +9,12 @@ import java.io.{ByteArrayOutputStream, InputStream}
   *
   * Stream layout: flags byte (bit0 = delta, bit1 = huffman), varint count,
   * then the method-specific table/width and the length-prefixed payload.
-  * The Huffman code is built once and reused for both costing and encoding.
+  *
+  * Encoding is one primitive kernel (DESIGN.md §3): a fused delta/zigzag
+  * pass, a boxing-free histogram that stops past the Huffman alphabet
+  * limit, a flat-array code, and accumulator packing into exactly sized
+  * arrays. The Huffman code is built once and reused for both costing and
+  * encoding.
   */
 object IntCoder {
   /** Above this alphabet size Huffman degenerates: near-unique symbols get
@@ -20,60 +25,91 @@ object IntCoder {
     * bit-unpack. */
   private val MaxHuffmanAlphabet = 4096
 
-  private def varintLen(n: Long): Long = math.max(1, (Zigzag.bitWidth(n) + 6) / 7).toLong
+  import Zigzag.varLongLen
 
-  private def prepared(a: Array[Long], delta: Boolean): Array[Long] =
-    Zigzag.encodeArray(if (delta) Delta.encode(a) else a)
+  /** The coded symbols of one array: its (delta and) zigzag codes, plus the
+    * OR of all codes. The OR has the bit width of the largest code, and it
+    * is negative exactly when some code is >= 2^63. */
+  private final class Prepared(val z: Array[Long], val or: Long) {
+    def n: Int = z.length
 
-  private def fixedCost(z: Array[Long], n: Int): Long =
-    2L + varintLen(n) + (FixedLength.widthFor(z).toLong * z.length + 7) / 8
+    /** [[FixedLength.widthFor]] of the codes, from the OR. */
+    def width: Int = {
+      require(or >= 0, "FixedLength requires non-negative input")
+      Zigzag.bitWidth(or)
+    }
 
-  private def huffCost(code: Huffman.Code, freq: scala.collection.mutable.LongMap[Long], n: Int): Long =
-    1L + varintLen(n) + code.tableBytes + varintLen(Int.MaxValue) + (code.payloadBits(freq) + 7) / 8
-
-  private def buildCode(z: Array[Long]): Option[(Huffman.Code, scala.collection.mutable.LongMap[Long])] = {
-    if (z.isEmpty) return None
-    val freq = Huffman.frequencies(z)
-    if (freq.size > MaxHuffmanAlphabet) None
-    else Huffman.build(freq).map(_ -> freq)
+    def fixedCost: Long = 2L + varLongLen(n) + (width.toLong * n + 7) / 8
   }
+
+  /** Delta (when on) and zigzag in one pass into a fresh array. */
+  private def prepare(a: Array[Long], delta: Boolean): Prepared = {
+    val z    = new Array[Long](a.length)
+    var or   = 0L
+    var prev = 0L
+    var i    = 0
+    while (i < a.length) {
+      val v = a(i)
+      val c = Zigzag.encode(if (delta) v - prev else v)
+      z(i) = c
+      or |= c
+      prev = v
+      i += 1
+    }
+    new Prepared(z, or)
+  }
+
+  /** The Huffman code of the codes and their histogram; None when the array
+    * is empty, has more than [[MaxHuffmanAlphabet]] distinct codes (the
+    * count stops there), or the code lengths degenerate. */
+  private def buildCode(p: Prepared): Option[(Huffman.Code, Huffman.Histogram)] =
+    if (p.n == 0) None
+    else Huffman.histogram(p.z, p.or, MaxHuffmanAlphabet).flatMap(h => Huffman.build(h).map(_ -> h))
+
+  // Counts a section varint of varLongLen(Int.MaxValue) bytes; the fixed
+  // side counts none. The method choice depends on both formulas exactly
+  // as they are, so the coded bytes do too.
+  private def huffCost(code: Huffman.Code, h: Huffman.Histogram, n: Int): Long =
+    1L + varLongLen(n) + code.tableBytes + varLongLen(Int.MaxValue) + (code.payloadBits(h) + 7) / 8
 
   /** Exact encoded size in bytes of each method, used for selection and by
     * the Table 3 bench: (fixedBytes, huffmanBytes); huffman is None when
     * the alphabet is too large or code lengths degenerate. */
   def methodCosts(a: Array[Long], delta: Boolean): (Long, Option[Long]) = {
-    val z = prepared(a, delta)
-    (fixedCost(z, a.length), buildCode(z).map { case (c, f) => huffCost(c, f, a.length) })
+    val p = prepare(a, delta)
+    (p.fixedCost, buildCode(p).map { case (c, h) => huffCost(c, h, p.n) })
   }
 
-  private def emit(z: Array[Long], n: Int, delta: Boolean, codeOpt: Option[Huffman.Code]): Array[Byte] = {
-    val out = new ByteArrayOutputStream(z.length + 16)
-    out.write((if (delta) 1 else 0) | (if (codeOpt.isDefined) 2 else 0))
-    Zigzag.writeVarLong(out, n.toLong)
-    if (n > 0) codeOpt match {
-      case Some(code) =>
-        code.writeTable(out)
-        ByteIO.writeSection(out, Huffman.encodePayload(z, code))
-      case None =>
-        val width = FixedLength.widthFor(z)
-        out.write(width)
-        ByteIO.writeSection(out, FixedLength.encode(z, width))
+  private def emit(p: Prepared, delta: Boolean, huffman: Option[(Huffman.Code, Huffman.Histogram)]): Array[Byte] = {
+    val n     = p.n
+    val flags = (if (delta) 1 else 0) | (if (huffman.isDefined) 2 else 0)
+    if (n == 0) return Array(flags.toByte, 0.toByte)
+    val (payload, head) = huffman match {
+      case Some((code, h)) => (code.encodePayload(h), code.tableBytes)
+      case None            => (FixedLength.encode(p.z, p.width), 1)
     }
-    out.toByteArray
+    val out = new Array[Byte](1 + varLongLen(n) + head + varLongLen(payload.length) + payload.length)
+    out(0) = flags.toByte
+    var pos = Zigzag.putVarLong(out, 1, n.toLong)
+    huffman match {
+      case Some((code, _)) => pos = code.putTable(out, pos)
+      case None            => out(pos) = p.width.toByte; pos += 1
+    }
+    pos = Zigzag.putVarLong(out, pos, payload.length.toLong)
+    System.arraycopy(payload, 0, out, pos, payload.length)
+    out
   }
 
   /** Encode `a`, picking the cheaper of Huffman and fixed-length. */
   def encode(a: Array[Long], delta: Boolean = true): Array[Byte] = {
-    val z     = prepared(a, delta)
-    val built = buildCode(z)
-    val useHuffman = built.exists { case (c, f) => huffCost(c, f, a.length) < fixedCost(z, a.length) }
-    emit(z, a.length, delta, if (useHuffman) built.map(_._1) else None)
+    val p = prepare(a, delta)
+    emit(p, delta, buildCode(p).filter { case (c, h) => huffCost(c, h, p.n) < p.fixedCost })
   }
 
   /** Encode with an explicit method choice (bench support for Table 3). */
   def encodeForced(a: Array[Long], delta: Boolean, useHuffman: Boolean): Array[Byte] = {
-    val z = prepared(a, delta)
-    emit(z, a.length, delta, if (useHuffman) buildCode(z).map(_._1) else None)
+    val p = prepare(a, delta)
+    emit(p, delta, if (useHuffman) buildCode(p) else None)
   }
 
   /** Decode one array written by [[encode]]/[[encodeForced]]. Zigzag and
@@ -83,15 +119,25 @@ object IntCoder {
     require(flags >= 0, "IntCoder: EOF")
     val delta = (flags & 1) != 0
     val huff  = (flags & 2) != 0
-    val n     = Zigzag.readVarLong(in).toInt
+    val count = Zigzag.readVarLong(in)
+    require(count >= 0 && count <= Int.MaxValue, s"IntCoder: bad count $count")
+    val n = count.toInt
     if (n == 0) return Array.emptyLongArray
+    // The count comes from the input: it is checked against the payload
+    // (a symbol takes at least one bit) before the output is allocated.
     val z =
       if (huff) {
-        val dec = new Huffman.Decoder(in)
-        dec.decode(new BitReader(ByteIO.readSection(in)), n)
+        val dec     = new Huffman.Decoder(in)
+        val payload = ByteIO.readSection(in)
+        require(n <= 8L * payload.length, s"IntCoder: $n symbols in ${payload.length} Huffman bytes")
+        dec.decode(new BitReader(payload), n)
       } else {
         val width = in.read()
-        FixedLength.decode(ByteIO.readSection(in), n, width)
+        require(width >= 0 && width <= 64, s"IntCoder: bad width $width")
+        val payload = ByteIO.readSection(in)
+        require(width == 0 || n.toLong * width <= 8L * payload.length,
+          s"IntCoder: $n values of $width bits in ${payload.length} bytes")
+        FixedLength.decode(payload, n, width)
       }
     var prev = 0L
     var i = 0

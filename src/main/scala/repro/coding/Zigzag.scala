@@ -16,8 +16,6 @@ object Zigzag {
   /** Inverse of [[encode]]. */
   @inline def decode(v: Long): Long = (v >>> 1) ^ -(v & 1)
 
-  def encodeArray(a: Array[Long]): Array[Long] = a.map(encode)
-
   /** Write an unsigned LEB128 varint. */
   def writeVarLong(out: ByteArrayOutputStream, value: Long): Unit = {
     var v = value
@@ -26,6 +24,22 @@ object Zigzag {
       v >>>= 7
     }
     out.write(v.toInt)
+  }
+
+  /** Bytes [[writeVarLong]] takes for `value` (10 for negative values). */
+  @inline def varLongLen(value: Long): Int = math.max(1, (bitWidth(value) + 6) / 7)
+
+  /** Write `value` as a varint into `buf` at `pos`; returns the next position. */
+  def putVarLong(buf: Array[Byte], pos: Int, value: Long): Int = {
+    var v = value
+    var p = pos
+    while ((v & ~0x7fL) != 0) {
+      buf(p) = ((v & 0x7f) | 0x80).toByte
+      v >>>= 7
+      p += 1
+    }
+    buf(p) = v.toByte
+    p + 1
   }
 
   /** Read an unsigned LEB128 varint written by [[writeVarLong]]. */

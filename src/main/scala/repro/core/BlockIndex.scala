@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.coding.Zigzag
 import repro.core.Quantizer.QFrame
 
 /** Spatial block grid (§6.2.1, Eq. 6). Block side is `2·eb·p`, so a
@@ -28,6 +29,39 @@ object BlockIndex {
   @inline private def fdiv(a: Long, b: Long): Long = Math.floorDiv(a, b)
   @inline private def fmod(a: Long, b: Long): Long = Math.floorMod(a, b)
 
+  /** Largest number of blocks a grid may have: linear block ids stay below
+    * it, so they and their zigzag-coded deltas fit in a Long. */
+  val MaxGridCells: Long = 1L << 62
+
+  /** A grid of `bnx × bny × bnz` blocks has at most [[MaxGridCells]]. */
+  private def fits(bnx: Long, bny: Long, bnz: Long): Boolean =
+    try Math.multiplyExact(Math.multiplyExact(bnx, bny), bnz) <= MaxGridCells
+    catch { case _: ArithmeticException => false }
+
+  private def maxOf(a: Array[Long]): Long = {
+    var m = 0L
+    var i = 0
+    while (i < a.length) { if (a(i) > m) m = a(i); i += 1 }
+    m
+  }
+
+  /** The smallest `p·2^k` whose block grid over `qf` fits [[MaxGridCells]].
+    * At tiny eb and wide extents a small p (the sweep's p = 1) overflows
+    * the linear block id; a coarser grid codes the same bins. There is no
+    * such p only when the bins themselves are out of range, i.e. eb is
+    * below the coordinates' floating-point resolution. */
+  def fittingP(qf: QFrame, p: Int): Int = {
+    require(p >= 1, s"block size parameter p must be >= 1: $p")
+    val (mx, my, mz) = (maxOf(qf.qx), maxOf(qf.qy), maxOf(qf.qz))
+    var q = p
+    while (!fits(fdiv(mx, q) + 1, fdiv(my, q) + 1, fdiv(mz, q) + 1)) {
+      require(q <= (Int.MaxValue >> 1),
+        s"no block size fits the grid of ${qf.n} particles at eb ${qf.eb}: bins up to ($mx, $my, $mz)")
+      q <<= 1
+    }
+    q
+  }
+
   /** Group a quantized frame into blocks of `p` bins per side. */
   def group(qf: QFrame, p: Int): Grouped = {
     require(p >= 1, s"block size parameter p must be >= 1: $p")
@@ -38,14 +72,17 @@ object BlockIndex {
         Array.emptyIntArray, 1L, 1L)
 
     val bx = new Array[Long](n); val by = new Array[Long](n); val bz = new Array[Long](n)
-    var maxBx = 0L; var maxBy = 0L
+    var maxBx = 0L; var maxBy = 0L; var maxBz = 0L
     var i = 0
     while (i < n) {
       bx(i) = fdiv(qf.qx(i), p); by(i) = fdiv(qf.qy(i), p); bz(i) = fdiv(qf.qz(i), p)
       if (bx(i) > maxBx) maxBx = bx(i)
       if (by(i) > maxBy) maxBy = by(i)
+      if (bz(i) > maxBz) maxBz = bz(i)
       i += 1
     }
+    require(fits(maxBx + 1, maxBy + 1, maxBz + 1),
+      s"block grid at p = $p exceeds $MaxGridCells blocks (see fittingP)")
     val bnx = maxBx + 1
     val bny = maxBy + 1
     val ids = new Array[Long](n)
@@ -54,44 +91,58 @@ object BlockIndex {
 
     val perm = sortedIndicesBy(ids)
 
-    // Walk particles in block order, emitting run-length block metadata.
-    val idsB  = scala.collection.mutable.ArrayBuffer.empty[Long]
-    val cntB  = scala.collection.mutable.ArrayBuffer.empty[Long]
+    // Walk particles in block order: count the runs of equal block ids,
+    // then emit one (id, count) per run.
+    var blocks = 0
+    var prev   = -1L
+    i = 0
+    while (i < n) { val id = ids(perm(i)); if (id != prev) { blocks += 1; prev = id }; i += 1 }
+    val blockIds = new Array[Long](blocks)
+    val counts   = new Array[Long](blocks)
     val relX  = new Array[Long](n); val relY = new Array[Long](n); val relZ = new Array[Long](n)
-    var prev  = Long.MinValue
+    var b = -1
+    prev = -1L
     i = 0
     while (i < n) {
       val j  = perm(i)
       val id = ids(j)
-      if (id != prev) { idsB += id; cntB += 0L; prev = id }
-      cntB(cntB.length - 1) += 1
+      if (id != prev) { b += 1; blockIds(b) = id; prev = id }
+      counts(b) += 1
       relX(i) = fmod(qf.qx(j), p); relY(i) = fmod(qf.qy(j), p); relZ(i) = fmod(qf.qz(j), p)
       i += 1
     }
-    Grouped(idsB.toArray, cntB.toArray, relX, relY, relZ, perm, bnx, bny)
+    Grouped(blockIds, counts, relX, relY, relZ, perm, bnx, bny)
   }
 
-  /** Indices 0..n-1 sorted ascending by key. Uses a packed primitive sort
-    * (key<<24 | index) when keys and n are small enough — the common case —
-    * falling back to a boxed sort for extreme grids (tiny eb, p = 1).
+  /** Indices 0..n-1 sorted ascending by key, ties in index order, through
+    * one packed primitive sort of (key, index) pairs. Keys too large (or
+    * negative) to pack beside the index are first replaced by their rank
+    * among the distinct keys, which keeps the order.
     */
   def sortedIndicesBy(keys: Array[Long]): Array[Int] = {
-    val n = keys.length
-    var maxKey = 0L
+    val n       = keys.length
+    val idxBits = math.max(1, Zigzag.bitWidth(n.toLong))
+    var minKey  = 0L
+    var maxKey  = 0L
     var i = 0
-    while (i < n) { if (keys(i) > maxKey) maxKey = keys(i); i += 1 }
-    if (n < (1 << 24) && maxKey >= 0 && maxKey < (1L << 39)) {
-      val packed = new Array[Long](n)
-      i = 0
-      while (i < n) { packed(i) = (keys(i) << 24) | i.toLong; i += 1 }
-      java.util.Arrays.sort(packed)
-      val out = new Array[Int](n)
-      i = 0
-      while (i < n) { out(i) = (packed(i) & 0xffffff).toInt; i += 1 }
-      out
-    } else {
-      Array.range(0, n).sortBy(keys(_))
-    }
+    while (i < n) { if (keys(i) > maxKey) maxKey = keys(i); if (keys(i) < minKey) minKey = keys(i); i += 1 }
+    val packable = minKey >= 0 && Zigzag.bitWidth(maxKey) + idxBits <= 63
+    val ranked =
+      if (packable) keys
+      else {
+        val distinct = keys.clone()
+        java.util.Arrays.sort(distinct)
+        Array.tabulate(n)(k => java.util.Arrays.binarySearch(distinct, keys(k)).toLong)
+      }
+    val packed = new Array[Long](n)
+    i = 0
+    while (i < n) { packed(i) = (ranked(i) << idxBits) | i.toLong; i += 1 }
+    java.util.Arrays.sort(packed)
+    val out  = new Array[Int](n)
+    val mask = (1L << idxBits) - 1
+    i = 0
+    while (i < n) { out(i) = (packed(i) & mask).toInt; i += 1 }
+    out
   }
 
   /** Rebuild quantization bins from grouped block data (decompression side). */

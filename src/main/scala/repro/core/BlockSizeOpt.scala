@@ -6,9 +6,11 @@ package repro.core
   * of a search the paper evaluates the offline-derived candidate set
   * p = 2^k, 0 ≤ k ≤ 16 on a sample of the input and keeps the best.
   *
-  * Candidates are scored by actually compressing a strided sample with
+  * Candidates are scored by actually compressing a spatial sample with
   * LCP-S (including the Zstd stage — a pre-Zstd estimate mispredicts
-  * configurations whose redundancy only the dictionary coder removes);
+  * configurations whose redundancy only the dictionary coder removes).
+  * The sample is quantized once and every candidate runs the encode step
+  * of `LcpS.compress`, without its reconstruction;
   * the 16 K sample keeps the whole sweep a small multiple of one full
   * compression, matching the paper's mid-tier compression speed.
   */
@@ -54,7 +56,8 @@ object BlockSizeOpt {
       case ps if ps.size < Candidates.size => ps :+ Candidates(math.min(ps.size, Candidates.size - 1))
       case ps                              => ps
     }
-    val sizes = live.map(p => p -> LcpS.compress(s, eb, p).bytes.length.toLong).toMap
+    val qs    = Quantizer.quantizeFrame(s, eb)
+    val sizes = live.map(p => p -> LcpS.encode(qs, p)._1.length.toLong).toMap
     (live.minBy(sizes), sizes)
   }
 }

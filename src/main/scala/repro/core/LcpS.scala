@@ -25,35 +25,43 @@ object LcpS {
     */
   final case class SResult(bytes: Array[Byte], perm: Array[Int], recon: Frame)
 
-  /** Compress `f` at absolute error bound `eb` with block parameter `p`. */
+  /** Compress `f` at absolute error bound `eb` with block parameter `p`
+    * (raised to [[BlockIndex.fittingP]] when the grid would overflow). */
   def compress(f: Frame, eb: Double, p: Int): SResult = {
-    val qf      = Quantizer.quantizeFrame(f, eb)
-    val grouped = BlockIndex.group(qf, p)
+    val qf           = Quantizer.quantizeFrame(f, eb)
+    val (bytes, grp) = encode(qf, p)
+    // Reconstruction in stored order = dequantized bins in block order.
+    SResult(bytes, grp.perm, reorderQ(qf, grp.perm).dequantize)
+  }
+
+  /** The frame bytes of [[compress]] for an already quantized frame, and
+    * its block grouping, without the reconstruction: the §7.4.1 sweep
+    * scores every candidate p through this and needs only the size. */
+  private[core] def encode(qf: QFrame, p: Int): (Array[Byte], BlockIndex.Grouped) = {
+    val pFit    = BlockIndex.fittingP(qf, p)
+    val grouped = BlockIndex.group(qf, pFit)
 
     val header = new ByteArrayOutputStream(64)
-    Zigzag.writeVarLong(header, f.n.toLong)
-    ByteIO.writeDouble(header, eb)
-    Zigzag.writeVarLong(header, p.toLong)
+    Zigzag.writeVarLong(header, qf.n.toLong)
+    ByteIO.writeDouble(header, qf.eb)
+    Zigzag.writeVarLong(header, pFit.toLong)
     ByteIO.writeDouble(header, qf.minX); ByteIO.writeDouble(header, qf.minY); ByteIO.writeDouble(header, qf.minZ)
     Zigzag.writeVarLong(header, grouped.bnx)
     Zigzag.writeVarLong(header, grouped.bny)
 
     // §6.2.2 coding chain; the five sections are concatenated and the
     // dictionary coder (Zstd) runs once over the whole payload.
-    val body = new ByteArrayOutputStream(f.n * 2 + 64)
+    val body = new ByteArrayOutputStream(qf.n * 2 + 64)
     ByteIO.writeSection(body, IntCoder.encode(grouped.blockIds))
     ByteIO.writeSection(body, IntCoder.encode(grouped.counts))
     ByteIO.writeSection(body, IntCoder.encode(grouped.relX))
     ByteIO.writeSection(body, IntCoder.encode(grouped.relY))
     ByteIO.writeSection(body, IntCoder.encode(grouped.relZ))
 
-    val out = new ByteArrayOutputStream(f.n + 96)
+    val out = new ByteArrayOutputStream(qf.n + 96)
     out.write(header.toByteArray)
     ByteIO.writeSection(out, Dictionary.compress(body.toByteArray))
-
-    // Reconstruction in stored order = dequantized bins in block order.
-    val reconQ = reorderQ(qf, grouped.perm)
-    SResult(out.toByteArray, grouped.perm, reconQ.dequantize)
+    (out.toByteArray, grouped)
   }
 
   private def reorderQ(qf: QFrame, perm: Array[Int]): QFrame = {
@@ -93,7 +101,8 @@ object LcpS {
                                 relPosFixed: Long, relPosHuffman: Option[Long])
 
   def sectionCosts(f: Frame, eb: Double, p: Int): SectionCosts = {
-    val grouped = BlockIndex.group(Quantizer.quantizeFrame(f, eb), p)
+    val qf       = Quantizer.quantizeFrame(f, eb)
+    val grouped  = BlockIndex.group(qf, BlockIndex.fittingP(qf, p))
     val (bf, bh) = IntCoder.methodCosts(grouped.blockIds, delta = true)
     val (cf, ch) = IntCoder.methodCosts(grouped.counts, delta = true)
     val rels = Seq(grouped.relX, grouped.relY, grouped.relZ).map(IntCoder.methodCosts(_, delta = true))

@@ -33,4 +33,18 @@ class DictionarySpec extends AnyFunSuite with PropSupport {
       assert(Dictionary.decompress(Dictionary.compress(a)).sameElements(a))
     }
   }
+  /** A Zstd frame of `content` behind the size prefix `size`. */
+  private def withSize(size: Long, content: Array[Byte]): Array[Byte] = {
+    val out = new java.io.ByteArrayOutputStream()
+    Zigzag.writeVarLong(out, size)
+    out.write(com.github.luben.zstd.Zstd.compress(content, 3))
+    out.toByteArray
+  }
+
+  test("a size prefix that disagrees with the Zstd frame is rejected before allocating") {
+    val content = "hello particle".getBytes
+    assert(Dictionary.decompress(withSize(content.length.toLong, content)).sameElements(content))
+    for (size <- Seq(Int.MaxValue.toLong, 1000000000L, content.length + 1L, 1L, -1L, 1L << 32))
+      assertThrows[IllegalArgumentException](Dictionary.decompress(withSize(size, content)))
+  }
 }

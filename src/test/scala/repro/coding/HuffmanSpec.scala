@@ -1,6 +1,6 @@
 package repro.coding
 
-import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
+import java.io.ByteArrayInputStream
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 import repro.PropSupport
@@ -8,32 +8,35 @@ import repro.PropSupport
 class HuffmanSpec extends AnyFunSuite with PropSupport {
 
   private def roundtrip(a: Array[Long]): Array[Long] = {
-    val code = Huffman.build(Huffman.frequencies(a)).get
-    val table = new ByteArrayOutputStream()
-    code.writeTable(table)
-    val payload = Huffman.encodePayload(a, code)
-    val dec = new Huffman.Decoder(new ByteArrayInputStream(table.toByteArray))
+    val freq  = Huffman.frequencies(a)
+    val code  = Huffman.build(freq).get
+    val table = new Array[Byte](code.tableBytes)
+    assert(code.putTable(table, 0) == table.length)
+    val payload = code.encodePayload(freq)
+    val dec = new Huffman.Decoder(new ByteArrayInputStream(table))
     dec.decode(new BitReader(payload), a.length)
   }
+
+  private def lengthOf(code: Huffman.Code, s: Long): Int = code.lengths(code.symbols.indexOf(s))
 
   test("single-symbol alphabet uses 1-bit codes") {
     val a = Array.fill(100)(7L)
     val code = Huffman.build(Huffman.frequencies(a)).get
-    assert(code.lengths(7L) == 1)
+    assert(lengthOf(code, 7L) == 1)
     assert(roundtrip(a).sameElements(a))
   }
 
   test("two symbols get 1-bit codes") {
     val a = Array(1L, 2L, 1L, 1L, 2L)
     val code = Huffman.build(Huffman.frequencies(a)).get
-    assert(code.lengths.values.forall(_ == 1))
+    assert(code.lengths.forall(_ == 1))
     assert(roundtrip(a).sameElements(a))
   }
 
   test("skewed distribution gives shorter code to frequent symbol") {
     val a = Array.fill(1000)(5L) ++ Array(6L, 7L, 8L)
     val code = Huffman.build(Huffman.frequencies(a)).get
-    assert(code.lengths(5L) < code.lengths(6L))
+    assert(lengthOf(code, 5L) < lengthOf(code, 6L))
     assert(roundtrip(a).sameElements(a))
   }
 
@@ -52,7 +55,7 @@ class HuffmanSpec extends AnyFunSuite with PropSupport {
   test("canonical codes are prefix-free") {
     val a = Array.tabulate(300)(i => (i % 7).toLong * (i % 3))
     val code = Huffman.build(Huffman.frequencies(a)).get
-    val cs = code.lengths.keys.toSeq.map(s => (code.codes(s), code.lengths(s)))
+    val cs = code.symbols.indices.map(k => (code.codes(k), code.lengths(k)))
     for ((c1, l1) <- cs; (c2, l2) <- cs if (c1, l1) != (c2, l2)) {
       val shorter = math.min(l1, l2)
       assert((c1 >>> (l1 - shorter)) != (c2 >>> (l2 - shorter)) || l1 == l2 && c1 != c2,
@@ -61,7 +64,7 @@ class HuffmanSpec extends AnyFunSuite with PropSupport {
   }
 
   test("empty frequency map builds empty code") {
-    assert(Huffman.build(new scala.collection.mutable.LongMap[Long]()).get.lengths.isEmpty)
+    assert(Huffman.build(Huffman.frequencies(Array.emptyLongArray)).get.lengths.isEmpty)
   }
 
   test("property: roundtrip random arrays") {

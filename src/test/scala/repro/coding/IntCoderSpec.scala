@@ -92,4 +92,70 @@ class IntCoderSpec extends AnyFunSuite with PropSupport {
       assert(roundtrip(a, delta = false).sameElements(a))
     }
   }
+  /** Arrays over small, wide, mixed-magnitude and near-limit alphabets. */
+  private val codedArrays: Gen[Array[Long]] = Gen.oneOf(
+    Gen.listOf(Gen.choose(-20L, 20L)),
+    Gen.listOf(Gen.choose(-100000L, 100000L)),
+    Gen.listOf(Gen.oneOf(Gen.choose(Long.MinValue / 4, Long.MaxValue / 4), Gen.choose(-3L, 3L))),
+    for { k <- Gen.choose(4000, 4200); extra <- Gen.choose(0, 20000); seed <- Gen.choose(0L, 1000L) } yield {
+      val rng = new java.util.Random(seed)
+      List.tabulate(k + extra)(i => if (i < k) i * 7919L else rng.nextInt(16).toLong)
+    }).map(_.toArray)
+
+  test("property: encode picks what methodCosts says, and matches encodeForced of that choice") {
+    forAllG2(codedArrays, Gen.oneOf(true, false)) { (a, delta) =>
+      val (fixed, huff) = IntCoder.methodCosts(a, delta)
+      val useHuffman    = huff.exists(_ < fixed)
+      val enc           = IntCoder.encode(a, delta)
+      assert(((enc(0) & 2) != 0) == useHuffman)
+      assert(enc.sameElements(IntCoder.encodeForced(a, delta, useHuffman)))
+      // The costs count the Huffman payload's section varint at its widest
+      // (5 bytes) and the fixed one's not at all.
+      if (a.nonEmpty) {
+        val fixedEnc = IntCoder.encodeForced(a, delta, useHuffman = false)
+        assert(fixedEnc.length - fixed >= 1 && fixedEnc.length - fixed <= 5)
+        huff.foreach { h =>
+          val huffEnc = IntCoder.encodeForced(a, delta, useHuffman = true)
+          assert(h - huffEnc.length >= 0 && h - huffEnc.length <= 4)
+        }
+      }
+    }
+  }
+
+  test("codes >= 2^63 are rejected by fixed-length coding") {
+    val a = Array(Long.MinValue, 0L, 5L)
+    for (delta <- Seq(false, true)) {
+      intercept[IllegalArgumentException](IntCoder.encode(a, delta))
+      intercept[IllegalArgumentException](IntCoder.methodCosts(a, delta))
+      intercept[IllegalArgumentException](IntCoder.encodeForced(a, delta, useHuffman = false))
+    }
+  }
+
+  private def bytes(xs: Int*): ByteArrayInputStream = new ByteArrayInputStream(xs.map(_.toByte).toArray)
+
+  test("a Huffman count beyond 8 symbols per payload byte is rejected before allocating") {
+    // flags = huffman, count 2^30, table {0 -> 1 bit}, a 1-byte payload: 11 bytes.
+    val in = bytes(2, 0x80, 0x80, 0x80, 0x80, 0x04, 1, 0, 1, 1, 0)
+    assertThrows[IllegalArgumentException](IntCoder.decode(in))
+  }
+
+  test("a Huffman table count beyond the remaining bytes is rejected before allocating") {
+    // flags = huffman, count 1, table count 2^30.
+    assertThrows[IllegalArgumentException](IntCoder.decode(bytes(2, 1, 0x80, 0x80, 0x80, 0x80, 0x04, 0, 1)))
+  }
+
+  test("fixed-length widths above 64 and counts beyond the payload are rejected") {
+    // flags = fixed, count 1, width 65.
+    assertThrows[IllegalArgumentException](IntCoder.decode(bytes(0, 1, 65, 1, 0)))
+    // count 2^30 of 8 bits in a 1-byte payload.
+    assertThrows[IllegalArgumentException](IntCoder.decode(bytes(0, 0x80, 0x80, 0x80, 0x80, 0x04, 8, 1, 0)))
+    // A count that does not fit an Int.
+    assertThrows[IllegalArgumentException](IntCoder.decode(bytes(0, 0x80, 0x80, 0x80, 0x80, 0x10, 8, 1, 0)))
+  }
+
+  test("width-0 arrays decode at their declared count") {
+    val a = Array.fill(100000)(0L)
+    assert(roundtrip(a, delta = false).sameElements(a))
+    assert(IntCoder.decode(bytes(0, 0xa0, 0x8d, 0x06, 0, 0)).length == 100000)
+  }
 }

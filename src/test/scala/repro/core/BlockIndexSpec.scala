@@ -105,4 +105,31 @@ class BlockIndexSpec extends AnyFunSuite with PropSupport {
       }
     }
   }
+  test("property: sortedIndicesBy equals a stable sort for any keys") {
+    val keyGen = Gen.oneOf(Gen.choose(0L, 50L), Gen.choose(Long.MinValue, Long.MaxValue), Gen.choose(-3L, 3L))
+    forAllG(Gen.listOf(keyGen)) { ks =>
+      val keys = ks.toArray
+      assert(BlockIndex.sortedIndicesBy(keys).sameElements(Array.range(0, keys.length).sortBy(keys(_))))
+    }
+  }
+
+  test("a block grid beyond MaxGridCells is rejected, and fittingP coarsens p until it fits") {
+    val f  = Frame(Array(0.0, 1000.0), Array(0.0, 1000.0), Array(0.0, 1000.0))
+    val qf = Quantizer.quantizeFrame(f, 1e-6)
+    intercept[IllegalArgumentException](BlockIndex.group(qf, 1))
+    val p = BlockIndex.fittingP(qf, 1)
+    assert(p > 1 && (p & (p - 1)) == 0)
+    val g = BlockIndex.group(qf, p)
+    assert(g.blockIds.forall(id => id >= 0 && id < BlockIndex.MaxGridCells))
+    assert(BlockIndex.fittingP(qf, p) == p)
+    assert(BlockIndex.fittingP(qf, p / 2) == p)
+  }
+
+  test("group emits one (id, count) per run of equal block ids") {
+    val f = Frame(Array(0.0, 0.01, 5.0, 5.01, 5.02, 9.0), Array.fill(6)(0.0), Array.fill(6)(0.0))
+    val g = BlockIndex.group(Quantizer.quantizeFrame(f, 0.1), 8)
+    assert(g.blockIds.sameElements(g.blockIds.distinct.sorted))
+    assert(g.counts.sum == 6 && g.counts.length == g.blockIds.length)
+    assert(g.counts.sameElements(Array(2L, 3L, 1L)))
+  }
 }

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{PropSupport, TestFrames}
 import repro.metrics.Metrics
@@ -208,5 +209,55 @@ class LcpSpec extends AnyFunSuite with PropSupport {
       val anchor = LcpS.decompress(r.archive.anchors(ref))
       assert(anchor.n == frames(i).n)
     }
+  }
+  /** The bound up to the rounding of d' = (2q+1)·eb + min (Eq. 5), a few
+    * ulps of the coordinates: once eb nears their resolution, that
+    * rounding exceeds `withinBound`'s relative slack (a particle at the
+    * frame minimum sits exactly eb from its bin centre). */
+  private def checkRoundedBound(f: Frame, d: Frame, perm: Array[Int], eb: Double): Unit = {
+    val mag = Seq(f.x, f.y, f.z).flatten.map(math.abs).maxOption.getOrElse(0.0)
+    assert(d.n == f.n)
+    assert(Metrics.maxAbsError(f, d, perm) <= eb + 4 * math.ulp(mag))
+  }
+
+  private def checkRoundedBound(frames: IndexedSeq[Frame], r: Lcp.Result, eb: Double): Unit = {
+    val dec = Lcp.decompressAll(r.archive)
+    frames.indices.foreach(i => checkRoundedBound(frames(i), dec(i), r.perms(i), eb))
+  }
+
+  test("a 3-particle frame over extent 1000 at eb 1e-6 compresses within the bound") {
+    // The sweep's p = 1 candidate has a 5e8^3-block grid, whose linear
+    // block ids overflow a Long; LcpS coarsens p until the grid fits.
+    val f = Frame(Array(0.0, 1000.0, 500.0), Array(0.0, 1000.0, 250.0), Array(0.0, 1000.0, 750.0))
+    checkRoundedBound(IndexedSeq(f), Lcp.compress(IndexedSeq(f), LcpConfig(1e-6)), 1e-6)
+  }
+
+  test("property: extreme grids (tiny eb, wide extents, p = 1) keep the per-particle bound") {
+    val gen = for {
+      n      <- Gen.choose(1, 30)
+      extent <- Gen.oneOf(1.0, 1e3, 1e4)
+      shift  <- Gen.oneOf(-5e3, 0.0, 42.0)
+      eb     <- Gen.oneOf(1e-6, 1e-7, 1e-8)
+      p      <- Gen.oneOf(Option(1), None)
+      seed   <- Gen.choose(0L, 1000000L)
+    } yield {
+      val rng = new java.util.Random(seed)
+      def dim() = Array.fill(n)(shift + rng.nextDouble() * extent)
+      val f0 = Frame(dim(), dim(), dim())
+      val f1 = Frame(f0.x.map(_ + 1e-3), f0.y.clone(), f0.z.map(_ - 2e-3))
+      (IndexedSeq(f0, f1), LcpConfig(eb, batchSize = 2, blockSizeP = p))
+    }
+    forAllG(gen) { case (frames, cfg) =>
+      checkRoundedBound(frames, Lcp.compress(frames, cfg), cfg.eb)
+      val s = LcpS.compress(frames.head, cfg.eb, 1)
+      checkRoundedBound(frames.head, LcpS.decompress(s.bytes), s.perm, cfg.eb)
+    }
+  }
+
+  test("a grid no block size fits raises one clear IllegalArgumentException") {
+    // Bins of 2e-12 over an extent of 1e9 are out of range for a Long.
+    val f = Frame(Array(0.0, 1e9), Array(0.0, 1e9), Array(0.0, 1e9))
+    val e = intercept[IllegalArgumentException](LcpS.compress(f, 1e-12, 1))
+    assert(e.getMessage.contains("no block size fits"))
   }
 }
