@@ -114,17 +114,18 @@ object Huffman {
       bytes
     }
 
-    /** Write the table into `out` at `pos`; returns the next position. */
-    def putTable(out: Array[Byte], pos: Int): Int = {
-      var p = Zigzag.putVarLong(out, pos, symbols.length.toLong)
-      var k = 0
+    /** The serialized table, [[tableBytes]] long. */
+    def table: Array[Byte] = {
+      val out = new Array[Byte](tableBytes)
+      var p   = Zigzag.putVarLong(out, 0, symbols.length.toLong)
+      var k   = 0
       while (k < symbols.length) {
         p = Zigzag.putVarLong(out, p, symbols(k))
         out(p) = lengths(k).toByte
         p += 1
         k += 1
       }
-      p
+      out
     }
 
     /** The bit-packed codewords of the histogram's array. */

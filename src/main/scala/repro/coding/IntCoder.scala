@@ -80,22 +80,21 @@ object IntCoder {
     (p.fixedCost, buildCode(p).map { case (c, h) => huffCost(c, h, p.n) })
   }
 
+  /** flags, the count varint, the method's head (the Huffman table or the
+    * width byte), then the payload as a section. */
   private def emit(p: Prepared, delta: Boolean, huffman: Option[(Huffman.Code, Huffman.Histogram)]): Array[Byte] = {
     val n     = p.n
     val flags = (if (delta) 1 else 0) | (if (huffman.isDefined) 2 else 0)
     if (n == 0) return Array(flags.toByte, 0.toByte)
-    val (payload, head) = huffman match {
-      case Some((code, h)) => (code.encodePayload(h), code.tableBytes)
-      case None            => (FixedLength.encode(p.z, p.width), 1)
+    val (head, payload) = huffman match {
+      case Some((code, h)) => (code.table, code.encodePayload(h))
+      case None            => (Array(p.width.toByte), FixedLength.encode(p.z, p.width))
     }
-    val out = new Array[Byte](1 + varLongLen(n) + head + varLongLen(payload.length) + payload.length)
+    val out = new Array[Byte](1 + varLongLen(n) + head.length + varLongLen(payload.length) + payload.length)
     out(0) = flags.toByte
     var pos = Zigzag.putVarLong(out, 1, n.toLong)
-    huffman match {
-      case Some((code, _)) => pos = code.putTable(out, pos)
-      case None            => out(pos) = p.width.toByte; pos += 1
-    }
-    pos = Zigzag.putVarLong(out, pos, payload.length.toLong)
+    System.arraycopy(head, 0, out, pos, head.length)
+    pos = Zigzag.putVarLong(out, pos + head.length, payload.length.toLong)
     System.arraycopy(payload, 0, out, pos, payload.length)
     out
   }

@@ -33,10 +33,12 @@ object BlockIndex {
     * it, so they and their zigzag-coded deltas fit in a Long. */
   val MaxGridCells: Long = 1L << 62
 
-  /** A grid of `bnx × bny × bnz` blocks has at most [[MaxGridCells]]. */
+  /** A grid of `bnx × bny × bnz` blocks has at most [[MaxGridCells]]
+    * (a count that overflowed to a non-positive value does not fit). */
   private def fits(bnx: Long, bny: Long, bnz: Long): Boolean =
-    try Math.multiplyExact(Math.multiplyExact(bnx, bny), bnz) <= MaxGridCells
-    catch { case _: ArithmeticException => false }
+    bnx > 0 && bny > 0 && bnz > 0 &&
+      (try Math.multiplyExact(Math.multiplyExact(bnx, bny), bnz) <= MaxGridCells
+       catch { case _: ArithmeticException => false })
 
   private def maxOf(a: Array[Long]): Long = {
     var m = 0L
@@ -116,8 +118,9 @@ object BlockIndex {
 
   /** Indices 0..n-1 sorted ascending by key, ties in index order, through
     * one packed primitive sort of (key, index) pairs. Keys too large (or
-    * negative) to pack beside the index are first replaced by their rank
-    * among the distinct keys, which keeps the order.
+    * negative) to pack beside the index are first replaced by the position
+    * binary search finds them at in a sorted copy: equal keys get equal
+    * positions, so the order is kept.
     */
   def sortedIndicesBy(keys: Array[Long]): Array[Int] = {
     val n       = keys.length
@@ -130,9 +133,9 @@ object BlockIndex {
     val ranked =
       if (packable) keys
       else {
-        val distinct = keys.clone()
-        java.util.Arrays.sort(distinct)
-        Array.tabulate(n)(k => java.util.Arrays.binarySearch(distinct, keys(k)).toLong)
+        val sorted = keys.clone()
+        java.util.Arrays.sort(sorted)
+        Array.tabulate(n)(k => java.util.Arrays.binarySearch(sorted, keys(k)).toLong)
       }
     val packed = new Array[Long](n)
     i = 0

@@ -10,8 +10,8 @@ class HuffmanSpec extends AnyFunSuite with PropSupport {
   private def roundtrip(a: Array[Long]): Array[Long] = {
     val freq  = Huffman.frequencies(a)
     val code  = Huffman.build(freq).get
-    val table = new Array[Byte](code.tableBytes)
-    assert(code.putTable(table, 0) == table.length)
+    val table = code.table
+    assert(table.length == code.tableBytes)
     val payload = code.encodePayload(freq)
     val dec = new Huffman.Decoder(new ByteArrayInputStream(table))
     dec.decode(new BitReader(payload), a.length)
