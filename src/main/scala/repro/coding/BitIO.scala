@@ -16,7 +16,7 @@ import java.util.Arrays
 private[coding] object BitPack {
 
   /** Store `word` big-endian at `out(p..p+7)`. */
-  @inline private def putWord(out: Array[Byte], p: Int, word: Long): Unit = {
+  @inline def putWord(out: Array[Byte], p: Int, word: Long): Unit = {
     out(p) = (word >>> 56).toByte; out(p + 1) = (word >>> 48).toByte
     out(p + 2) = (word >>> 40).toByte; out(p + 3) = (word >>> 32).toByte
     out(p + 4) = (word >>> 24).toByte; out(p + 5) = (word >>> 16).toByte
@@ -25,7 +25,7 @@ private[coding] object BitPack {
 
   /** Store the `bits` (1..63) pending low bits of `acc`, zero-padded to a
     * byte boundary, at `out(p..)`. */
-  @inline private def putTail(out: Array[Byte], p: Int, acc: Long, bits: Int): Unit = {
+  @inline def putTail(out: Array[Byte], p: Int, acc: Long, bits: Int): Unit = {
     var w = acc << (64 - bits)
     var q = p
     while (q < p + (bits + 7) / 8) { out(q) = (w >>> 56).toByte; w <<= 8; q += 1 }
@@ -94,9 +94,7 @@ final class BitWriter(initialCapacity: Int = 64) {
     if (nbits < free) { acc = (acc << nbits) | v; bits += nbits }
     else {
       if (pos + 8 > buf.length) buf = Arrays.copyOf(buf, math.max(pos + 8, buf.length * 2))
-      val word = if (free == 64) v else (acc << free) | (v >>> (nbits - free))
-      var k = 0
-      while (k < 8) { buf(pos + k) = (word >>> (56 - 8 * k)).toByte; k += 1 }
+      BitPack.putWord(buf, pos, if (free == 64) v else (acc << free) | (v >>> (nbits - free)))
       pos += 8; bits = nbits - free; acc = v
     }
   }
@@ -107,9 +105,7 @@ final class BitWriter(initialCapacity: Int = 64) {
   /** Snapshot of the written bits, padded with zero bits to a byte boundary. */
   def toBytes: Array[Byte] = {
     val out = Arrays.copyOf(buf, pos + (bits + 7) / 8)
-    var w = acc << (64 - bits)
-    var q = pos
-    while (q < out.length) { out(q) = (w >>> 56).toByte; w <<= 8; q += 1 }
+    if (bits > 0) BitPack.putTail(out, pos, acc, bits)
     out
   }
 }
