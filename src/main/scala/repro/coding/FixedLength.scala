@@ -8,10 +8,18 @@ object FixedLength {
 
   /** Bit width needed to store every value of `a` (0 for an all-zero array). */
   def widthFor(a: Array[Long]): Int = {
-    var max = 0L
-    var i   = 0
-    while (i < a.length) { require(a(i) >= 0, "FixedLength requires non-negative input"); if (a(i) > max) max = a(i); i += 1 }
-    Zigzag.bitWidth(max)
+    var or = 0L
+    var i  = 0
+    while (i < a.length) { or |= a(i); i += 1 }
+    widthOfOr(or)
+  }
+
+  /** [[widthFor]] of values whose bitwise OR is `or`: the OR has the bit
+    * width of the largest value, and it is negative exactly when a value
+    * is (a zigzag code >= 2^63), which no width can store. */
+  def widthOfOr(or: Long): Int = {
+    require(or >= 0, "FixedLength requires non-negative input")
+    Zigzag.bitWidth(or)
   }
 
   /** Exact payload cost in bits for coding `a` fixed-length (excl. headers). */

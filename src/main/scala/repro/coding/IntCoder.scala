@@ -28,16 +28,11 @@ object IntCoder {
   import Zigzag.varLongLen
 
   /** The coded symbols of one array: its (delta and) zigzag codes, plus the
-    * OR of all codes. The OR has the bit width of the largest code, and it
-    * is negative exactly when some code is >= 2^63. */
+    * OR of all codes, which gives their fixed-length width. */
   private final class Prepared(val z: Array[Long], val or: Long) {
     def n: Int = z.length
 
-    /** [[FixedLength.widthFor]] of the codes, from the OR. */
-    def width: Int = {
-      require(or >= 0, "FixedLength requires non-negative input")
-      Zigzag.bitWidth(or)
-    }
+    def width: Int = FixedLength.widthOfOr(or)
 
     def fixedCost: Long = 2L + varLongLen(n) + (width.toLong * n + 7) / 8
   }
