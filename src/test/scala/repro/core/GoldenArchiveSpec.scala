@@ -1,10 +1,13 @@
 package repro.core
 
+import java.io.ByteArrayInputStream
 import java.security.MessageDigest
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestFrames
 import repro.baselines.{MdzLike, ParticleCodec, SperrLike, Sz2Like, Sz3Like}
+import repro.coding.{ByteIO, Zigzag}
 import repro.core.Lcp._
+import repro.data.Particles
 
 /** Byte-identity gate: pins the SHA-256 of the serialized archive for a
   * small golden set of (dataset, eb, batch, option) cells, plus the payload
@@ -55,4 +58,35 @@ class GoldenArchiveSpec extends AnyFunSuite {
       assert(sha256(codec.compress(baselineFrames, 0.02, 4).payload) == digest)
     }
   }
+
+  /** The mode byte of every MDZ batch (1 = temporal, 0 = spatial); the
+    * payload is a batch count, then per batch its mode byte, a frame count
+    * and the frames as sections. */
+  private def mdzModes(payload: Array[Byte]): Seq[Int] = {
+    val in = new ByteArrayInputStream(payload)
+    val modes = (1L to Zigzag.readVarLong(in)).map { _ =>
+      val mode = in.read()
+      (1L to Zigzag.readVarLong(in)).foreach(_ => ByteIO.readSection(in))
+      mode
+    }
+    assert(in.available() == 0, "bytes after the last MDZ batch")
+    modes
+  }
+
+  private def mdzCell(name: String, frames: => IndexedSeq[Frame], eb: Double, batchSize: Int,
+                      mode: Int, digest: String): Unit =
+    test(s"MDZ golden payload, ${if (mode == 1) "temporal" else "spatial"} in every batch: $name") {
+      val payload = MdzLike.compress(frames, eb, batchSize).payload
+      assert(mdzModes(payload) == Seq.fill((frames.size + batchSize - 1) / batchSize)(mode))
+      assert(sha256(payload) == digest)
+    }
+
+  // Every batch holds at least two frames, so the second-frame probe picks
+  // each batch's mode.
+  mdzCell("lj 600x9, eb 0.02, batch 3",
+    TestFrames.lj(600, 9), 0.02, 3, mode = 1,
+    "a5b15dc0eccd2d5a11637841101b1215031fa3cd2c5dddc4d47421fba0429aa8")
+  mdzCell("8 independent hacc frames of 500, eb 0.02, batch 4",
+    IndexedSeq.tabulate(8)(s => Particles.hacc(500, 100 + s)), 0.02, 4, mode = 0,
+    "8475566b81a36636737e81c06f989302a52c125ce85a5b08695ad436e9fe2613")
 }
