@@ -1,7 +1,7 @@
 package repro.baselines
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
-import repro.coding.{ByteIO, Zigzag}
+import repro.coding.ByteIO
 import repro.core.Frame
 
 /** Compression result: the serialized payload (all metadata included) plus
@@ -26,22 +26,6 @@ trait ParticleCodec {
   def decompress(payload: Array[Byte]): IndexedSeq[Frame]
 }
 
-object ParticleCodec {
-  /** Length-prefixed concatenation of per-frame sections. */
-  def concat(sections: Seq[Array[Byte]]): Array[Byte] = {
-    val out = new ByteArrayOutputStream()
-    Zigzag.writeVarLong(out, sections.size.toLong)
-    sections.foreach(ByteIO.writeSection(out, _))
-    out.toByteArray
-  }
-
-  def split(payload: Array[Byte]): IndexedSeq[Array[Byte]] = {
-    val in = new ByteArrayInputStream(payload)
-    val n  = Zigzag.readVarLong(in).toInt
-    IndexedSeq.fill(n)(ByteIO.readSection(in))
-  }
-}
-
 /** Base for codecs that compress every frame independently. */
 trait FrameWiseCodec extends ParticleCodec {
   /** Compress one frame; returns (bytes, perm-or-null). */
@@ -51,9 +35,11 @@ trait FrameWiseCodec extends ParticleCodec {
 
   final override def compress(frames: IndexedSeq[Frame], eb: Double, batchSize: Int): Compressed = {
     val results = frames.map(compressFrame(_, eb))
-    Compressed(ParticleCodec.concat(results.map(_._1)), results.map(_._2))
+    val out     = new ByteArrayOutputStream()
+    ByteIO.writeSections(out, results.map(_._1))
+    Compressed(out.toByteArray, results.map(_._2))
   }
 
   final override def decompress(payload: Array[Byte]): IndexedSeq[Frame] =
-    ParticleCodec.split(payload).map(decompressFrame)
+    ByteIO.readSections(new ByteArrayInputStream(payload)).map(decompressFrame)
 }

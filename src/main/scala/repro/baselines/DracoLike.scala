@@ -53,7 +53,7 @@ object DracoLike extends FrameWiseCodec {
 
   override def decompressFrame(bytes: Array[Byte]): Frame = {
     val in   = new ByteArrayInputStream(bytes)
-    val n    = Zigzag.readVarLong(in).toInt
+    val n    = ByteIO.readCount(in, Int.MaxValue, "Draco particle count")
     val bits = in.read()
     require(bits >= 1 && bits <= Morton.MaxBits, s"bad bit count $bits")
     val mx = ByteIO.readDouble(in); val my = ByteIO.readDouble(in); val mz = ByteIO.readDouble(in)

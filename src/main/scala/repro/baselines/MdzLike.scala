@@ -1,8 +1,8 @@
 package repro.baselines
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
-import repro.coding.{ByteIO, Dictionary, IntCoder, Zigzag}
-import repro.core.{Frame, Quantizer}
+import repro.coding.{ByteIO, Zigzag}
+import repro.core.{Frame, LcpT}
 
 /** MDZ-style baseline: molecular-dynamics compressor with *batch-level*
   * method selection — the paper's key contrast with LCP's per-frame FSM
@@ -14,7 +14,8 @@ import repro.core.{Frame, Quantizer}
   * access — and is exactly why it degrades on diffusive data, where drift
   * from the reference accumulates over the batch (LCP-T's chained
   * prediction does not). The first frame of every batch is always
-  * compressed spatially (no cross-batch anchors). Order-preserving.
+  * compressed spatially (no cross-batch anchors). A temporal frame is an
+  * LCP-T frame predicted from the reference. Order-preserving.
   */
 object MdzLike extends ParticleCodec {
   override val name = "MDZ"
@@ -28,67 +29,25 @@ object MdzLike extends ParticleCodec {
       val headBytes = Sz2Like.compressFrame(head, eb)._1
       val reference = Sz2Like.decompressFrame(headBytes)
       val uniformN  = batch.forall(_.n == head.n) && head.n > 0
+      def temporal(f: Frame): Array[Byte] = LcpT.compress(f, reference, eb).bytes
+      def spatial(f: Frame): Array[Byte]  = Sz2Like.compressFrame(f, eb)._1
       // Batch-level choice, probed on the second frame only.
-      val temporalMode = uniformN && batch.size >= 2 && {
-        val t = temporalFrame(batch(1), reference, eb)
-        val s = Sz2Like.compressFrame(batch(1), eb)._1
-        t.length < s.length
-      }
+      val temporalMode = uniformN && batch.size >= 2 && temporal(batch(1)).length < spatial(batch(1)).length
       out.write(if (temporalMode) 1 else 0)
-      Zigzag.writeVarLong(out, batch.size.toLong)
-      ByteIO.writeSection(out, headBytes)
-      batch.drop(1).foreach { f =>
-        if (temporalMode) ByteIO.writeSection(out, temporalFrame(f, reference, eb))
-        else ByteIO.writeSection(out, Sz2Like.compressFrame(f, eb)._1)
-      }
+      ByteIO.writeSections(out, headBytes +: batch.tail.map(if (temporalMode) temporal else spatial))
     }
     Compressed(out.toByteArray, frames.map(_ => null))
   }
 
-  private def temporalFrame(f: Frame, prev: Frame, eb: Double): Array[Byte] = {
-    val out = new ByteArrayOutputStream(f.n + 64)
-    Zigzag.writeVarLong(out, f.n.toLong)
-    ByteIO.writeDouble(out, eb)
-    val body = new ByteArrayOutputStream(f.n + 64)
-    Seq((f.x, prev.x), (f.y, prev.y), (f.z, prev.z)).foreach { case (cur, pv) =>
-      val q = new Array[Long](cur.length)
-      var i = 0
-      while (i < cur.length) { q(i) = Quantizer.quantizeResidual(cur(i), pv(i), eb); i += 1 }
-      ByteIO.writeSection(body, IntCoder.encode(q, delta = false))
-    }
-    ByteIO.writeSection(out, Dictionary.compress(body.toByteArray))
-    out.toByteArray
-  }
-
-  private def decodeTemporal(bytes: Array[Byte], prev: Frame): Frame = {
-    val in = new ByteArrayInputStream(bytes)
-    val n  = Zigzag.readVarLong(in).toInt
-    require(n == prev.n, "temporal frame length mismatch")
-    val eb = ByteIO.readDouble(in)
-    val body = new ByteArrayInputStream(Dictionary.decompress(ByteIO.readSection(in)))
-    val dims = Seq(prev.x, prev.y, prev.z).map { pv =>
-      val q   = IntCoder.decode(new ByteArrayInputStream(ByteIO.readSection(body)))
-      val out = new Array[Double](n)
-      var i = 0
-      while (i < n) { out(i) = Quantizer.reconResidual(pv(i), q(i), eb); i += 1 }
-      out
-    }
-    Frame(dims(0), dims(1), dims(2))
-  }
-
   override def decompress(payload: Array[Byte]): IndexedSeq[Frame] = {
     val in = new ByteArrayInputStream(payload)
-    val nb = Zigzag.readVarLong(in).toInt
-    (0 until nb).flatMap { _ =>
+    // Every batch takes at least its mode byte.
+    IndexedSeq.fill(ByteIO.readCount(in, in.available().toLong, "MDZ batch count")) {
       val temporalMode = in.read() == 1
-      val count        = Zigzag.readVarLong(in).toInt
-      var reference: Frame = null
-      (0 until count).map { i =>
-        val bytes = ByteIO.readSection(in)
-        if (i == 0) { reference = Sz2Like.decompressFrame(bytes); reference }
-        else if (!temporalMode) Sz2Like.decompressFrame(bytes)
-        else decodeTemporal(bytes, reference)
-      }
-    }
+      val sections     = ByteIO.readSections(in)
+      require(sections.nonEmpty, "MDZ: empty batch")
+      val reference = Sz2Like.decompressFrame(sections.head)
+      reference +: sections.tail.map(b => if (temporalMode) LcpT.decompress(b, reference) else Sz2Like.decompressFrame(b))
+    }.flatten
   }
 }

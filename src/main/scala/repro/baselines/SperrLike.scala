@@ -1,7 +1,7 @@
 package repro.baselines
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
-import repro.coding.{ByteIO, Dictionary, IntCoder, Zigzag}
+import repro.coding.{ByteIO, IntCoder, Zigzag}
 import repro.core.{Frame, Quantizer}
 
 /** SPERR-style baseline: multi-level orthonormal Haar wavelet transform on
@@ -18,13 +18,13 @@ object SperrLike extends FrameWiseCodec {
     val out = new ByteArrayOutputStream(f.n + 64)
     Zigzag.writeVarLong(out, f.n.toLong)
     ByteIO.writeDouble(out, eb)
-    val body = new ByteArrayOutputStream(f.n + 64)
-    Seq(f.x, f.y, f.z).foreach(dim => encodeDim(body, dim, eb))
-    ByteIO.writeSection(out, Dictionary.compress(body.toByteArray))
+    ByteIO.writeBody(out, Seq(f.x, f.y, f.z).flatMap(encodeDim(_, eb)): _*)
     (out.toByteArray, null)
   }
 
-  private def encodeDim(body: ByteArrayOutputStream, v: Array[Double], eb: Double): Unit = {
+  /** The dimension's three sections: coefficient indices, correction
+    * positions and correction indices. */
+  private def encodeDim(v: Array[Double], eb: Double): Seq[Array[Byte]] = {
     val n = v.length
     val coeffs = v.clone()
     forwardHaar(coeffs)
@@ -49,32 +49,32 @@ object SperrLike extends FrameWiseCodec {
       }
       i += 1
     }
-    ByteIO.writeSection(body, IntCoder.encode(q, delta = false))
-    ByteIO.writeSection(body, IntCoder.encode(corrIdx.toArray, delta = true))
-    ByteIO.writeSection(body, IntCoder.encode(corrQ.toArray, delta = false))
+    Seq(IntCoder.encode(q, delta = false), IntCoder.encode(corrIdx.toArray, delta = true),
+      IntCoder.encode(corrQ.toArray, delta = false))
   }
 
   override def decompressFrame(bytes: Array[Byte]): Frame = {
     val in = new ByteArrayInputStream(bytes)
-    val n  = Zigzag.readVarLong(in).toInt
+    val n  = ByteIO.readCount(in, Int.MaxValue, "SPERR particle count")
     val eb = ByteIO.readDouble(in)
-    val body = new ByteArrayInputStream(Dictionary.decompress(ByteIO.readSection(in)))
-    val dims = (0 until 3).map { _ =>
-      val q       = IntCoder.decode(new ByteArrayInputStream(ByteIO.readSection(body)))
-      val corrIdx = IntCoder.decode(new ByteArrayInputStream(ByteIO.readSection(body)))
-      val corrQ   = IntCoder.decode(new ByteArrayInputStream(ByteIO.readSection(body)))
+    val sections = ByteIO.readBody(in, 9).map(s => IntCoder.decode(new ByteArrayInputStream(s)))
+    val dims = sections.grouped(3).map { case Array(q, corrIdx, corrQ) =>
+      // One coefficient per value, so the decoded array bounds the header's count.
+      require(q.length == n, s"SPERR: ${q.length} coefficients for $n particles")
+      require(corrQ.length == corrIdx.length, "SPERR: correction arrays disagree")
       val rec = new Array[Double](n)
       var i = 0
       while (i < n) { rec(i) = q(i) * eb; i += 1 }
       inverseHaar(rec)
       i = 0
       while (i < corrIdx.length) {
+        require(corrIdx(i) >= 0 && corrIdx(i) < n, s"SPERR: correction position ${corrIdx(i)} outside $n particles")
         val j = corrIdx(i).toInt
         rec(j) = Quantizer.reconResidual(rec(j), corrQ(i), eb)
         i += 1
       }
       rec
-    }
+    }.toIndexedSeq
     Frame(dims(0), dims(1), dims(2))
   }
 

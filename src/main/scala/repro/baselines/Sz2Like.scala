@@ -1,7 +1,7 @@
 package repro.baselines
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
-import repro.coding.{ByteIO, Dictionary, IntCoder, Zigzag}
+import repro.coding.{ByteIO, IntCoder, Zigzag}
 import repro.core.{Frame, Quantizer}
 
 /** SZ2-style baseline: 1-D Lorenzo prediction (previous reconstructed
@@ -19,11 +19,7 @@ object Sz2Like extends FrameWiseCodec {
     val out = new ByteArrayOutputStream(f.n + 64)
     Zigzag.writeVarLong(out, f.n.toLong)
     ByteIO.writeDouble(out, eb)
-    val body = new ByteArrayOutputStream(f.n + 64)
-    Seq(f.x, f.y, f.z).foreach { dim =>
-      ByteIO.writeSection(body, IntCoder.encode(lorenzo(dim, eb), delta = false))
-    }
-    ByteIO.writeSection(out, Dictionary.compress(body.toByteArray))
+    ByteIO.writeBody(out, Seq(f.x, f.y, f.z).map(dim => IntCoder.encode(lorenzo(dim, eb), delta = false)): _*)
     (out.toByteArray, null)
   }
 
@@ -41,11 +37,10 @@ object Sz2Like extends FrameWiseCodec {
 
   override def decompressFrame(bytes: Array[Byte]): Frame = {
     val in = new ByteArrayInputStream(bytes)
-    val n  = Zigzag.readVarLong(in).toInt
+    val n  = ByteIO.readCount(in, Int.MaxValue, "SZ2 particle count")
     val eb = ByteIO.readDouble(in)
-    val body = new ByteArrayInputStream(Dictionary.decompress(ByteIO.readSection(in)))
-    val dims = (0 until 3).map { _ =>
-      val q   = IntCoder.decode(new ByteArrayInputStream(ByteIO.readSection(body)))
+    val dims = ByteIO.readBody(in, 3).map { section =>
+      val q   = IntCoder.decode(new ByteArrayInputStream(section))
       require(q.length == n, "length mismatch")
       val out = new Array[Double](n)
       var pred = 0.0

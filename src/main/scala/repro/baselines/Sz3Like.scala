@@ -1,7 +1,7 @@
 package repro.baselines
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
-import repro.coding.{ByteIO, Dictionary, IntCoder, Zigzag}
+import repro.coding.{ByteIO, IntCoder, Zigzag}
 import repro.core.{Frame, Quantizer}
 
 /** SZ3-style baseline: multi-level interpolation prediction along the
@@ -19,11 +19,7 @@ object Sz3Like extends FrameWiseCodec {
     val out = new ByteArrayOutputStream(f.n + 64)
     Zigzag.writeVarLong(out, f.n.toLong)
     ByteIO.writeDouble(out, eb)
-    val body = new ByteArrayOutputStream(f.n + 64)
-    Seq(f.x, f.y, f.z).foreach { dim =>
-      ByteIO.writeSection(body, IntCoder.encode(encodeDim(dim, eb), delta = false))
-    }
-    ByteIO.writeSection(out, Dictionary.compress(body.toByteArray))
+    ByteIO.writeBody(out, Seq(f.x, f.y, f.z).map(dim => IntCoder.encode(encodeDim(dim, eb), delta = false)): _*)
     (out.toByteArray, null)
   }
 
@@ -68,11 +64,12 @@ object Sz3Like extends FrameWiseCodec {
 
   override def decompressFrame(bytes: Array[Byte]): Frame = {
     val in = new ByteArrayInputStream(bytes)
-    val n  = Zigzag.readVarLong(in).toInt
+    val n  = ByteIO.readCount(in, Int.MaxValue, "SZ3 particle count")
     val eb = ByteIO.readDouble(in)
-    val body = new ByteArrayInputStream(Dictionary.decompress(ByteIO.readSection(in)))
-    val dims = (0 until 3).map { _ =>
-      val q = IntCoder.decode(new ByteArrayInputStream(ByteIO.readSection(body)))
+    val dims = ByteIO.readBody(in, 3).map { section =>
+      val q = IntCoder.decode(new ByteArrayInputStream(section))
+      // One index per value, so the decoded array bounds the header's count.
+      require(q.length == n, s"SZ3: ${q.length} indices for $n particles")
       decodeDim(q, n, eb)
     }
     Frame(dims(0), dims(1), dims(2))

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
-import repro.coding.{ByteIO, Dictionary, IntCoder, Zigzag}
+import repro.coding.{ByteIO, IntCoder, Zigzag}
 import repro.core.{BlockIndex, Frame, Quantizer}
 
 /** TMC13-style baseline (MPEG G-PCC): octree geometry coding. Positions are
@@ -70,22 +70,23 @@ object Tmc13Like extends FrameWiseCodec {
     ByteIO.writeDouble(out, eb)
     ByteIO.writeDouble(out, mx); ByteIO.writeDouble(out, my); ByteIO.writeDouble(out, mz)
     out.write(depth)
-    val body = new ByteArrayOutputStream()
-    ByteIO.writeSection(body, occ.toByteArray)
-    ByteIO.writeSection(body, IntCoder.encode(dups.toArray, delta = false))
-    ByteIO.writeSection(out, Dictionary.compress(body.toByteArray))
+    ByteIO.writeBody(out, occ.toByteArray, IntCoder.encode(dups.toArray, delta = false))
     (out.toByteArray, perm)
   }
 
   override def decompressFrame(bytes: Array[Byte]): Frame = {
     val in = new ByteArrayInputStream(bytes)
-    val n  = Zigzag.readVarLong(in).toInt
+    val n  = ByteIO.readCount(in, Int.MaxValue, "TMC13 particle count")
     val eb = ByteIO.readDouble(in)
     val mx = ByteIO.readDouble(in); val my = ByteIO.readDouble(in); val mz = ByteIO.readDouble(in)
     val depth = in.read()
-    val body  = new ByteArrayInputStream(Dictionary.decompress(ByteIO.readSection(in)))
-    val occ   = ByteIO.readSection(body)
-    val dups  = IntCoder.decode(new ByteArrayInputStream(ByteIO.readSection(body)))
+    require(depth >= 1 && depth <= Morton.MaxBits, s"TMC13: bad octree depth $depth")
+    val Array(occ, dupBytes) = ByteIO.readBody(in, 2)
+    val dups = IntCoder.decode(new ByteArrayInputStream(dupBytes))
+    // Every point sits in one leaf, so the leaf counts bound the header's count.
+    var total = 0L
+    dups.foreach { d => require(d >= 1 && d <= n, s"TMC13: leaf count $d"); total += d }
+    require(total == n, s"TMC13: leaves hold $total points, header says $n")
 
     val x = new Array[Double](n); val y = new Array[Double](n); val z = new Array[Double](n)
     var occPos  = 0

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
-import repro.coding.{BitReader, BitWriter, ByteIO, Dictionary, Zigzag}
+import repro.coding.{BitReader, BitWriter, ByteIO, Zigzag}
 import repro.core.{Frame, Quantizer}
 
 /** ZFP-style baseline: fixed-point block transform coding. Each coordinate
@@ -21,11 +21,8 @@ object ZfpLike extends FrameWiseCodec {
     ByteIO.writeDouble(out, eb)
     val (mx, my, mz) = f.mins
     ByteIO.writeDouble(out, mx); ByteIO.writeDouble(out, my); ByteIO.writeDouble(out, mz)
-    val body = new ByteArrayOutputStream(f.n * 3 + 64)
-    Seq((f.x, mx), (f.y, my), (f.z, mz)).foreach { case (dim, min) =>
-      ByteIO.writeSection(body, encodeDim(Quantizer.quantizeArray(dim, min, eb)))
-    }
-    ByteIO.writeSection(out, Dictionary.compress(body.toByteArray))
+    ByteIO.writeBody(out,
+      Seq((f.x, mx), (f.y, my), (f.z, mz)).map { case (dim, min) => encodeDim(Quantizer.quantizeArray(dim, min, eb)) }: _*)
     (out.toByteArray, null)
   }
 
@@ -53,6 +50,10 @@ object ZfpLike extends FrameWiseCodec {
   }
 
   private def decodeDim(bytes: Array[Byte], n: Int): Array[Long] = {
+    // Every block of up to 4 values takes at least its 6-bit width and
+    // 64-bit base, so the section bounds the header's count.
+    require((n.toLong + BlockLen - 1) / BlockLen * (6 + 64) <= 8L * bytes.length,
+      s"ZFP: $n values in ${bytes.length} bytes")
     val r   = new BitReader(bytes)
     val out = new Array[Long](n)
     var i = 0
@@ -70,12 +71,11 @@ object ZfpLike extends FrameWiseCodec {
 
   override def decompressFrame(bytes: Array[Byte]): Frame = {
     val in = new ByteArrayInputStream(bytes)
-    val n  = Zigzag.readVarLong(in).toInt
+    val n  = ByteIO.readCount(in, Int.MaxValue, "ZFP particle count")
     val eb = ByteIO.readDouble(in)
-    val mins = Seq(ByteIO.readDouble(in), ByteIO.readDouble(in), ByteIO.readDouble(in))
-    val body = new ByteArrayInputStream(Dictionary.decompress(ByteIO.readSection(in)))
-    val dims = mins.map { min =>
-      Quantizer.dequantizeArray(decodeDim(ByteIO.readSection(body), n), min, eb)
+    val mins = Array(ByteIO.readDouble(in), ByteIO.readDouble(in), ByteIO.readDouble(in))
+    val dims = ByteIO.readBody(in, 3).zip(mins).map { case (section, min) =>
+      Quantizer.dequantizeArray(decodeDim(section, n), min, eb)
     }
     Frame(dims(0), dims(1), dims(2))
   }

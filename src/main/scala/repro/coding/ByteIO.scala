@@ -1,9 +1,10 @@
 package repro.coding
 
-import java.io.{ByteArrayOutputStream, InputStream}
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, InputStream}
 
-/** Small framing helpers: length-prefixed sections and primitive fields,
-  * shared by every codec container format in this repo.
+/** The framing shared by every codec container format in this repo:
+  * length-prefixed sections, section lists, the Zstd-compressed frame body,
+  * checked counts and primitive fields.
   */
 object ByteIO {
 
@@ -17,9 +18,7 @@ object ByteIO {
     * allocated; every container here decodes from an in-memory stream, whose
     * `available()` is exactly that count. */
   def readSection(in: InputStream): Array[Byte] = {
-    val len = Zigzag.readVarLong(in)
-    require(len >= 0 && len <= in.available(), s"section: bad length $len, ${in.available()} bytes remain")
-    val n   = len.toInt
+    val n   = readCount(in, in.available().toLong, "section length")
     val buf = new Array[Byte](n)
     var off = 0
     while (off < n) {
@@ -28,6 +27,50 @@ object ByteIO {
       off += r
     }
     buf
+  }
+
+  /** A count, length or index varint, checked to lie in [0, max] (with max
+    * at most `Int.MaxValue`) before anything uses it. */
+  def readCount(in: InputStream, max: Long, what: String): Int = {
+    val v = Zigzag.readVarLong(in)
+    require(v >= 0 && v <= max, s"$what: bad value $v (allowed 0..$max)")
+    v.toInt
+  }
+
+  /** Section list: a count, then the sections. */
+  def writeSections(out: ByteArrayOutputStream, sections: Seq[Array[Byte]]): Unit = {
+    Zigzag.writeVarLong(out, sections.size.toLong)
+    sections.foreach(writeSection(out, _))
+  }
+
+  /** Read a list written by [[writeSections]]. Every section takes at least
+    * its length byte, so the count cannot exceed the bytes remaining. */
+  def readSections(in: InputStream): IndexedSeq[Array[Byte]] =
+    IndexedSeq.fill(readCount(in, in.available().toLong, "section count"))(readSection(in))
+
+  /** Frame body, the last stage of the §6.2.2 chain: `sections` written one
+    * after another as sections, Zstd-compressed once as a whole, and the
+    * result written to `out` as one section. */
+  def writeBody(out: ByteArrayOutputStream, sections: Array[Byte]*): Unit = {
+    var size = 0L
+    sections.foreach(s => size += Zigzag.varLongLen(s.length.toLong) + s.length)
+    require(size <= Int.MaxValue, s"frame body of $size bytes")
+    val body = new Array[Byte](size.toInt)
+    var pos  = 0
+    sections.foreach { s =>
+      pos = Zigzag.putVarLong(body, pos, s.length.toLong)
+      System.arraycopy(s, 0, body, pos, s.length)
+      pos += s.length
+    }
+    writeSection(out, Dictionary.compress(body))
+  }
+
+  /** Read a body written by [[writeBody]] holding exactly `count` sections. */
+  def readBody(in: InputStream, count: Int): Array[Array[Byte]] = {
+    val body     = new ByteArrayInputStream(Dictionary.decompress(readSection(in)))
+    val sections = Array.fill(count)(readSection(body))
+    require(body.available() == 0, s"frame body: ${body.available()} bytes after its $count sections")
+    sections
   }
 
   def writeDouble(out: ByteArrayOutputStream, v: Double): Unit = {

@@ -22,9 +22,6 @@ object FixedLength {
     Zigzag.bitWidth(or)
   }
 
-  /** Exact payload cost in bits for coding `a` fixed-length (excl. headers). */
-  def costBits(a: Array[Long]): Long = widthFor(a).toLong * a.length
-
   /** Pack the low `width` bits of each value of `a`. */
   def encode(a: Array[Long], width: Int): Array[Byte] = {
     val out = new Array[Byte](((a.length.toLong * width + 7) / 8).toInt)

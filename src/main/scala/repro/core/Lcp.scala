@@ -64,13 +64,9 @@ object Lcp {
         Zigzag.writeVarLong(out, e.slot.toLong)
         Zigzag.writeVarLong(out, Zigzag.encode(e.anchorRef.toLong))
       }
-      Zigzag.writeVarLong(out, anchors.size.toLong)
-      anchors.foreach(ByteIO.writeSection(out, _))
+      ByteIO.writeSections(out, anchors)
       Zigzag.writeVarLong(out, batches.size.toLong)
-      batches.foreach { b =>
-        Zigzag.writeVarLong(out, b.size.toLong)
-        b.foreach(ByteIO.writeSection(out, _))
-      }
+      batches.foreach(ByteIO.writeSections(out, _))
       out.toByteArray
     }
   }
@@ -82,22 +78,22 @@ object Lcp {
         "not an LCP archive")
       val eb        = ByteIO.readDouble(in)
       val scale     = ByteIO.readDouble(in)
-      val batchSize = Zigzag.readVarLong(in).toInt
-      val p         = Zigzag.readVarLong(in).toInt
-      val nf        = Zigzag.readVarLong(in).toInt
-      val entries = IndexedSeq.fill(nf) {
+      val batchSize = ByteIO.readCount(in, Int.MaxValue, "archive batch size")
+      require(batchSize >= 1, "archive batch size must be >= 1")
+      val p         = ByteIO.readCount(in, Int.MaxValue, "archive block size")
+      // Every entry and every batch takes at least one byte, so their counts
+      // cannot exceed the bytes remaining.
+      val entries = IndexedSeq.fill(ByteIO.readCount(in, in.available().toLong, "archive frame count")) {
         val flags = in.read()
-        val slot  = Zigzag.readVarLong(in).toInt
-        val ref   = Zigzag.decode(Zigzag.readVarLong(in)).toInt
-        FrameEntry((flags & 1) != 0, (flags & 2) != 0, slot, ref)
+        require(flags >= 0, "archive: unexpected end of stream")
+        val slot  = ByteIO.readCount(in, Int.MaxValue, "frame slot")
+        val ref   = Zigzag.decode(Zigzag.readVarLong(in))
+        require(ref >= -1 && ref <= Int.MaxValue, s"frame anchor reference: bad value $ref")
+        FrameEntry((flags & 1) != 0, (flags & 2) != 0, slot, ref.toInt)
       }
-      val na      = Zigzag.readVarLong(in).toInt
-      val anchors = IndexedSeq.fill(na)(ByteIO.readSection(in))
-      val nb      = Zigzag.readVarLong(in).toInt
-      val batches = IndexedSeq.fill(nb) {
-        val c = Zigzag.readVarLong(in).toInt
-        IndexedSeq.fill(c)(ByteIO.readSection(in))
-      }
+      val anchors = ByteIO.readSections(in)
+      val batches = IndexedSeq.fill(ByteIO.readCount(in, in.available().toLong, "archive batch count"))(
+        ByteIO.readSections(in))
       LcpArchive(eb, scale, batchSize, p, entries, anchors, batches)
     }
   }

@@ -1,7 +1,7 @@
 package repro.core
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
-import repro.coding.{ByteIO, Dictionary, IntCoder, Zigzag}
+import repro.coding.{ByteIO, IntCoder, Zigzag}
 import repro.core.Quantizer.QFrame
 
 /** LCP-S — the error-bound-aware block-wise spatial compressor (§6).
@@ -41,26 +41,18 @@ object LcpS {
     val pFit    = BlockIndex.fittingP(qf, p)
     val grouped = BlockIndex.group(qf, pFit)
 
-    val header = new ByteArrayOutputStream(64)
-    Zigzag.writeVarLong(header, qf.n.toLong)
-    ByteIO.writeDouble(header, qf.eb)
-    Zigzag.writeVarLong(header, pFit.toLong)
-    ByteIO.writeDouble(header, qf.minX); ByteIO.writeDouble(header, qf.minY); ByteIO.writeDouble(header, qf.minZ)
-    Zigzag.writeVarLong(header, grouped.bnx)
-    Zigzag.writeVarLong(header, grouped.bny)
-
-    // §6.2.2 coding chain; the five sections are concatenated and the
-    // dictionary coder (Zstd) runs once over the whole payload.
-    val body = new ByteArrayOutputStream(qf.n * 2 + 64)
-    ByteIO.writeSection(body, IntCoder.encode(grouped.blockIds))
-    ByteIO.writeSection(body, IntCoder.encode(grouped.counts))
-    ByteIO.writeSection(body, IntCoder.encode(grouped.relX))
-    ByteIO.writeSection(body, IntCoder.encode(grouped.relY))
-    ByteIO.writeSection(body, IntCoder.encode(grouped.relZ))
-
     val out = new ByteArrayOutputStream(qf.n + 96)
-    out.write(header.toByteArray)
-    ByteIO.writeSection(out, Dictionary.compress(body.toByteArray))
+    Zigzag.writeVarLong(out, qf.n.toLong)
+    ByteIO.writeDouble(out, qf.eb)
+    Zigzag.writeVarLong(out, pFit.toLong)
+    ByteIO.writeDouble(out, qf.minX); ByteIO.writeDouble(out, qf.minY); ByteIO.writeDouble(out, qf.minZ)
+    Zigzag.writeVarLong(out, grouped.bnx)
+    Zigzag.writeVarLong(out, grouped.bny)
+    // §6.2.2 coding chain; the frame body runs Zstd once over the five
+    // sections.
+    ByteIO.writeBody(out,
+      IntCoder.encode(grouped.blockIds), IntCoder.encode(grouped.counts),
+      IntCoder.encode(grouped.relX), IntCoder.encode(grouped.relY), IntCoder.encode(grouped.relZ))
     (out.toByteArray, grouped)
   }
 
@@ -75,18 +67,14 @@ object LcpS {
   /** Decompress a frame written by [[compress]] (returned in block order). */
   def decompress(bytes: Array[Byte]): Frame = {
     val in  = new ByteArrayInputStream(bytes)
-    val n   = Zigzag.readVarLong(in).toInt
+    val n   = ByteIO.readCount(in, Int.MaxValue, "LCP-S particle count")
     val eb  = ByteIO.readDouble(in)
-    val p   = Zigzag.readVarLong(in).toInt
+    val p   = ByteIO.readCount(in, Int.MaxValue, "LCP-S block size")
     val mx  = ByteIO.readDouble(in); val my = ByteIO.readDouble(in); val mz = ByteIO.readDouble(in)
     val bnx = Zigzag.readVarLong(in)
     val bny = Zigzag.readVarLong(in)
-    val body = new ByteArrayInputStream(Dictionary.decompress(ByteIO.readSection(in)))
-    val blockIds = IntCoder.decode(new ByteArrayInputStream(ByteIO.readSection(body)))
-    val counts   = IntCoder.decode(new ByteArrayInputStream(ByteIO.readSection(body)))
-    val relX     = IntCoder.decode(new ByteArrayInputStream(ByteIO.readSection(body)))
-    val relY     = IntCoder.decode(new ByteArrayInputStream(ByteIO.readSection(body)))
-    val relZ     = IntCoder.decode(new ByteArrayInputStream(ByteIO.readSection(body)))
+    val Array(blockIds, counts, relX, relY, relZ) =
+      ByteIO.readBody(in, 5).map(s => IntCoder.decode(new ByteArrayInputStream(s)))
     require(relX.length == n, s"decoded ${relX.length} particles, expected $n")
     val (qx, qy, qz) = BlockIndex.ungroup(blockIds, counts, relX, relY, relZ, p, bnx, bny)
     QFrame(qx, qy, qz, mx, my, mz, eb).dequantize

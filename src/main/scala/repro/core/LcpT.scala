@@ -1,7 +1,7 @@
 package repro.core
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
-import repro.coding.{ByteIO, Dictionary, IntCoder, Zigzag}
+import repro.coding.{ByteIO, IntCoder, Zigzag}
 
 /** LCP-T — the temporal compressor (§7.1).
   *
@@ -22,43 +22,43 @@ object LcpT {
     * (inherited) stored order — the next frame's prediction basis. */
   final case class TResult(bytes: Array[Byte], recon: Frame)
 
-  /** Compress `aligned` at bound `eb`, predicting from `prevRecon`. */
+  /** Compress `aligned` at bound `eb`, predicting from `prevRecon`. Every
+    * coordinate of `aligned` must be finite. */
   def compress(aligned: Frame, prevRecon: Frame, eb: Double): TResult = {
     require(aligned.n == prevRecon.n,
       s"temporal compression requires equal particle counts: ${aligned.n} vs ${prevRecon.n}")
     require(eb > 0, s"error bound must be positive: $eb")
-    val out = new ByteArrayOutputStream(aligned.n + 64)
-    Zigzag.writeVarLong(out, aligned.n.toLong)
-    ByteIO.writeDouble(out, eb)
-    val body  = new ByteArrayOutputStream(aligned.n + 64)
-    val recon = Seq((aligned.x, prevRecon.x), (aligned.y, prevRecon.y), (aligned.z, prevRecon.z))
+    val n    = aligned.n
+    val dims = Seq((aligned.x, prevRecon.x), (aligned.y, prevRecon.y), (aligned.z, prevRecon.z))
       .map { case (cur, prev) =>
-        val q = new Array[Long](cur.length)
-        val r = new Array[Double](cur.length)
+        val q = new Array[Long](n)
+        val r = new Array[Double](n)
         var i = 0
-        while (i < cur.length) {
-          q(i) = Quantizer.quantizeResidual(cur(i), prev(i), eb)
+        while (i < n) {
+          q(i) = Quantizer.quantizeResidual(Quantizer.finite(cur(i)), prev(i), eb)
           r(i) = Quantizer.reconResidual(prev(i), q(i), eb)
           i += 1
         }
         // Diffs are already small and centred on zero; the delta stage stays
         // off and the Huffman-vs-fixed pick runs on the raw residual array.
-        ByteIO.writeSection(body, IntCoder.encode(q, delta = false))
-        r
+        (IntCoder.encode(q, delta = false), r)
       }
-    ByteIO.writeSection(out, Dictionary.compress(body.toByteArray))
-    TResult(out.toByteArray, Frame(recon(0), recon(1), recon(2)))
+    val out = new ByteArrayOutputStream(n + 64)
+    Zigzag.writeVarLong(out, n.toLong)
+    ByteIO.writeDouble(out, eb)
+    ByteIO.writeBody(out, dims.map(_._1): _*)
+    TResult(out.toByteArray, Frame(dims(0)._2, dims(1)._2, dims(2)._2))
   }
 
   /** Decompress a frame written by [[compress]] given the same `prevRecon`. */
   def decompress(bytes: Array[Byte], prevRecon: Frame): Frame = {
     val in = new ByteArrayInputStream(bytes)
-    val n  = Zigzag.readVarLong(in).toInt
-    require(n == prevRecon.n, s"frame length $n does not match previous frame ${prevRecon.n}")
+    val n  = prevRecon.n
+    val stored = Zigzag.readVarLong(in)
+    require(stored == n, s"frame length $stored does not match previous frame $n")
     val eb   = ByteIO.readDouble(in)
-    val body = new ByteArrayInputStream(Dictionary.decompress(ByteIO.readSection(in)))
-    val dims = Seq(prevRecon.x, prevRecon.y, prevRecon.z).map { prev =>
-      val q = IntCoder.decode(new ByteArrayInputStream(ByteIO.readSection(body)))
+    val dims = ByteIO.readBody(in, 3).zip(Array(prevRecon.x, prevRecon.y, prevRecon.z)).map { case (section, prev) =>
+      val q = IntCoder.decode(new ByteArrayInputStream(section))
       require(q.length == n, "decoded length mismatch")
       val r = new Array[Double](n)
       var i = 0

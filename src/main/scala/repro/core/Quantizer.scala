@@ -52,11 +52,19 @@ object Quantizer {
 
   @inline def reconResidual(pred: Double, q: Long, eb: Double): Double = pred + 2.0 * eb * q
 
-  /** Quantize a whole dimension array against `min`. */
+  /** `v`, which must be finite: no bin holds NaN or ±Inf, and a non-finite
+    * minimum would shift every bin of its dimension. */
+  @inline def finite(v: Double): Double = {
+    if (!java.lang.Double.isFinite(v)) throw new IllegalArgumentException(s"non-finite coordinate $v")
+    v
+  }
+
+  /** Quantize a whole dimension array against `min`; every value must be
+    * finite. */
   def quantizeArray(a: Array[Double], min: Double, eb: Double): Array[Long] = {
     val out = new Array[Long](a.length)
     var i = 0
-    while (i < a.length) { out(i) = quantize(a(i), min, eb); i += 1 }
+    while (i < a.length) { out(i) = quantize(finite(a(i)), min, eb); i += 1 }
     out
   }
 

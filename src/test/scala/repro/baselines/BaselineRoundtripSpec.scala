@@ -2,6 +2,7 @@ package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestFrames
+import repro.coding.Zigzag
 import repro.core.Frame
 import repro.metrics.Metrics
 
@@ -57,4 +58,31 @@ class BaselineRoundtripSpec extends AnyFunSuite {
     val c = codec.compress(frames, 1e-3, 4)
     assert(codec.decompress(c.payload).head.n == 500)
   }
+
+  private def varint(v: Long): Array[Byte] = {
+    val out = new java.io.ByteArrayOutputStream()
+    Zigzag.writeVarLong(out, v)
+    out.toByteArray
+  }
+
+  /** `bytes` with its leading varint replaced by `v`. */
+  private def withLeadingVarint(bytes: Array[Byte], v: Long): Array[Byte] = {
+    val in = new java.io.ByteArrayInputStream(bytes)
+    Zigzag.readVarLong(in)
+    varint(v) ++ in.readAllBytes()
+  }
+
+  for (codec <- Seq[FrameWiseCodec](Sz2Like, Sz3Like, SperrLike, ZfpLike, Tmc13Like, DracoLike))
+    test(s"${codec.name}: a header particle count of Int.MaxValue is rejected before allocating") {
+      val bytes = codec.compressFrame(TestFrames.bunny(300), 0.05)._1
+      assert(codec.decompressFrame(withLeadingVarint(bytes, 300)).n == 300)
+      intercept[IllegalArgumentException](codec.decompressFrame(withLeadingVarint(bytes, Int.MaxValue)))
+    }
+
+  for (codec <- Seq[ParticleCodec](Sz2Like, MdzLike))
+    test(s"${codec.name}: a frame or batch count of 2^32 is rejected, not read as 0") {
+      intercept[IllegalArgumentException](codec.decompress(varint(1L << 32)))
+      val payload = codec.compress(TestFrames.copper(200, 4), 0.05, 2).payload
+      intercept[IllegalArgumentException](codec.decompress(withLeadingVarint(payload, (1L << 32) + 2)))
+    }
 }

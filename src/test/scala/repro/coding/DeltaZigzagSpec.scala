@@ -6,30 +6,6 @@ import repro.PropSupport
 
 class DeltaZigzagSpec extends AnyFunSuite with PropSupport {
 
-  test("delta of empty array is empty") {
-    assert(Delta.encode(Array.emptyLongArray).isEmpty)
-    assert(Delta.decode(Array.emptyLongArray).isEmpty)
-  }
-
-  test("delta of singleton keeps the value") {
-    assert(Delta.encode(Array(42L)).sameElements(Array(42L)))
-  }
-
-  test("delta of increasing run is constant") {
-    assert(Delta.encode(Array(10L, 12L, 14L, 16L)).sameElements(Array(10L, 2L, 2L, 2L)))
-  }
-
-  test("delta handles negative jumps") {
-    assert(Delta.encode(Array(5L, -5L, 5L)).sameElements(Array(5L, -10L, 10L)))
-  }
-
-  test("property: delta roundtrip") {
-    forAllG(Gen.listOf(Gen.choose(-1000000L, 1000000L))) { xs =>
-      val a = xs.toArray
-      assert(Delta.decode(Delta.encode(a)).sameElements(a))
-    }
-  }
-
   test("zigzag maps small signed to small unsigned") {
     assert(Zigzag.encode(0) == 0)
     assert(Zigzag.encode(-1) == 1)

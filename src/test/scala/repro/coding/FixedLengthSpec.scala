@@ -19,10 +19,6 @@ class FixedLengthSpec extends AnyFunSuite with PropSupport {
     intercept[IllegalArgumentException](FixedLength.widthFor(Array(-1L)))
   }
 
-  test("costBits is n*width") {
-    assert(FixedLength.costBits(Array(1L, 2L, 3L, 4L)) == 4 * 3)
-  }
-
   test("roundtrip at width 0") {
     val a = Array(0L, 0L, 0L)
     assert(FixedLength.decode(FixedLength.encode(a, 0), 3, 0).sameElements(a))

@@ -260,4 +260,36 @@ class LcpSpec extends AnyFunSuite with PropSupport {
     val e = intercept[IllegalArgumentException](LcpS.compress(f, 1e-12, 1))
     assert(e.getMessage.contains("no block size fits"))
   }
+
+  /** `f` with particle 5's x replaced by `v`. */
+  private def withX(f: Frame, v: Double): Frame = {
+    val x = f.x.clone()
+    x(5) = v
+    Frame(x, f.y, f.z)
+  }
+
+  private lazy val coherent = TestFrames.copper(300, 4)
+
+  /** Asserts that `run` raises the non-finite coordinate error. */
+  private def rejectsNonFinite(run: => Any): Unit = {
+    val e = intercept[IllegalArgumentException](run)
+    assert(e.getMessage.contains("non-finite"), e.getMessage)
+  }
+
+  for ((name, v) <- Seq("NaN" -> Double.NaN, "+Inf" -> Double.PositiveInfinity, "-Inf" -> Double.NegativeInfinity)) {
+    test(s"LcpS.compress rejects a $name coordinate") {
+      rejectsNonFinite(LcpS.compress(withX(coherent.head, v), 0.01, 8))
+    }
+
+    test(s"LcpT.compress rejects a $name coordinate") {
+      val s = LcpS.compress(coherent(0), 0.01, 8)
+      rejectsNonFinite(LcpT.compress(withX(coherent(1).reorder(s.perm), v), s.recon, 0.01))
+    }
+
+    test(s"Lcp.compress rejects a $name coordinate in a spatial or a temporal frame") {
+      assert(Lcp.compress(coherent, LcpConfig(0.01, batchSize = 2)).methods.contains('T'))
+      for (i <- coherent.indices)
+        rejectsNonFinite(Lcp.compress(coherent.updated(i, withX(coherent(i), v)), LcpConfig(0.01, batchSize = 2)))
+    }
+  }
 }
