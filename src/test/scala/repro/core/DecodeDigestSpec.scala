@@ -1,0 +1,95 @@
+package repro.core
+
+import java.security.MessageDigest
+import org.scalatest.funsuite.AnyFunSuite
+import repro.TestFrames
+import repro.baselines.{DracoLike, MdzLike, ParticleCodec, SperrLike, Sz2Like, Sz3Like, Tmc13Like, ZfpLike}
+import repro.core.Lcp._
+import repro.data.Particles
+
+/** Decode-side byte-identity gate: pins the SHA-256 of the decoded doubles
+  * (x, y and z of every frame, in frame order, as big-endian IEEE bits) for
+  * the archive cells of `GoldenArchiveSpec` and the baseline payload cells
+  * of `GoldenArchiveSpec` and `CoderGoldenSpec`. A decoder refactor keeps
+  * every digest. For the LCP cells, every `decompressBatch` slice and every
+  * `decompressFrame` must equal the frames `decompressAll` returns.
+  */
+class DecodeDigestSpec extends AnyFunSuite {
+
+  private def bits(a: Array[Double]): Array[Byte] = {
+    val buf = java.nio.ByteBuffer.allocate(8 * a.length)
+    a.foreach(buf.putDouble)
+    buf.array()
+  }
+
+  private def sha256(frames: Seq[Frame]): String = {
+    val md = MessageDigest.getInstance("SHA-256")
+    frames.foreach(f => Seq(f.x, f.y, f.z).foreach(d => md.update(bits(d))))
+    md.digest().map("%02x".format(_)).mkString
+  }
+
+  private def sameFrame(a: Frame, b: Frame): Boolean =
+    java.util.Arrays.equals(bits(a.x), bits(b.x)) && java.util.Arrays.equals(bits(a.y), bits(b.y)) &&
+      java.util.Arrays.equals(bits(a.z), bits(b.z))
+
+  private def lcpCell(name: String, frames: => IndexedSeq[Frame], cfg: LcpConfig, digest: String): Unit =
+    test(s"LCP decoded digest: $name") {
+      val a   = LcpArchive.fromBytes(Lcp.compress(frames, cfg).archive.toBytes)
+      val all = Lcp.decompressAll(a)
+      assert(sha256(all) == digest, s"DECODED $name -> ${sha256(all)}")
+      for (b <- a.batches.indices) {
+        val start = b * a.batchSize
+        assert(Lcp.decompressBatch(a, b).corresponds(all.slice(start, start + a.batchSize))(sameFrame),
+          s"batch $b")
+      }
+      for (f <- all.indices) assert(sameFrame(Lcp.decompressFrame(a, f), all(f)), s"frame $f")
+    }
+
+  lcpCell("copper 800x8, eb 0.02, batch 4",
+    TestFrames.copper(800, 8), LcpConfig(0.02, batchSize = 4),
+    "eab13f0ba1b8a7bb2e9c2d8ad61a6438959f411752d0dfbbcd8bdcbbbc5f07cd")
+  lcpCell("helium 1200x12, eb 0.05, batch 4, Auto eb scaling",
+    TestFrames.helium(1200, 12), LcpConfig(0.05, batchSize = 4, ebScaleMode = Auto),
+    "ff4d50fc78f0e357ab68514759805a1c103f6584fc35dd8a0765ad51f132fb97")
+  lcpCell("lj 400x10, eb 0.02, batch 4",
+    TestFrames.lj(400, 10), LcpConfig(0.02, batchSize = 4),
+    "275e31044873796608d38bc2a00d46311518a086adc44a4fa1fe7de045618f50")
+  lcpCell("yiip 400x4, eb 0.02, batch 2",
+    TestFrames.yiip(400, 4), LcpConfig(0.02, batchSize = 2),
+    "237a239c32f5c9ef810ba5a0a88a2b2701cfbec0edf709b73f88a28fefe57962")
+  lcpCell("bunny single frame, eb 0.01",
+    IndexedSeq(TestFrames.bunny(500)), LcpConfig(0.01, batchSize = 8),
+    "0b8dbbea00ba063a3f5f5544203daa1a0d48d2a104ceb5625f794008871eb26b")
+  lcpCell("copper 500x6, eb 0.05, batch 3, temporal disabled",
+    TestFrames.copper(500, 6), LcpConfig(0.05, batchSize = 3, disableTemporal = true),
+    "5f97f6ec6f732c8d93db8bda4e2020603d5241fa1064246bb7cb9db2402951ed")
+  lcpCell("helium 600x5, eb 0.01, batch 2, block size p = 1",
+    TestFrames.helium(600, 5), LcpConfig(0.01, batchSize = 2, blockSizeP = Some(1)),
+    "578026504524d6160978b9f14da543e6ba0e9efec6be34347738da1d03cce2e5")
+
+  private def baselineCell(codec: ParticleCodec, name: String, frames: => IndexedSeq[Frame], eb: Double,
+                           batchSize: Int, digest: String): Unit =
+    test(s"${codec.name} decoded digest: $name") {
+      val got = sha256(codec.decompress(codec.compress(frames, eb, batchSize).payload))
+      assert(got == digest, s"DECODED ${codec.name} $name -> $got")
+    }
+
+  private lazy val copper = TestFrames.copper(800, 8)
+
+  for ((codec, digest) <- Seq[(ParticleCodec, String)](
+         Sz2Like   -> "d2b60a0b80ab24d68a820a5a5110eb4211f28966e4e1b60bb9256d7b530aed7b",
+         Sz3Like   -> "43b7997af514120a7fe7d7d0cc3d98c786380d03f122f4976aea31efda1a79bd",
+         MdzLike   -> "fad81e618df2f02adddb282c3f1bdba53f640330a2f24017fbf8385cd38d21b4",
+         SperrLike -> "958d45d3f2f61a84c6a76e44a16c14faa0512bf4e07628d3bf1144bdff43ffa9",
+         ZfpLike   -> "a17c740bfa4ebe4a93e615dc9a3fab5164698cccd1af760fcc85f8104c062536",
+         Tmc13Like -> "ca72d29660455df778d9be25f4e7ef36ee619e13b0ebd144955b0dd150cb2974",
+         DracoLike -> "07cd682abdc6e0a600c936b849c0ee2e99f0fae5e70d11bb3461272d5fb6818a"))
+    baselineCell(codec, "copper 800x8, eb 0.02, batch 4", copper, 0.02, 4, digest)
+
+  baselineCell(MdzLike, "lj 600x9, eb 0.02, batch 3 (temporal in every batch)",
+    TestFrames.lj(600, 9), 0.02, 3,
+    "e170686d969fa98156466ad23edc047a512318e86cb9ee5579a53cbb7f0d1a66")
+  baselineCell(MdzLike, "8 independent hacc frames of 500, eb 0.02, batch 4 (spatial in every batch)",
+    IndexedSeq.tabulate(8)(s => Particles.hacc(500, 100 + s)), 0.02, 4,
+    "9af1a779c1e4a5f246eb5ba1c60f4d0cf98f7d87cd4e33db1b6f2c78cbfce878")
+}
