@@ -3,7 +3,8 @@ package repro.coding
 import java.util.Arrays
 
 /** MSB-first bit packing through a 64-bit accumulator, the encode side of
-  * the fixed-length and Huffman coders (DESIGN.md §3). Values are written
+  * the fixed-length and Huffman coders (DESIGN.md §3), and the 64-bit
+  * window their decoders read through. Values are written
   * most-significant-bit first so canonical Huffman codes compare correctly
   * during decode.
   *
@@ -14,6 +15,29 @@ import java.util.Arrays
   * per-value bounds check, `require` or per-byte loop.
   */
 private[coding] object BitPack {
+
+  /** The bits of `bytes` from bit `bitPos` (at most the bit length) on,
+    * MSB first and left-aligned: the top `64 - bitPos % 8` bits are the
+    * next bits of the stream, and bits past its end read 0. Away from the
+    * last 8 bytes this is one big-endian word load, with no copy of
+    * `bytes`; the decoders check once per window how many of its bits they
+    * may consume. */
+  @inline def window(bytes: Array[Byte], bitPos: Long): Long = {
+    val p = (bitPos >>> 3).toInt
+    val w =
+      if (p + 8 <= bytes.length)
+        ((bytes(p) & 0xffL) << 56) | ((bytes(p + 1) & 0xffL) << 48) |
+          ((bytes(p + 2) & 0xffL) << 40) | ((bytes(p + 3) & 0xffL) << 32) |
+          ((bytes(p + 4) & 0xffL) << 24) | ((bytes(p + 5) & 0xffL) << 16) |
+          ((bytes(p + 6) & 0xffL) << 8) | (bytes(p + 7) & 0xffL)
+      else {
+        var v = 0L
+        var q = p
+        while (q < p + 8) { v = (v << 8) | (if (q < bytes.length) bytes(q) & 0xffL else 0L); q += 1 }
+        v
+      }
+    w << (bitPos & 7)
+  }
 
   /** Store `word` big-endian at `out(p..p+7)`. */
   @inline def putWord(out: Array[Byte], p: Int, word: Long): Unit = {
@@ -110,26 +134,14 @@ final class BitWriter(initialCapacity: Int = 64) {
   }
 }
 
-/** MSB-first bit reader over a byte array.
-  *
-  * Hot path: [[peekBits]]/[[readBits]] for widths ≤ 56 assemble an 8-byte
-  * big-endian window with direct indexing into a zero-padded copy — no
-  * per-byte loop — which is what makes table-driven Huffman decode and
-  * fixed-length unpack run at memory speed.
+/** MSB-first bit reader over a byte array, for coders that interleave
+  * widths (the ZFP-style baseline). Every read is checked against the end
+  * of the stream; the bulk decoders of [[FixedLength]] and [[Huffman]] read
+  * [[BitPack.window]] directly and check once per window instead.
   */
 final class BitReader(bytes: Array[Byte]) {
   private var bitPos: Long = 0L
   private val limit: Long  = bytes.length.toLong * 8
-  // Zero padding lets the 8-byte window read past the logical end; the
-  // decoders never *consume* past `limit` (enforced in skip/read).
-  private val padded: Array[Byte] = Arrays.copyOf(bytes, bytes.length + 8)
-
-  /** 64-bit big-endian window starting at byte `idx`. */
-  @inline private def window(idx: Int): Long =
-    ((padded(idx) & 0xffL) << 56) | ((padded(idx + 1) & 0xffL) << 48) |
-      ((padded(idx + 2) & 0xffL) << 40) | ((padded(idx + 3) & 0xffL) << 32) |
-      ((padded(idx + 4) & 0xffL) << 24) | ((padded(idx + 5) & 0xffL) << 16) |
-      ((padded(idx + 6) & 0xffL) << 8) | (padded(idx + 7) & 0xffL)
 
   /** Read `nbits` bits as an unsigned value in a Long (nbits <= 64). */
   def readBits(nbits: Int): Long = {
@@ -137,7 +149,7 @@ final class BitReader(bytes: Array[Byte]) {
     require(bitPos + nbits <= limit, s"bit stream exhausted at $bitPos + $nbits > $limit")
     if (nbits == 0) return 0L
     if (nbits <= 56) {
-      val v = (window((bitPos >> 3).toInt) << (bitPos & 7)) >>> (64 - nbits)
+      val v = BitPack.window(bytes, bitPos) >>> (64 - nbits)
       bitPos += nbits
       v
     } else {
@@ -146,21 +158,5 @@ final class BitReader(bytes: Array[Byte]) {
       val lo = readBits(nbits - 32)
       (hi << (nbits - 32)) | lo
     }
-  }
-
-  /** Read a single bit (0 or 1). */
-  def readBit(): Int = readBits(1).toInt
-
-  /** Peek `nbits` (≤ 56) bits without consuming; past-the-end bits read 0. */
-  def peekBits(nbits: Int): Long = {
-    require(nbits >= 0 && nbits <= 56, s"peek width out of range: $nbits")
-    if (nbits == 0) 0L
-    else (window((bitPos >> 3).toInt) << (bitPos & 7)) >>> (64 - nbits)
-  }
-
-  /** Advance the cursor by `nbits` (after a successful peek). */
-  def skipBits(nbits: Int): Unit = {
-    require(bitPos + nbits <= limit, "skip past end of stream")
-    bitPos += nbits
   }
 }

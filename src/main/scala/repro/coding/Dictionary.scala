@@ -1,6 +1,6 @@
 package repro.coding
 
-import com.github.luben.zstd.Zstd
+import com.github.luben.zstd.{Zstd, ZstdException}
 
 /** Dictionary-coding stage (§6.2.2): Zstd, exactly as the paper, via the
   * zstd-jni library that ships with the Spark distribution.
@@ -18,17 +18,25 @@ object Dictionary {
 
   /** Inverse of [[compress]]. The size prefix comes from the input, so it
     * must agree with the content size the Zstd frame declares before the
-    * output is allocated. */
+    * output is allocated. The frame is decoded in place, with no copy of
+    * the input, and a frame Zstd rejects raises IllegalArgumentException
+    * with Zstd's error as its cause. */
   def decompress(bytes: Array[Byte]): Array[Byte] = {
     val in   = new java.io.ByteArrayInputStream(bytes)
     val size = Zigzag.readVarLong(in)
-    val rest = in.readAllBytes()
+    val off  = bytes.length - in.available()
+    val len  = in.available()
     require(size >= 0 && size <= Int.MaxValue, s"Dictionary: bad size $size")
     if (size == 0) Array.emptyByteArray
     else {
-      require(Zstd.getFrameContentSize(rest) == size,
-        s"Dictionary: size $size disagrees with the Zstd frame (${Zstd.getFrameContentSize(rest)})")
-      Zstd.decompress(rest, size.toInt)
+      val declared = Zstd.getFrameContentSize(bytes, off, len)
+      require(declared == size, s"Dictionary: size $size disagrees with the Zstd frame ($declared)")
+      val out = new Array[Byte](size.toInt)
+      val got =
+        try Zstd.decompressByteArray(out, 0, out.length, bytes, off, len)
+        catch { case e: ZstdException => throw new IllegalArgumentException(s"Dictionary: corrupt Zstd frame: ${e.getMessage}", e) }
+      require(got == size, s"Dictionary: Zstd frame decoded to $got bytes, expected $size")
+      out
     }
   }
 }

@@ -29,12 +29,34 @@ object FixedLength {
     out
   }
 
-  /** Unpack `n` values of `width` bits each. */
+  /** Unpack `n` values of `width` bits each. The values must fit in
+    * `bytes`; that is checked once, so the unpack runs without a per-value
+    * check: each 64-bit [[BitPack.window]] yields every value that lies
+    * whole inside it (widths up to 56), and a wider value is read as two
+    * halves. */
   def decode(bytes: Array[Byte], n: Int, width: Int): Array[Long] = {
-    val r   = new BitReader(bytes)
-    val out = new Array[Long](n)
-    var i   = 0
-    while (i < n) { out(i) = r.readBits(width); i += 1 }
+    require(width >= 0 && width <= 64 && n >= 0 && n.toLong * width <= 8L * bytes.length,
+      s"FixedLength: $n values of $width bits in ${bytes.length} bytes")
+    val out    = new Array[Long](n)
+    var bitPos = 0L
+    var i      = 0
+    if (width > 56) {
+      while (i < n) {
+        val hi = BitPack.window(bytes, bitPos) >>> 32
+        val lo = BitPack.window(bytes, bitPos + 32) >>> (96 - width)
+        out(i) = (hi << (width - 32)) | lo
+        bitPos += width
+        i += 1
+      }
+    } else if (width > 0) {
+      while (i < n) {
+        val start = 64 - (bitPos & 7).toInt // bits of the window in the stream, >= 57
+        var w     = BitPack.window(bytes, bitPos)
+        var left  = start
+        while (left >= width && i < n) { out(i) = w >>> (64 - width); w <<= width; left -= width; i += 1 }
+        bitPos += start - left
+      }
+    }
     out
   }
 }

@@ -236,12 +236,20 @@ object Huffman {
   object Decoder {
     /** Lookup-table window width: codes up to this length decode in one
       * table hit. Heavy-tailed delta alphabets (sparse block ids) carry
-      * real mass past 11 bits, so the window is 16 bits (a 640 KB table,
+      * real mass past 11 bits, so the window is 16 bits (a 256 KB table,
       * built in ~0.1 ms) — beyond it the canonical walk handles the tail. */
     val TableBits = 16
   }
 
-  /** Decoder tables reconstructed from a serialized table stream. */
+  /** Decoder tables reconstructed from a serialized table stream, for the
+    * zigzag codes of the §6.2.2 chain: [[decode]] returns every symbol
+    * zigzag-decoded, which the table does once per distinct symbol.
+    *
+    * The table must be canonical, as [[Code.table]] writes it: code
+    * lengths ascending, symbols ascending within a length, and a Kraft sum
+    * of at most 1. Any other table is rejected before the lookup table is
+    * filled.
+    */
   final class Decoder(in: InputStream) {
     // Each table entry takes at least two bytes (symbol varint, length).
     private val n = {
@@ -249,15 +257,24 @@ object Huffman {
       require(count >= 0 && count <= in.available() / 2, s"Huffman table: bad symbol count $count")
       count.toInt
     }
-    // Symbols arrive in canonical (length, symbol) order.
-    private val syms = new Array[Long](n)
+    // Zigzag-decoded symbols and their code lengths, in canonical order.
+    private val vals = new Array[Long](n)
     private val lens = new Array[Int](n)
     locally {
+      var prev  = 0L
+      var kraft = 0L // sum of 2^(58 - length): at most 2^58 for a usable code
       var i = 0
       while (i < n) {
-        syms(i) = Zigzag.readVarLong(in)
-        lens(i) = in.read()
-        require(lens(i) > 0 && lens(i) <= 58, s"bad code length ${lens(i)}")
+        val sym = Zigzag.readVarLong(in)
+        val l   = in.read()
+        require(l > 0 && l <= 58, s"bad code length $l")
+        require(i == 0 || l > lens(i - 1) || l == lens(i - 1) && sym > prev,
+          s"Huffman table: symbol $i is out of canonical (length, symbol) order")
+        kraft += 1L << (58 - l)
+        require(kraft <= (1L << 58), "Huffman table: code lengths oversubscribed (Kraft sum > 1)")
+        vals(i) = Zigzag.decode(sym)
+        lens(i) = l
+        prev = sym
         i += 1
       }
     }
@@ -280,63 +297,75 @@ object Huffman {
       }
     }
 
-    // One-shot lookup table over the first TableBits bits: codes no longer
-    // than TableBits decode in a single peek+skip; longer codes (rare, only
-    // deep-tail symbols) fall back to the canonical bit-by-bit walk.
+    // One lookup table over the next tableBits bits of the stream: the
+    // entry of every window that starts with a code of at most tableBits
+    // bits is (canonical index << 6 | length), else 0. The Kraft check
+    // keeps the codes inside the table, and at most 2^tableBits symbols
+    // have such codes, so the packed index fits.
     private val tableBits = math.min(maxLen, Decoder.TableBits)
-    private val symTable  = new Array[Long](if (n == 0) 0 else 1 << tableBits)
-    private val lenTable  = new Array[Byte](if (n == 0) 0 else 1 << tableBits)
+    private val table     = new Array[Int](1 << tableBits)
     locally {
-      var l = 1
-      // Re-walk canonical codes in (length, symbol) order.
-      while (l <= maxLen) {
-        var k = 0
-        while (k < count(l)) {
-          val c = firstCode(l) + k
-          if (l <= tableBits) {
-            val base = (c << (tableBits - l)).toInt
-            var fill = 0
-            while (fill < (1 << (tableBits - l))) {
-              symTable(base + fill) = syms(firstIndex(l) + k)
-              lenTable(base + fill) = l.toByte
-              fill += 1
-            }
-          }
-          k += 1
-        }
-        l += 1
+      var k = 0
+      while (k < n && lens(k) <= tableBits) {
+        val l    = lens(k)
+        val base = ((firstCode(l) + k - firstIndex(l)) << (tableBits - l)).toInt
+        java.util.Arrays.fill(table, base, base + (1 << (tableBits - l)), (k << 6) | l)
+        k += 1
       }
     }
 
-    /** Decode `m` symbols from `r`. */
-    def decode(r: BitReader, m: Int): Array[Long] = {
-      val out = new Array[Long](m)
-      var i   = 0
+    /** Decode `m` symbols from `bytes`, zigzag-decoded. Each 64-bit
+      * [[BitPack.window]] of the stream decodes codes by table lookup while
+      * a whole table window of its bits is left, so the stream end is
+      * checked once per window. A code longer than the table window, and
+      * every code in the stream's last `tableBits` bits, takes the checked
+      * canonical walk. */
+    def decode(bytes: Array[Byte], m: Int): Array[Long] = {
+      require(m == 0 || n > 0, "corrupt Huffman stream")
+      val out    = new Array[Long](m)
+      val limit  = 8L * bytes.length
+      val tb     = tableBits
+      val tab    = table
+      val vs     = vals
+      var bitPos = 0L
+      var i      = 0
       while (i < m) {
-        val window = r.peekBits(tableBits).toInt
-        val l      = lenTable(window)
-        if (l > 0) {
-          out(i) = symTable(window)
-          r.skipBits(l)
-        } else {
-          // Slow path for codes longer than the table window.
-          var code = 0L
-          var len  = 0
-          var found = false
-          while (!found) {
-            code = (code << 1) | r.readBit()
-            len += 1
-            require(len <= maxLen, "corrupt Huffman stream")
-            val offset = code - firstCode(len)
-            if (count(len) > 0 && offset >= 0 && offset < count(len)) {
-              out(i) = syms(firstIndex(len) + offset.toInt)
-              found = true
-            }
-          }
+        val avail = math.min(64L - (bitPos & 7), limit - bitPos).toInt
+        var w     = BitPack.window(bytes, bitPos)
+        var used  = 0
+        var e     = 1
+        while (i < m && used + tb <= avail && { e = tab((w >>> (64 - tb)).toInt); e != 0 }) {
+          out(i) = vs(e >>> 6)
+          w <<= e & 63
+          used += e & 63
+          i += 1
         }
-        i += 1
+        bitPos += used
+        if (i < m && (e == 0 || limit - bitPos < tb)) {
+          val s = slowSymbol(bytes, bitPos, limit)
+          out(i) = vs((s >>> 6).toInt)
+          bitPos += s & 63
+          i += 1
+        }
       }
       out
+    }
+
+    /** The code at `bitPos`, read bit by bit through the canonical tables
+      * and never past `limit`: (canonical index << 6 | length). */
+    private def slowSymbol(bytes: Array[Byte], bitPos: Long, limit: Long): Long = {
+      var code = 0L
+      var len  = 0
+      var sym  = -1L
+      while (sym < 0) {
+        len += 1
+        require(len <= maxLen && bitPos + len <= limit, "corrupt Huffman stream")
+        val p = bitPos + len - 1
+        code = (code << 1) | ((bytes((p >>> 3).toInt) >>> (7 - (p & 7).toInt)) & 1)
+        val offset = code - firstCode(len)
+        if (offset >= 0 && offset < count(len)) sym = ((firstIndex(len) + offset) << 6) | len
+      }
+      sym
     }
   }
 }

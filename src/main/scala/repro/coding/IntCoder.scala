@@ -106,39 +106,38 @@ object IntCoder {
     emit(p, delta, if (useHuffman) buildCode(p) else None)
   }
 
-  /** Decode one array written by [[encode]]/[[encodeForced]]. Zigzag and
-    * delta inversion run fused, in place, over the decoded symbol array. */
-  def decode(in: InputStream): Array[Long] = {
+  /** Decode one array written by [[encode]]/[[encodeForced]], holding at
+    * most `maxCount` values (the caller's particle count, when it knows
+    * one). The Huffman table yields zigzag-decoded values directly, a
+    * fixed-length array is zigzag-decoded in place, and the delta prefix
+    * sum runs last, in place. */
+  def decode(in: InputStream, maxCount: Int = Int.MaxValue): Array[Long] = {
     val flags = in.read()
     require(flags >= 0, "IntCoder: EOF")
     val delta = (flags & 1) != 0
     val huff  = (flags & 2) != 0
-    val count = Zigzag.readVarLong(in)
-    require(count >= 0 && count <= Int.MaxValue, s"IntCoder: bad count $count")
-    val n = count.toInt
+    // The count comes from the input: it is checked against the caller's
+    // bound and against the payload (a symbol takes at least one bit, a
+    // fixed-length value its width) before the output is allocated.
+    val n = ByteIO.readCount(in, maxCount, "IntCoder count")
     if (n == 0) return Array.emptyLongArray
-    // The count comes from the input: it is checked against the payload
-    // (a symbol takes at least one bit) before the output is allocated.
     val z =
       if (huff) {
         val dec     = new Huffman.Decoder(in)
         val payload = ByteIO.readSection(in)
         require(n <= 8L * payload.length, s"IntCoder: $n symbols in ${payload.length} Huffman bytes")
-        dec.decode(new BitReader(payload), n)
+        dec.decode(payload, n)
       } else {
         val width = in.read()
-        require(width >= 0 && width <= 64, s"IntCoder: bad width $width")
-        val payload = ByteIO.readSection(in)
-        require(width == 0 || n.toLong * width <= 8L * payload.length,
-          s"IntCoder: $n values of $width bits in ${payload.length} bytes")
-        FixedLength.decode(payload, n, width)
+        val c     = FixedLength.decode(ByteIO.readSection(in), n, width)
+        var i = 0
+        while (i < n) { c(i) = Zigzag.decode(c(i)); i += 1 }
+        c
       }
-    var prev = 0L
-    var i = 0
-    while (i < n) {
-      val v = Zigzag.decode(z(i))
-      if (delta) { prev += v; z(i) = prev } else z(i) = v
-      i += 1
+    if (delta) {
+      var prev = 0L
+      var i    = 0
+      while (i < n) { prev += z(i); z(i) = prev; i += 1 }
     }
     z
   }

@@ -224,29 +224,35 @@ object Lcp {
     * `batchIdx`, lazily and in order. `from` must start a temporal chain:
     * a spatial frame, or the batch head, whose temporal basis is the anchor
     * frame it references. Each later temporal frame decodes against its
-    * predecessor, so only the previous frame is kept live. */
-  private def decodeChain(a: LcpArchive, batchIdx: Int, from: Int, to: Int): Iterator[Frame] = {
+    * predecessor, so only the previous frame is kept live. `anchor(k)` is
+    * the decoded anchor frame k, for a spatial frame stored as an anchor
+    * and for a head's temporal basis alike. */
+  private def decodeChain(a: LcpArchive, batchIdx: Int, from: Int, to: Int, anchor: Int => Frame): Iterator[Frame] = {
     val head = batchIdx * a.batchSize
     var prev: Frame = null
     (from to to).iterator.map { i =>
       val e = a.entries(i)
       prev =
-        if (!e.temporal) LcpS.decompress(if (e.inAnchor) a.anchors(e.slot) else a.batches(batchIdx)(e.slot))
-        else {
-          val basis = if (i == head) LcpS.decompress(a.anchors(e.anchorRef)) else prev
-          LcpT.decompress(a.batches(batchIdx)(e.slot), basis)
-        }
+        if (!e.temporal) { if (e.inAnchor) anchor(e.slot) else LcpS.decompress(a.batches(batchIdx)(e.slot)) }
+        else LcpT.decompress(a.batches(batchIdx)(e.slot), if (i == head) anchor(e.anchorRef) else prev)
       prev
     }
+  }
+
+  /** Anchor k decoded on demand: a batch or frame retrieval needs at most
+    * one anchor. */
+  private def anchorDecoder(a: LcpArchive): Int => Frame = k => LcpS.decompress(a.anchors(k))
+
+  private def batchChain(a: LcpArchive, batchIdx: Int, anchor: Int => Frame): IndexedSeq[Frame] = {
+    val start = batchIdx * a.batchSize
+    decodeChain(a, batchIdx, start, math.min(start + a.batchSize, a.numFrames) - 1, anchor).toIndexedSeq
   }
 
   /** Decompress every frame of one batch — the paper's retrieval unit
     * (§2.1.3). Only the batch's payloads plus (at most) one anchor frame
     * are touched. */
-  def decompressBatch(a: LcpArchive, batchIdx: Int): IndexedSeq[Frame] = {
-    val start = batchIdx * a.batchSize
-    decodeChain(a, batchIdx, start, math.min(start + a.batchSize, a.numFrames) - 1).toIndexedSeq
-  }
+  def decompressBatch(a: LcpArchive, batchIdx: Int): IndexedSeq[Frame] =
+    batchChain(a, batchIdx, anchorDecoder(a))
 
   /** Decompress a single frame: decode only its batch up to the frame (plus
     * one anchor when needed) — the §7.3 worst case. */
@@ -256,10 +262,14 @@ object Lcp {
     // target, or at the batch head — only that suffix of the batch is decoded.
     var chainStart = frameIdx
     while (chainStart > batchIdx * a.batchSize && a.entries(chainStart).temporal) chainStart -= 1
-    decodeChain(a, batchIdx, chainStart, frameIdx).reduceLeft((_, f) => f)
+    decodeChain(a, batchIdx, chainStart, frameIdx, anchorDecoder(a)).reduceLeft((_, f) => f)
   }
 
-  /** Decompress the whole archive, batch by batch. */
-  def decompressAll(a: LcpArchive): IndexedSeq[Frame] =
-    a.batches.indices.flatMap(decompressBatch(a, _))
+  /** Decompress the whole archive, batch by batch. Every anchor is a
+    * batch-head frame of its own, so each is decoded once, up front, and
+    * shared by every batch head that references it. */
+  def decompressAll(a: LcpArchive): IndexedSeq[Frame] = {
+    val anchors = a.anchors.map(LcpS.decompress)
+    a.batches.indices.flatMap(batchChain(a, _, anchors))
+  }
 }

@@ -73,8 +73,10 @@ object LcpS {
     val mx  = ByteIO.readDouble(in); val my = ByteIO.readDouble(in); val mz = ByteIO.readDouble(in)
     val bnx = Zigzag.readVarLong(in)
     val bny = Zigzag.readVarLong(in)
+    // Every block holds at least one particle, so no array has more than n
+    // values.
     val Array(blockIds, counts, relX, relY, relZ) =
-      ByteIO.readBody(in, 5).map(s => IntCoder.decode(new ByteArrayInputStream(s)))
+      ByteIO.readBody(in, 5).map(s => IntCoder.decode(new ByteArrayInputStream(s), n))
     require(relX.length == n, s"decoded ${relX.length} particles, expected $n")
     val (qx, qy, qz) = BlockIndex.ungroup(blockIds, counts, relX, relY, relZ, p, bnx, bny)
     QFrame(qx, qy, qz, mx, my, mz, eb).dequantize

@@ -58,7 +58,7 @@ object LcpT {
     require(stored == n, s"frame length $stored does not match previous frame $n")
     val eb   = ByteIO.readDouble(in)
     val dims = ByteIO.readBody(in, 3).zip(Array(prevRecon.x, prevRecon.y, prevRecon.z)).map { case (section, prev) =>
-      val q = IntCoder.decode(new ByteArrayInputStream(section))
+      val q = IntCoder.decode(new ByteArrayInputStream(section), n)
       require(q.length == n, "decoded length mismatch")
       val r = new Array[Double](n)
       var i = 0

@@ -13,7 +13,7 @@ class BitIOSpec extends AnyFunSuite with PropSupport {
   test("single bit roundtrip") {
     val w = new BitWriter(); w.writeBits(1, 1)
     val r = new BitReader(w.toBytes)
-    assert(r.readBit() == 1)
+    assert(r.readBits(1) == 1)
   }
 
   test("zero-width write is a no-op") {

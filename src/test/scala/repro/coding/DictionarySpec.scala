@@ -47,4 +47,16 @@ class DictionarySpec extends AnyFunSuite with PropSupport {
     for (size <- Seq(Int.MaxValue.toLong, 1000000000L, content.length + 1L, 1L, -1L, 1L << 32))
       assertThrows[IllegalArgumentException](Dictionary.decompress(withSize(size, content)))
   }
+
+  test("a corrupted Zstd frame body raises IllegalArgumentException with Zstd's error as its cause") {
+    val a    = Array.tabulate(100000)(i => ((i % 251) * (i % 7)).toByte)
+    val good = Dictionary.compress(a)
+    // Keep the size prefix and the frame header (which carries the content
+    // size), overwrite the blocks after them.
+    val bad = good.clone()
+    java.util.Arrays.fill(bad, 16, bad.length, 0xff.toByte)
+    assert(com.github.luben.zstd.Zstd.getFrameContentSize(bad, 3, bad.length - 3) == a.length)
+    val e = intercept[IllegalArgumentException](Dictionary.decompress(bad))
+    assert(e.getCause.isInstanceOf[com.github.luben.zstd.ZstdException])
+  }
 }

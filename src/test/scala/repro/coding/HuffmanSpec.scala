@@ -1,6 +1,6 @@
 package repro.coding
 
-import java.io.ByteArrayInputStream
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 import repro.PropSupport
@@ -13,8 +13,16 @@ class HuffmanSpec extends AnyFunSuite with PropSupport {
     val table = code.table
     assert(table.length == code.tableBytes)
     val payload = code.encodePayload(freq)
-    val dec = new Huffman.Decoder(new ByteArrayInputStream(table))
-    dec.decode(new BitReader(payload), a.length)
+    // The decoder yields zigzag-decoded symbols, the form IntCoder needs.
+    new Huffman.Decoder(new ByteArrayInputStream(table)).decode(payload, a.length).map(Zigzag.encode)
+  }
+
+  /** A serialized table of (symbol, code length) entries, in the given order. */
+  private def table(entries: (Long, Int)*): ByteArrayInputStream = {
+    val out = new ByteArrayOutputStream()
+    Zigzag.writeVarLong(out, entries.size.toLong)
+    entries.foreach { case (s, l) => Zigzag.writeVarLong(out, s); out.write(l) }
+    new ByteArrayInputStream(out.toByteArray)
   }
 
   private def lengthOf(code: Huffman.Code, s: Long): Int = code.lengths(code.symbols.indexOf(s))
@@ -88,5 +96,40 @@ class HuffmanSpec extends AnyFunSuite with PropSupport {
   test("large alphabet roundtrip") {
     val a = Array.tabulate(20000)(i => (i % 5000).toLong)
     assert(roundtrip(a).sameElements(a))
+  }
+
+  test("codes longer than the lookup window decode through the canonical walk") {
+    // Fibonacci counts give one code per length up to about 25 bits.
+    val fib = Iterator.iterate((1, 1)) { case (a, b) => (b, a + b) }.map(_._1).take(25).toArray
+    val a   = Array.tabulate(25)(k => Array.fill(fib(k))(k.toLong * 3 - 30)).flatten
+    val rng = new java.util.Random(5)
+    for (i <- a.indices.reverse) { val j = rng.nextInt(i + 1); val t = a(i); a(i) = a(j); a(j) = t }
+    assert(Huffman.build(Huffman.frequencies(a)).get.maxLen > Huffman.Decoder.TableBits)
+    assert(roundtrip(a).sameElements(a))
+  }
+
+  test("a payload too short for its symbols is rejected, never read past its end") {
+    val a    = Array.tabulate(5000)(i => (i % 37).toLong)
+    val freq = Huffman.frequencies(a)
+    val code = Huffman.build(freq).get
+    val full = code.encodePayload(freq)
+    for (cut <- Seq(1, 2, 9, full.length / 2)) {
+      val dec = new Huffman.Decoder(new ByteArrayInputStream(code.table))
+      assertThrows[IllegalArgumentException](dec.decode(full.dropRight(cut), a.length))
+    }
+  }
+
+  test("a table whose code lengths are out of order is rejected") {
+    assertThrows[IllegalArgumentException](new Huffman.Decoder(table(0L -> 3, 1L -> 1)))
+  }
+
+  test("an oversubscribed table (Kraft sum > 1) is rejected") {
+    assertThrows[IllegalArgumentException](new Huffman.Decoder(table(0L -> 1, 1L -> 1, 2L -> 1)))
+    assertThrows[IllegalArgumentException](new Huffman.Decoder(table(0L -> 1, 1L -> 2, 2L -> 2, 3L -> 2)))
+  }
+
+  test("a table whose symbols are out of canonical order within a length is rejected") {
+    assertThrows[IllegalArgumentException](new Huffman.Decoder(table(5L -> 1, 3L -> 1)))
+    assertThrows[IllegalArgumentException](new Huffman.Decoder(table(3L -> 1, 3L -> 1)))
   }
 }

@@ -158,4 +158,17 @@ class IntCoderSpec extends AnyFunSuite with PropSupport {
     assert(roundtrip(a, delta = false).sameElements(a))
     assert(IntCoder.decode(bytes(0, 0xa0, 0x8d, 0x06, 0, 0)).length == 100000)
   }
+
+  test("a Huffman array with an empty table is rejected") {
+    // flags = huffman, count 1, table count 0, a 1-byte payload.
+    assertThrows[IllegalArgumentException](IntCoder.decode(bytes(2, 1, 0, 1, 0)))
+  }
+
+  test("a count above the caller's bound is rejected before allocating") {
+    // flags = fixed, count 2^31 - 1, width 0, an empty payload.
+    val width0 = Array(0, 0xff, 0xff, 0xff, 0xff, 0x07, 0, 0)
+    assertThrows[IllegalArgumentException](IntCoder.decode(bytes(width0: _*), maxCount = 100))
+    assert(IntCoder.decode(bytes(0, 100, 0, 0), maxCount = 100).length == 100)
+    assertThrows[IllegalArgumentException](IntCoder.decode(bytes(0, 101, 0, 0), maxCount = 100))
+  }
 }

@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{PropSupport, TestFrames}
+import repro.coding.{ByteIO, Zigzag}
 import repro.metrics.Metrics
 
 class LcpTSpec extends AnyFunSuite with PropSupport {
@@ -83,5 +84,15 @@ class LcpTSpec extends AnyFunSuite with PropSupport {
       val d = LcpT.decompress(t.bytes, s.recon)
       assert(Metrics.withinBound(Metrics.maxAbsError(aligned, d, null), eb), s"eb=$eb")
     }
+  }
+
+  test("a width-0 residual array counting 2^31 - 1 values is rejected before allocating") {
+    val prev   = TestFrames.helium(100, 1).head
+    val width0 = Array(0, 0xff, 0xff, 0xff, 0xff, 0x07, 0, 0).map(_.toByte) // fixed, count, width 0, no payload
+    val out    = new java.io.ByteArrayOutputStream()
+    Zigzag.writeVarLong(out, prev.n.toLong)
+    ByteIO.writeDouble(out, 0.01)
+    ByteIO.writeBody(out, width0, width0, width0)
+    assertThrows[IllegalArgumentException](LcpT.decompress(out.toByteArray, prev))
   }
 }
