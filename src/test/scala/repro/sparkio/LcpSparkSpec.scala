@@ -3,6 +3,7 @@ package repro.sparkio
 import java.nio.file.Files
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestFrames}
+import repro.core.Lcp
 import repro.core.Lcp.LcpConfig
 import repro.metrics.Metrics
 
@@ -25,6 +26,21 @@ class LcpSparkSpec extends SparkSpec {
     val groups = LcpSpark.compress(df, cfg, batchesPerGroup = 1).collect()
     assert(groups.length == 2) // 8 frames / (4 frames per batch * 1)
     assert(groups.map(_.numFrames).sum == 8)
+  }
+
+  test("every stored blob equals the local Lcp.compress of its group's frames") {
+    // 10 frames at batch 4: the last group is partial at 1 and at 2 batches per group.
+    val ten = TestFrames.copper(800, 10)
+    for (bpg <- Seq(1, 2)) {
+      val perGroup = cfg.batchSize * bpg
+      val expected = ten.grouped(perGroup).toIndexedSeq
+      val groups   = LcpSpark.compress(LcpSpark.framesToDf(spark, ten), cfg, bpg).collect().sortBy(_.group)
+      assert(groups.map(_.group).toSeq == expected.indices, s"bpg $bpg")
+      groups.zip(expected).foreach { case (g, fs) =>
+        assert(g.firstFrame == g.group * perGroup && g.numFrames == fs.size, s"bpg $bpg group ${g.group}")
+        assert(java.util.Arrays.equals(g.blob, Lcp.compress(fs, cfg).archive.toBytes), s"bpg $bpg group ${g.group}")
+      }
+    }
   }
 
   test("roundtrip through Spark preserves counts and the error bound per frame") {
