@@ -148,11 +148,24 @@ object BlockIndex {
     out
   }
 
-  /** Rebuild quantization bins from grouped block data (decompression side). */
+  /** Rebuild quantization bins from grouped block data (decompression side).
+    * The counts come from the input: one per block id, each at least 1 (no
+    * empty block is stored), summing to the particle count. They are
+    * checked before any bin is written. */
   def ungroup(blockIds: Array[Long], counts: Array[Long],
               relX: Array[Long], relY: Array[Long], relZ: Array[Long],
               p: Int, bnx: Long, bny: Long): (Array[Long], Array[Long], Array[Long]) = {
-    val n  = relX.length
+    val n = relX.length
+    require(counts.length == blockIds.length, s"${counts.length} block counts for ${blockIds.length} blocks")
+    var total = 0L
+    var k     = 0
+    while (k < counts.length) {
+      require(counts(k) >= 1, s"block $k holds ${counts(k)} particles")
+      total += counts(k)
+      require(total <= n, s"block counts pass the particle total ($n) at block $k")
+      k += 1
+    }
+    require(total == n, s"block counts ($total) disagree with particle total ($n)")
     val qx = new Array[Long](n); val qy = new Array[Long](n); val qz = new Array[Long](n)
     var pos = 0
     var b   = 0
@@ -172,7 +185,6 @@ object BlockIndex {
       }
       b += 1
     }
-    require(pos == n, s"block counts ($pos) disagree with particle total ($n)")
     (qx, qy, qz)
   }
 }

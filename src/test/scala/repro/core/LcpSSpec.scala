@@ -1,8 +1,10 @@
 package repro.core
 
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 import repro.{PropSupport, TestFrames}
+import repro.coding.{ByteIO, IntCoder, Zigzag}
 import repro.metrics.Metrics
 
 class LcpSSpec extends AnyFunSuite with PropSupport {
@@ -113,5 +115,42 @@ class LcpSSpec extends AnyFunSuite with PropSupport {
       assert(d.n == f.n)
       assert(Metrics.withinBound(Metrics.maxAbsError(f, d, perm), eb))
     }
+  }
+
+  /** The LCP-S frame `bytes` written again with its block counts replaced
+    * by `edit(counts)`; the header and the other sections stay as they are. */
+  private def withCounts(bytes: Array[Byte])(edit: Array[Long] => Array[Long]): Array[Byte] = {
+    val in = new ByteArrayInputStream(bytes)
+    Zigzag.readVarLong(in); ByteIO.readDouble(in); Zigzag.readVarLong(in)
+    (0 until 3).foreach(_ => ByteIO.readDouble(in))
+    Zigzag.readVarLong(in); Zigzag.readVarLong(in)
+    val header   = bytes.take(bytes.length - in.available())
+    val sections = ByteIO.readBody(in, 5)
+    sections(1) = IntCoder.encode(edit(IntCoder.decode(new ByteArrayInputStream(sections(1)))))
+    val out = new ByteArrayOutputStream()
+    out.write(header)
+    ByteIO.writeBody(out, sections: _*)
+    out.toByteArray
+  }
+
+  private lazy val countedFrame = LcpS.compress(TestFrames.helium(2000, 1).head, 0.01, 8).bytes
+
+  test("rewriting the block counts unchanged gives back the same frame bytes") {
+    assert(withCounts(countedFrame)(identity).sameElements(countedFrame))
+  }
+
+  test("block counts summing past the particle count are rejected") {
+    val crafted = withCounts(countedFrame) { c => c.updated(0, c(0) + 1) }
+    intercept[IllegalArgumentException](LcpS.decompress(crafted))
+  }
+
+  test("fewer block counts than block ids are rejected") {
+    val crafted = withCounts(countedFrame)(_.dropRight(1))
+    intercept[IllegalArgumentException](LcpS.decompress(crafted))
+  }
+
+  test("an empty block (count 0) is rejected even when the counts sum to n") {
+    val crafted = withCounts(countedFrame) { c => c.updated(0, 0L).updated(1, c(0) + c(1)) }
+    intercept[IllegalArgumentException](LcpS.decompress(crafted))
   }
 }
