@@ -58,7 +58,7 @@ object DracoLike extends FrameWiseCodec {
     require(bits >= 1 && bits <= Morton.MaxBits, s"bad bit count $bits")
     val mx = ByteIO.readDouble(in); val my = ByteIO.readDouble(in); val mz = ByteIO.readDouble(in)
     val step  = ByteIO.readDouble(in)
-    val codes = IntCoder.decode(new ByteArrayInputStream(Dictionary.decompress(ByteIO.readSection(in))))
+    val codes = IntCoder.decode(new ByteArrayInputStream(Dictionary.decompress(ByteIO.readSection(in))), n)
     require(codes.length == n, "length mismatch")
     val x = new Array[Double](n); val y = new Array[Double](n); val z = new Array[Double](n)
     var i = 0

@@ -57,7 +57,8 @@ object SperrLike extends FrameWiseCodec {
     val in = new ByteArrayInputStream(bytes)
     val n  = ByteIO.readCount(in, Int.MaxValue, "SPERR particle count")
     val eb = ByteIO.readDouble(in)
-    val sections = ByteIO.readBody(in, 9).map(s => IntCoder.decode(new ByteArrayInputStream(s)))
+    // One coefficient per particle, and at most one correction per particle.
+    val sections = ByteIO.readBody(in, 9).map(s => IntCoder.decode(new ByteArrayInputStream(s), n))
     val dims = sections.grouped(3).map { case Array(q, corrIdx, corrQ) =>
       // One coefficient per value, so the decoded array bounds the header's count.
       require(q.length == n, s"SPERR: ${q.length} coefficients for $n particles")

@@ -40,7 +40,7 @@ object Sz2Like extends FrameWiseCodec {
     val n  = ByteIO.readCount(in, Int.MaxValue, "SZ2 particle count")
     val eb = ByteIO.readDouble(in)
     val dims = ByteIO.readBody(in, 3).map { section =>
-      val q   = IntCoder.decode(new ByteArrayInputStream(section))
+      val q   = IntCoder.decode(new ByteArrayInputStream(section), n)
       require(q.length == n, "length mismatch")
       val out = new Array[Double](n)
       var pred = 0.0

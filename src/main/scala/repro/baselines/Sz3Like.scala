@@ -67,7 +67,7 @@ object Sz3Like extends FrameWiseCodec {
     val n  = ByteIO.readCount(in, Int.MaxValue, "SZ3 particle count")
     val eb = ByteIO.readDouble(in)
     val dims = ByteIO.readBody(in, 3).map { section =>
-      val q = IntCoder.decode(new ByteArrayInputStream(section))
+      val q = IntCoder.decode(new ByteArrayInputStream(section), n)
       // One index per value, so the decoded array bounds the header's count.
       require(q.length == n, s"SZ3: ${q.length} indices for $n particles")
       decodeDim(q, n, eb)

@@ -82,7 +82,8 @@ object Tmc13Like extends FrameWiseCodec {
     val depth = in.read()
     require(depth >= 1 && depth <= Morton.MaxBits, s"TMC13: bad octree depth $depth")
     val Array(occ, dupBytes) = ByteIO.readBody(in, 2)
-    val dups = IntCoder.decode(new ByteArrayInputStream(dupBytes))
+    // No leaf is empty, so there are at most n of them.
+    val dups = IntCoder.decode(new ByteArrayInputStream(dupBytes), n)
     // Every point sits in one leaf, so the leaf counts bound the header's count.
     var total = 0L
     dups.foreach { d => require(d >= 1 && d <= n, s"TMC13: leaf count $d"); total += d }

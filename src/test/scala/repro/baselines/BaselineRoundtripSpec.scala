@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestFrames
-import repro.coding.Zigzag
+import repro.coding.{ByteIO, Zigzag}
 import repro.core.Frame
 import repro.metrics.Metrics
 
@@ -84,5 +84,17 @@ class BaselineRoundtripSpec extends AnyFunSuite {
       intercept[IllegalArgumentException](codec.decompress(varint(1L << 32)))
       val payload = codec.compress(TestFrames.copper(200, 4), 0.05, 2).payload
       intercept[IllegalArgumentException](codec.decompress(withLeadingVarint(payload, (1L << 32) + 2)))
+    }
+
+  // A fixed-length IntCoder array: count 2^31 - 1, width 0, an empty payload.
+  private val width0 = Array(0, 0xff, 0xff, 0xff, 0xff, 0x07, 0, 0).map(_.toByte)
+
+  for ((codec, sections) <- Seq[(FrameWiseCodec, Int)](Sz2Like -> 3, Sz3Like -> 3, SperrLike -> 9))
+    test(s"${codec.name}: a width-0 array counting 2^31 - 1 values in a 100-particle frame is rejected") {
+      val out = new java.io.ByteArrayOutputStream()
+      Zigzag.writeVarLong(out, 100L)
+      ByteIO.writeDouble(out, 0.01)
+      ByteIO.writeBody(out, Seq.fill(sections)(width0): _*)
+      intercept[IllegalArgumentException](codec.decompressFrame(out.toByteArray))
     }
 }
