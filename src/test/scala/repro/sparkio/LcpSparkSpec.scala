@@ -1,9 +1,10 @@
 package repro.sparkio
 
 import java.nio.file.Files
+import org.apache.spark.sql.execution.FileSourceScanExec
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestFrames}
-import repro.core.Lcp
+import repro.core.{Frame, Lcp}
 import repro.core.Lcp.LcpConfig
 import repro.metrics.Metrics
 
@@ -16,9 +17,16 @@ class LcpSparkSpec extends SparkSpec {
   private lazy val frames = TestFrames.copper(800, 8)
   private val cfg         = LcpConfig(eb = 0.02, batchSize = 4)
 
-  test("framesToDf row count equals total particles") {
-    val df = LcpSpark.framesToDf(spark, frames)
-    assert(df.count() == frames.map(_.n.toLong).sum)
+  test("framesToDf: one row per frame, arrays bit-equal") {
+    val spk = spark
+    import spk.implicits._
+    val rows = LcpSpark.framesToDf(spark, frames).as[LcpSpark.FrameRow].collect().sortBy(_.frame)
+    assert(rows.map(_.frame).toSeq == frames.indices)
+    rows.zip(frames).foreach { case (r, f) =>
+      assert(java.util.Arrays.equals(r.x, f.x) && java.util.Arrays.equals(r.y, f.y) &&
+        java.util.Arrays.equals(r.z, f.z), s"frame ${r.frame}")
+    }
+    assert(rows.map(_.x.length.toLong).sum == frames.map(_.n.toLong).sum)
   }
 
   test("compress produces one group per batchesPerGroup batches") {
@@ -67,6 +75,30 @@ class LcpSparkSpec extends SparkSpec {
       assert(math.abs(r.getDouble(4) - f.y.sum / f.n) <= slack)
       assert(math.abs(r.getDouble(5) - f.z.sum / f.n) <= slack)
     }
+
+    // Per particle: frame t's rows, ordered by id, match the original frame
+    // reordered by the local compression's stored order within eb.
+    val perms = Lcp.compress(frames, cfg).perms
+    val rows  = back.collect().groupBy(_.getInt(0))
+    frames.zipWithIndex.foreach { case (f, t) =>
+      val got = rows(t).sortBy(_.getInt(1))
+      val ref = f.reorder(perms(t))
+      got.indices.foreach { s =>
+        val r = got(s)
+        assert(r.getInt(1) == s, s"frame $t ids")
+        assert(math.abs(r.getDouble(2) - ref.x(s)) <= slack && math.abs(r.getDouble(3) - ref.y(s)) <= slack &&
+          math.abs(r.getDouble(4) - ref.z(s)) <= slack, s"frame $t particle $s")
+      }
+    }
+  }
+
+  test("an empty frame inside a group keeps its index through the Spark round trip") {
+    val withEmpty = frames.updated(3, Frame.empty)
+    val groups    = LcpSpark.compress(LcpSpark.framesToDf(spark, withEmpty), cfg, batchesPerGroup = 2)
+    assert(groups.collect().map(_.numFrames).toSeq == Seq(8))
+    val counts = LcpSpark.decompressToDf(groups).groupBy("frame").count().collect()
+      .map(r => r.getInt(0) -> r.getLong(1)).toMap
+    withEmpty.zipWithIndex.foreach { case (f, t) => assert(counts.getOrElse(t, 0L) == f.n, s"frame $t") }
   }
 
   test("Parquet write + partial retrieval decodes only the requested batch") {
@@ -78,6 +110,15 @@ class LcpSparkSpec extends SparkSpec {
     val gotFrames = batch.select("frame").distinct().collect().map(_.getInt(0)).sorted
     assert(gotFrames.sameElements(Array(4, 5, 6, 7)), "second batch holds frames 4..7")
     assert(batch.count() == frames(5).n.toLong * 4)
+  }
+
+  test("a batch read pushes its group filter into the Parquet scan") {
+    val dir = Files.createTempDirectory("lcp-parquet").toString + "/store"
+    LcpSpark.writeParquet(LcpSpark.compress(LcpSpark.framesToDf(spark, frames), cfg, batchesPerGroup = 1), dir)
+    val batch  = LcpSpark.readFrameBatch(spark, dir, cfg, batchesPerGroup = 1, frameIdx = 5)
+    val pushed = batch.queryExecution.executedPlan.collect { case s: FileSourceScanExec => s }
+      .map(_.metadata.getOrElse("PushedFilters", ""))
+    assert(pushed.exists(_.contains("EqualTo(group,1)")), pushed.mkString("; "))
   }
 
   test("Oracle: Spark SQL aggregates over the decompressed table match DuckDB") {
