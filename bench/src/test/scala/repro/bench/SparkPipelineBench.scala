@@ -29,8 +29,7 @@ class SparkPipelineBench extends SparkSpec {
     val origBytes       = Metrics.originalSizeBytes(frames)
 
     val (_, fullT) = Metrics.time {
-      LcpSpark.decompressToDf(spark.read.parquet(dir).as[LcpSpark.CompressedGroup](
-        org.apache.spark.sql.Encoders.product[LcpSpark.CompressedGroup])).count()
+      LcpSpark.decompressToDf(LcpSpark.readStore(spark, dir)).count()
     }
     val (batchRows, partT) = Metrics.time {
       LcpSpark.readFrameBatch(spark, dir, cfg, batchesPerGroup = 1, frameIdx = 0).count()

@@ -1,16 +1,23 @@
 package repro.sparkio
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.hadoop.fs.Path
+import org.apache.parquet.HadoopReadOptions
+import org.apache.parquet.format.converter.ParquetMetadataConverter.SKIP_ROW_GROUPS
+import org.apache.parquet.hadoop.ParquetFileReader
+import org.apache.parquet.hadoop.util.HadoopInputFile
+import org.apache.spark.sql.{DataFrame, Dataset, Encoders, SparkSession}
+import org.apache.spark.sql.execution.datasources.parquet.ParquetToSparkSchemaConverter
 import repro.core.{Frame, Lcp}
 import repro.core.Lcp.{LcpArchive, LcpConfig}
 
 /** Spark integration of LCP as a per-group codec (DESIGN.md §3): a frame
   * is one row, frame rows are grouped into *groups* of consecutive batches,
   * each group is compressed by one task into a single LCP archive blob, and
-  * the blobs are written to Parquet. Retrieval pushes a filter on the group
-  * into the Parquet scan and decompresses only the batch holding the
-  * requested frame — the paper's partial-retrieval workflow (§2.1.3) on a
-  * data lake layout.
+  * the blobs are written to Parquet. The read path is one typed reader with
+  * the fixed `CompressedGroup` schema ([[readStore]]); a batch read is one
+  * Spark job with a pushed group filter, and it decompresses only the batch
+  * holding the requested frame — the paper's partial-retrieval workflow
+  * (§2.1.3) on a data lake layout.
   *
   * Groups are independent (each starts with its own anchor frame), so
   * compression parallelizes across tasks; within a group the full
@@ -29,6 +36,9 @@ object LcpSpark {
     * packed as a standalone LCP archive. */
   final case class CompressedGroup(group: Int, firstFrame: Int, numFrames: Int, blob: Array[Byte])
 
+  /** The store's schema, which is always that of [[CompressedGroup]]. */
+  private val StoreSchema = Encoders.product[CompressedGroup].schema
+
   /** One row per particle of `frames`, whose first frame has index `first`,
     * produced as Spark consumes them. */
   private def toRows(frames: Seq[Frame], first: Int): Iterator[ParticleRow] =
@@ -45,6 +55,7 @@ object LcpSpark {
   /** Compress a frame DataFrame from [[framesToDf]]: one task per group of
     * `batchesPerGroup` consecutive batches. Returns one blob row per group. */
   def compress(df: DataFrame, cfg: LcpConfig, batchesPerGroup: Int = 4): Dataset[CompressedGroup] = {
+    require(batchesPerGroup >= 1, s"batchesPerGroup must be at least 1, got $batchesPerGroup")
     val spark = df.sparkSession
     import spark.implicits._
     val framesPerGroup = cfg.batchSize * batchesPerGroup
@@ -69,17 +80,39 @@ object LcpSpark {
   def writeParquet(groups: Dataset[CompressedGroup], path: String): Unit =
     groups.write.mode("overwrite").parquet(path)
 
+  /** The Parquet store at `path` as typed groups. The schema is given, so
+    * no Spark job infers it. Given a schema, Parquet reads an absent column
+    * as null, so the footer of one stored file is checked on the driver
+    * first: a directory without the store's four columns, or with one of
+    * another type, raises `IllegalArgumentException`, as does a directory
+    * without Parquet files. A missing path raises Spark's `AnalysisException`. */
+  def readStore(spark: SparkSession, path: String): Dataset[CompressedGroup] = {
+    val store  = spark.read.schema(StoreSchema).parquet(path).as[CompressedGroup](Encoders.product)
+    val file   = store.inputFiles.headOption
+      .getOrElse(throw new IllegalArgumentException(s"$path holds no Parquet files"))
+    val conf   = spark.sparkContext.hadoopConfiguration
+    val reader = ParquetFileReader.open(HadoopInputFile.fromPath(new Path(file), conf),
+      HadoopReadOptions.builder(conf).withMetadataFilter(SKIP_ROW_GROUPS).build())
+    val found =
+      try new ParquetToSparkSchemaConverter().convert(reader.getFileMetaData.getSchema)
+      finally reader.close()
+    val missing = StoreSchema.filterNot(f => found.exists(g => g.name == f.name && g.dataType == f.dataType))
+    require(missing.isEmpty, s"$path is not a CompressedGroup store: it lacks " +
+      missing.map(f => s"${f.name}: ${f.dataType.simpleString}").mkString(", "))
+    store
+  }
+
   /** Partial retrieval: decompress only the batch containing `frameIdx`
     * from the Parquet store. The group predicate is a Column, so Parquet
     * can skip the row groups of every other group. */
   def readFrameBatch(spark: SparkSession, path: String, cfg: LcpConfig,
                      batchesPerGroup: Int, frameIdx: Int): DataFrame = {
+    require(batchesPerGroup >= 1, s"batchesPerGroup must be at least 1, got $batchesPerGroup")
+    require(frameIdx >= 0, s"frameIdx must be non-negative, got $frameIdx")
     import spark.implicits._
-    val framesPerGroup = cfg.batchSize * batchesPerGroup
-    val group = frameIdx / framesPerGroup
-    spark.read.parquet(path)
+    val group = frameIdx / (cfg.batchSize * batchesPerGroup)
+    readStore(spark, path)
       .where($"group" === group)
-      .as[CompressedGroup]
       .flatMap { g =>
         val archive    = LcpArchive.fromBytes(g.blob)
         val localFrame = frameIdx - g.firstFrame

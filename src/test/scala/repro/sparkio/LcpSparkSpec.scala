@@ -1,6 +1,7 @@
 package repro.sparkio
 
 import java.nio.file.Files
+import org.apache.spark.sql.AnalysisException
 import org.apache.spark.sql.execution.FileSourceScanExec
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestFrames}
@@ -16,6 +17,33 @@ class LcpSparkSpec extends SparkSpec {
 
   private lazy val frames = TestFrames.copper(800, 8)
   private val cfg         = LcpConfig(eb = 0.02, batchSize = 4)
+
+  /** `frames` stored at one batch per group: groups 0 and 1. */
+  private lazy val store = {
+    val dir = Files.createTempDirectory("lcp-parquet").toString + "/store"
+    LcpSpark.writeParquet(LcpSpark.compress(LcpSpark.framesToDf(spark, frames), cfg, batchesPerGroup = 1), dir)
+    dir
+  }
+
+  /** Ids of the Spark jobs that `body` runs. A marker job in its own group
+    * runs after `body`; the status store handles events in order, so once
+    * it lists the marker, it lists every job of `body`. */
+  private def jobsOf(body: => Unit): Seq[Int] = {
+    val sc = spark.sparkContext
+    val g  = s"jobs-${System.nanoTime()}"
+    def inGroup(id: String)(run: => Unit): Unit = {
+      sc.setJobGroup(id, id)
+      try run finally sc.clearJobGroup()
+    }
+    inGroup(g)(body)
+    inGroup(s"$g-marker")(sc.parallelize(Seq(1), 1).count())
+    val deadline = System.nanoTime() + 30e9.toLong
+    while (sc.statusTracker.getJobIdsForGroup(s"$g-marker").isEmpty) {
+      assert(System.nanoTime() < deadline, "the marker job never reached the status store")
+      Thread.sleep(1)
+    }
+    sc.statusTracker.getJobIdsForGroup(g).toSeq
+  }
 
   test("framesToDf: one row per frame, arrays bit-equal") {
     val spk = spark
@@ -119,6 +147,50 @@ class LcpSparkSpec extends SparkSpec {
     val pushed = batch.queryExecution.executedPlan.collect { case s: FileSourceScanExec => s }
       .map(_.metadata.getOrElse("PushedFilters", ""))
     assert(pushed.exists(_.contains("EqualTo(group,1)")), pushed.mkString("; "))
+  }
+
+  test("a batch read is one Spark job") {
+    val dir  = store // written outside the counted group
+    val jobs = jobsOf(LcpSpark.readFrameBatch(spark, dir, cfg, batchesPerGroup = 1, frameIdx = 5).collect())
+    assert(jobs.size == 1, s"jobs ${jobs.mkString(", ")}")
+  }
+
+  test("readStore returns exactly the written groups with byte-equal blobs") {
+    val written = LcpSpark.compress(LcpSpark.framesToDf(spark, frames), cfg, batchesPerGroup = 1).collect().sortBy(_.group)
+    val read    = LcpSpark.readStore(spark, store).collect().sortBy(_.group)
+    assert(read.map(g => (g.group, g.firstFrame, g.numFrames)).toSeq ==
+      written.map(g => (g.group, g.firstFrame, g.numFrames)).toSeq)
+    read.zip(written).foreach { case (r, w) => assert(java.util.Arrays.equals(r.blob, w.blob), s"group ${r.group}") }
+  }
+
+  test("readStore rejects a Parquet directory without the store's columns") {
+    val spk = spark
+    import spk.implicits._
+    val root    = Files.createTempDirectory("lcp-parquet").toString
+    val noBlob  = Seq((0, "a"), (1, "b")).toDF("group", "name")
+    val strBlob = Seq((0, 0, 4, "a")).toDF("group", "firstFrame", "numFrames", "blob")
+    for ((other, k) <- Seq(noBlob, strBlob).zipWithIndex) {
+      val dir = s"$root/other$k"
+      other.write.parquet(dir)
+      val e = intercept[IllegalArgumentException](LcpSpark.readStore(spark, dir))
+      assert(e.getMessage.contains(dir) && e.getMessage.contains("blob: binary"), e.getMessage)
+      intercept[IllegalArgumentException](LcpSpark.readFrameBatch(spark, dir, cfg, batchesPerGroup = 1, frameIdx = 0))
+    }
+  }
+
+  test("readStore rejects a missing path, naming it") {
+    val dir = Files.createTempDirectory("lcp-parquet").toString + "/absent"
+    val e   = intercept[AnalysisException](LcpSpark.readStore(spark, dir))
+    assert(e.getMessage.contains(dir), e.getMessage)
+  }
+
+  test("a negative frame index fails fast") {
+    intercept[IllegalArgumentException](LcpSpark.readFrameBatch(spark, store, cfg, batchesPerGroup = 1, frameIdx = -1))
+  }
+
+  test("batchesPerGroup = 0 fails fast in compress and readFrameBatch") {
+    intercept[IllegalArgumentException](LcpSpark.compress(LcpSpark.framesToDf(spark, frames), cfg, batchesPerGroup = 0))
+    intercept[IllegalArgumentException](LcpSpark.readFrameBatch(spark, store, cfg, batchesPerGroup = 0, frameIdx = 5))
   }
 
   test("Oracle: Spark SQL aggregates over the decompressed table match DuckDB") {
