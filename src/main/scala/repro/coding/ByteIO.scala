@@ -15,9 +15,10 @@ object ByteIO {
 
   /** Read a section written by [[writeSection]]. The length comes from the
     * input, so it is checked against the bytes remaining before anything is
-    * allocated; every container here decodes from an in-memory stream, whose
-    * `available()` is exactly that count. */
-  def readSection(in: InputStream): Array[Byte] = {
+    * allocated. The stream is in memory, so `available()` is exactly that
+    * count; every reader here that bounds a length by it takes a
+    * `ByteArrayInputStream` for that reason. */
+  def readSection(in: ByteArrayInputStream): Array[Byte] = {
     val n   = readCount(in, in.available().toLong, "section length")
     val buf = new Array[Byte](n)
     var off = 0
@@ -45,7 +46,7 @@ object ByteIO {
 
   /** Read a list written by [[writeSections]]. Every section takes at least
     * its length byte, so the count cannot exceed the bytes remaining. */
-  def readSections(in: InputStream): IndexedSeq[Array[Byte]] =
+  def readSections(in: ByteArrayInputStream): IndexedSeq[Array[Byte]] =
     IndexedSeq.fill(readCount(in, in.available().toLong, "section count"))(readSection(in))
 
   /** Frame body, the last stage of the §6.2.2 chain: `sections` written one
@@ -66,7 +67,7 @@ object ByteIO {
   }
 
   /** Read a body written by [[writeBody]] holding exactly `count` sections. */
-  def readBody(in: InputStream, count: Int): Array[Array[Byte]] = {
+  def readBody(in: ByteArrayInputStream, count: Int): Array[Array[Byte]] = {
     val body     = new ByteArrayInputStream(Dictionary.decompress(readSection(in)))
     val sections = Array.fill(count)(readSection(body))
     require(body.available() == 0, s"frame body: ${body.available()} bytes after its $count sections")

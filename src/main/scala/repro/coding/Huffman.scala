@@ -1,6 +1,6 @@
 package repro.coding
 
-import java.io.InputStream
+import java.io.ByteArrayInputStream
 import scala.collection.mutable
 
 /** Canonical Huffman coder over Long symbols — the variable-length coding
@@ -250,7 +250,7 @@ object Huffman {
     * of at most 1. Any other table is rejected before the lookup table is
     * filled.
     */
-  final class Decoder(in: InputStream) {
+  final class Decoder(in: ByteArrayInputStream) {
     // Each table entry takes at least two bytes (symbol varint, length).
     private val n = {
       val count = Zigzag.readVarLong(in)

@@ -1,6 +1,6 @@
 package repro.coding
 
-import java.io.InputStream
+import java.io.ByteArrayInputStream
 
 /** The §6.2.2 coding chain for one integer array: delta coding, zigzag,
   * then *either* canonical Huffman or fixed-length packing — whichever has
@@ -111,7 +111,7 @@ object IntCoder {
     * one). The Huffman table yields zigzag-decoded values directly, a
     * fixed-length array is zigzag-decoded in place, and the delta prefix
     * sum runs last, in place. */
-  def decode(in: InputStream, maxCount: Int = Int.MaxValue): Array[Long] = {
+  def decode(in: ByteArrayInputStream, maxCount: Int = Int.MaxValue): Array[Long] = {
     val flags = in.read()
     require(flags >= 0, "IntCoder: EOF")
     val delta = (flags & 1) != 0

@@ -32,8 +32,4 @@ final case class Frame(x: Array[Double], y: Array[Double], z: Array[Double]) {
 object Frame {
   /** Empty frame (zero particles). */
   val empty: Frame = Frame(Array.emptyDoubleArray, Array.emptyDoubleArray, Array.emptyDoubleArray)
-
-  /** Canonical multiset view for order-insensitive equality in tests. */
-  def canonical(f: Frame): Seq[(Double, Double, Double)] =
-    (0 until f.n).map(i => (f.x(i), f.y(i), f.z(i))).sorted
 }

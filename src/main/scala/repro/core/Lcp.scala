@@ -40,12 +40,26 @@ object Lcp {
   final case class FrameEntry(temporal: Boolean, inAnchor: Boolean, slot: Int, anchorRef: Int)
 
   /** The compressed multi-frame container (§7.3's two output arrays plus
-    * metadata). Self-contained: [[toBytes]]/[[fromBytes]] round-trip it. */
+    * metadata). Self-contained: [[toBytes]]/[[fromBytes]] round-trip it.
+    * Construction checks the frame table and every list size against the
+    * S/T choices, so a decode only follows slots and references that exist. */
   final case class LcpArchive(eb: Double, anchorEbScale: Double, batchSize: Int, p: Int,
                               entries: IndexedSeq[FrameEntry],
                               anchors: IndexedSeq[Array[Byte]],
                               batches: IndexedSeq[IndexedSeq[Array[Byte]]]) {
+    require(entries == LcpArchive.frameTable(entries.map(_.temporal), batchSize),
+      "archive frame table does not follow from its S/T choices")
+    require(anchors.size == entries.count(_.inAnchor),
+      s"archive: ${anchors.size} anchors for ${entries.count(_.inAnchor)} spatial batch heads")
+    require(batches.size == (numFrames + batchSize - 1L) / batchSize,
+      s"archive: ${batches.size} batches for $numFrames frames at batch size $batchSize")
+    batches.indices.foreach(b => require(batches(b).size == batchFrames(b).count(!entries(_).inAnchor),
+      s"archive batch $b: ${batches(b).size} payloads do not match its frame table"))
+
     def numFrames: Int = entries.size
+
+    /** The frames of batch `b`. */
+    def batchFrames(b: Int): Range = b * batchSize until math.min(numFrames.toLong, (b + 1L) * batchSize).toInt
 
     /** Total compressed size including every piece of metadata (the paper
       * counts all metadata — §8.1.3, MDZ note). */
@@ -72,6 +86,25 @@ object Lcp {
   }
 
   object LcpArchive {
+    /** §7.3's frame table from each frame's S/T choice: frame i heads a batch
+      * when `i % batchSize == 0`; a spatial head is the next anchor; every other
+      * frame takes the next payload slot of its batch; a temporal head refers
+      * to the latest earlier anchor, which must exist. */
+    def frameTable(temporal: IndexedSeq[Boolean], batchSize: Int): IndexedSeq[FrameEntry] = {
+      require(batchSize >= 1, s"batch size must be >= 1, got $batchSize")
+      var anchors, slot = 0 // anchors before frame i; payloads before it in its batch
+      temporal.indices.map { i =>
+        val head = i % batchSize == 0
+        if (head) slot = 0
+        if (head && !temporal(i)) { anchors += 1; FrameEntry(temporal = false, inAnchor = true, anchors - 1, -1) }
+        else {
+          require(!head || anchors > 0, s"frame $i: a temporal batch head needs an earlier anchor")
+          slot += 1
+          FrameEntry(temporal(i), inAnchor = false, slot - 1, if (head) anchors - 1 else -1)
+        }
+      }
+    }
+
     def fromBytes(bytes: Array[Byte]): LcpArchive = {
       val in = new ByteArrayInputStream(bytes)
       require(in.read() == 'L' && in.read() == 'C' && in.read() == 'P' && in.read() == '1',
@@ -79,13 +112,12 @@ object Lcp {
       val eb        = ByteIO.readDouble(in)
       val scale     = ByteIO.readDouble(in)
       val batchSize = ByteIO.readCount(in, Int.MaxValue, "archive batch size")
-      require(batchSize >= 1, "archive batch size must be >= 1")
       val p         = ByteIO.readCount(in, Int.MaxValue, "archive block size")
       // Every entry and every batch takes at least one byte, so their counts
       // cannot exceed the bytes remaining.
       val entries = IndexedSeq.fill(ByteIO.readCount(in, in.available().toLong, "archive frame count")) {
         val flags = in.read()
-        require(flags >= 0, "archive: unexpected end of stream")
+        require(flags >= 0 && flags <= 3, s"archive frame flags: bad value $flags (-1 is end of stream)")
         val slot  = ByteIO.readCount(in, Int.MaxValue, "frame slot")
         val ref   = Zigzag.decode(Zigzag.readVarLong(in))
         require(ref >= -1 && ref <= Int.MaxValue, s"frame anchor reference: bad value $ref")
@@ -147,13 +179,11 @@ object Lcp {
     }
 
     val fsm     = new LcpFsm
-    val anchors = IndexedSeq.newBuilder[Array[Byte]]
-    var numAnchors = 0
-    val batches = IndexedSeq.newBuilder[IndexedSeq[Array[Byte]]]
-    var batch   = IndexedSeq.newBuilder[Array[Byte]]
-    var batchLen = 0
-    val entries = IndexedSeq.newBuilder[FrameEntry]
-    val perms   = IndexedSeq.newBuilder[Array[Int]]
+    val anchors  = IndexedSeq.newBuilder[Array[Byte]]
+    val batches  = IndexedSeq.newBuilder[IndexedSeq[Array[Byte]]]
+    var batch    = IndexedSeq.newBuilder[Array[Byte]]
+    val temporal = IndexedSeq.newBuilder[Boolean]
+    val perms    = IndexedSeq.newBuilder[Array[Int]]
 
     // Codec state: previous frame's reconstruction + permutation, the last
     // anchor's ditto, the last actual LCP-S size (the FSM's S estimate).
@@ -161,7 +191,6 @@ object Lcp {
     var prevPerm: Array[Int]   = null
     var anchorRecon: Frame     = null
     var anchorPerm: Array[Int] = null
-    var anchorIdx              = -1
     var lastSSize              = -1L
     var tTrials                = 0
 
@@ -185,25 +214,19 @@ object Lcp {
       val spatialWon =
         !compare || (if (sTrial != null) sTrial.bytes.length.toLong else lastSSize) <= t.bytes.length
       fsm.observe(compare, spatialWon)
+      temporal += !spatialWon
 
       if (spatialWon) {
         val spatial = if (sTrial != null) sTrial else LcpS.compress(f, sEb, p)
         lastSSize = spatial.bytes.length.toLong
         if (firstInBatch) {
           anchors += spatial.bytes
-          anchorRecon = spatial.recon; anchorPerm = spatial.perm; anchorIdx = numAnchors
-          entries += FrameEntry(temporal = false, inAnchor = true, slot = numAnchors, anchorRef = -1)
-          numAnchors += 1
-        } else {
-          entries += FrameEntry(temporal = false, inAnchor = false, slot = batchLen, anchorRef = -1)
-          batch += spatial.bytes; batchLen += 1
-        }
+          anchorRecon = spatial.recon; anchorPerm = spatial.perm
+        } else batch += spatial.bytes
         prevRecon = spatial.recon; prevPerm = spatial.perm
         perms += spatial.perm
       } else {
-        entries += FrameEntry(temporal = true, inAnchor = false, slot = batchLen,
-          anchorRef = if (firstInBatch) anchorIdx else -1)
-        batch += t.bytes; batchLen += 1
+        batch += t.bytes
         prevRecon = t.recon; prevPerm = basisPerm
         perms += basisPerm
       }
@@ -211,12 +234,11 @@ object Lcp {
       if ((i + 1) % cfg.batchSize == 0 || i == frames.size - 1) {
         batches += batch.result()
         batch = IndexedSeq.newBuilder[Array[Byte]]
-        batchLen = 0
       }
     }
 
     val archive = LcpArchive(cfg.eb, scale, cfg.batchSize, p,
-      entries.result(), anchors.result(), batches.result())
+      LcpArchive.frameTable(temporal.result(), cfg.batchSize), anchors.result(), batches.result())
     Result(archive, perms.result(), tTrials)
   }
 
@@ -244,19 +266,22 @@ object Lcp {
   private def anchorDecoder(a: LcpArchive): Int => Frame = k => LcpS.decompress(a.anchors(k))
 
   private def batchChain(a: LcpArchive, batchIdx: Int, anchor: Int => Frame): IndexedSeq[Frame] = {
-    val start = batchIdx * a.batchSize
-    decodeChain(a, batchIdx, start, math.min(start + a.batchSize, a.numFrames) - 1, anchor).toIndexedSeq
+    val frames = a.batchFrames(batchIdx)
+    decodeChain(a, batchIdx, frames.start, frames.last, anchor).toIndexedSeq
   }
 
   /** Decompress every frame of one batch — the paper's retrieval unit
     * (§2.1.3). Only the batch's payloads plus (at most) one anchor frame
     * are touched. */
-  def decompressBatch(a: LcpArchive, batchIdx: Int): IndexedSeq[Frame] =
+  def decompressBatch(a: LcpArchive, batchIdx: Int): IndexedSeq[Frame] = {
+    require(a.batches.indices.contains(batchIdx), s"batch $batchIdx outside 0 until ${a.batches.size}")
     batchChain(a, batchIdx, anchorDecoder(a))
+  }
 
   /** Decompress a single frame: decode only its batch up to the frame (plus
     * one anchor when needed) — the §7.3 worst case. */
   def decompressFrame(a: LcpArchive, frameIdx: Int): Frame = {
+    require(a.entries.indices.contains(frameIdx), s"frame $frameIdx outside 0 until ${a.numFrames}")
     val batchIdx = frameIdx / a.batchSize
     // A temporal chain starts at the nearest spatial frame at or before the
     // target, or at the batch head — only that suffix of the batch is decoded.

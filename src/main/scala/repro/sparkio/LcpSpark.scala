@@ -53,7 +53,9 @@ object LcpSpark {
   }
 
   /** Compress a frame DataFrame from [[framesToDf]]: one task per group of
-    * `batchesPerGroup` consecutive batches. Returns one blob row per group. */
+    * `batchesPerGroup` consecutive batches. Returns one blob row per group.
+    * A group's frame indices must be consecutive and distinct, since a group
+    * stores only its first index and its frame count. */
   def compress(df: DataFrame, cfg: LcpConfig, batchesPerGroup: Int = 4): Dataset[CompressedGroup] = {
     require(batchesPerGroup >= 1, s"batchesPerGroup must be at least 1, got $batchesPerGroup")
     val spark = df.sparkSession
@@ -63,6 +65,8 @@ object LcpSpark {
       .groupByKey(_.frame / framesPerGroup)
       .mapGroups { (group, rows) =>
         val sorted = rows.toIndexedSeq.sortBy(_.frame)
+        require(sorted.indices.forall(k => sorted(k).frame == sorted.head.frame + k),
+          s"group $group: its ${sorted.size} frames ${sorted.head.frame}..${sorted.last.frame} are not consecutive and distinct")
         val result = Lcp.compress(sorted.map(r => Frame(r.x, r.y, r.z)), cfg)
         CompressedGroup(group, sorted.head.frame, sorted.size, result.archive.toBytes)
       }
@@ -104,7 +108,8 @@ object LcpSpark {
 
   /** Partial retrieval: decompress only the batch containing `frameIdx`
     * from the Parquet store. The group predicate is a Column, so Parquet
-    * can skip the row groups of every other group. */
+    * can skip the row groups of every other group. A frame that its group
+    * does not hold gives no rows. */
   def readFrameBatch(spark: SparkSession, path: String, cfg: LcpConfig,
                      batchesPerGroup: Int, frameIdx: Int): DataFrame = {
     require(batchesPerGroup >= 1, s"batchesPerGroup must be at least 1, got $batchesPerGroup")
@@ -114,10 +119,13 @@ object LcpSpark {
     readStore(spark, path)
       .where($"group" === group)
       .flatMap { g =>
-        val archive    = LcpArchive.fromBytes(g.blob)
         val localFrame = frameIdx - g.firstFrame
-        val batchIdx   = localFrame / archive.batchSize
-        toRows(Lcp.decompressBatch(archive, batchIdx), g.firstFrame + batchIdx * archive.batchSize)
+        if (localFrame < 0 || localFrame >= g.numFrames) Iterator.empty
+        else {
+          val archive  = LcpArchive.fromBytes(g.blob)
+          val batchIdx = localFrame / archive.batchSize
+          toRows(Lcp.decompressBatch(archive, batchIdx), g.firstFrame + batchIdx * archive.batchSize)
+        }
       }.toDF()
   }
 }

@@ -13,6 +13,9 @@ object TestFrames {
   def helium(n: Int = 2000, frames: Int = 6): IndexedSeq[Frame]  = Particles.helium(n, frames, 12)
   def lj(n: Int = 2000, frames: Int = 6): IndexedSeq[Frame]      = Particles.lj(n, frames, 13)
   def yiip(n: Int = 2000, frames: Int = 6): IndexedSeq[Frame]    = Particles.yiip(n, frames, 14)
+  /** Four Helium frames, then `frames - 4` Copper frames of the same
+    * particle count: a break that a batch-4 archive starts a second anchor at. */
+  def heliumThenCopper(n: Int, frames: Int): IndexedSeq[Frame] = helium(n, 4) ++ copper(n, frames - 4)
   def bunny(n: Int = 2000): Frame                                = Particles.bunZipper(n, 15)
   def hacc(n: Int = 3000): Frame                                 = Particles.hacc(n, 16)
   def warpx(n: Int = 3000): Frame                                = Particles.warpx(n, 17)

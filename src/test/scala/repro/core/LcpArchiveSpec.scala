@@ -3,25 +3,32 @@ package repro.core
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestFrames
-import repro.coding.Zigzag
+import repro.coding.{ByteIO, Zigzag}
 import repro.core.Lcp._
 
-/** `LcpArchive.fromBytes` on archives whose header counts were rewritten:
-  * every count is checked before it is used, never truncated to an Int. */
+/** `LcpArchive.fromBytes` on archives whose header counts or frame tables
+  * were rewritten: every count is checked before it is used, never
+  * truncated to an Int, and the frame table must be the one its S/T
+  * choices imply, with lists of the sizes it implies. */
 class LcpArchiveSpec extends AnyFunSuite {
 
   private lazy val archive = Lcp.compress(TestFrames.copper(200, 4), LcpConfig(0.05, batchSize = 2)).archive
 
   private val empty = LcpArchive(0.1, 1.0, 4, 1, IndexedSeq.empty, IndexedSeq.empty, IndexedSeq.empty)
 
-  /** `bytes` with header varint `k` (0 = batch size, 1 = p, 2 = frame
-    * count; the varints follow the magic and two doubles) replaced by `v`. */
-  private def withHeaderVarint(bytes: Array[Byte], k: Int, v: Long): Array[Byte] = {
+  /** The offsets where header varint `k` (0 = batch size, 1 = p, 2 = frame
+    * count; the varints follow the magic and two doubles) starts and ends. */
+  private def headerVarint(bytes: Array[Byte], k: Int): (Int, Int) = {
     val in = new ByteArrayInputStream(bytes, 20, bytes.length - 20)
     (0 until k).foreach(_ => Zigzag.readVarLong(in))
     val start = bytes.length - in.available()
     Zigzag.readVarLong(in)
-    val end = bytes.length - in.available()
+    (start, bytes.length - in.available())
+  }
+
+  /** `bytes` with header varint `k` replaced by `v`. */
+  private def withHeaderVarint(bytes: Array[Byte], k: Int, v: Long): Array[Byte] = {
+    val (start, end) = headerVarint(bytes, k)
     val out = new ByteArrayOutputStream()
     out.write(bytes, 0, start)
     Zigzag.writeVarLong(out, v)
@@ -64,5 +71,130 @@ class LcpArchiveSpec extends AnyFunSuite {
   test("a batch size below 1 or beyond an Int is rejected") {
     for (size <- Seq(0L, -1L, 1L << 32))
       intercept[IllegalArgumentException](LcpArchive.fromBytes(withHeaderVarint(archive.toBytes, 0, size)))
+  }
+
+  // Real archives whose frame table or lists are rewritten: the rewrite keeps
+  // the header and writes the rest in `toBytes`'s layout, bypassing the
+  // checks that `copy` now applies.
+
+  /** Helium 500×12 at eb 0.01, batch 4: frames `S T T T | T T T T | T T T T`,
+    * one anchor, batches of 3, 4 and 4 payloads. */
+  private lazy val helium = Lcp.compress(TestFrames.helium(500, 12), LcpConfig(0.01, batchSize = 4)).archive
+
+  /** Helium then copper frames at batch 4: batch 1's head starts the copper
+    * run as a second anchor, and batch 2's temporal head predicts from it. */
+  private lazy val twoAnchors = Lcp.compress(TestFrames.heliumThenCopper(500, 12), LcpConfig(0.01, batchSize = 4)).archive
+
+  private def table(a: LcpArchive): String =
+    a.entries.map(e => if (e.temporal) 'T' else 'S').grouped(a.batchSize).map(_.mkString).mkString("|")
+
+  /** The end of the header: the offset of frame 0's flags byte. */
+  private def headerEnd(bytes: Array[Byte]): Int = headerVarint(bytes, 2)._2
+
+  /** `a`'s bytes with its header kept and the rest written from the given
+    * frame table and lists. */
+  private def rewritten(a: LcpArchive)(entries: IndexedSeq[FrameEntry] = a.entries,
+                                       anchors: IndexedSeq[Array[Byte]] = a.anchors,
+                                       batches: IndexedSeq[IndexedSeq[Array[Byte]]] = a.batches): Array[Byte] = {
+    val bytes = a.toBytes
+    val out   = new ByteArrayOutputStream()
+    out.write(bytes, 0, headerEnd(bytes))
+    entries.foreach { e =>
+      out.write((if (e.temporal) 1 else 0) | (if (e.inAnchor) 2 else 0))
+      Zigzag.writeVarLong(out, e.slot.toLong)
+      Zigzag.writeVarLong(out, Zigzag.encode(e.anchorRef.toLong))
+    }
+    ByteIO.writeSections(out, anchors)
+    Zigzag.writeVarLong(out, batches.size.toLong)
+    batches.foreach(ByteIO.writeSections(out, _))
+    out.toByteArray
+  }
+
+  private def rejected(bytes: Array[Byte]): Unit =
+    intercept[IllegalArgumentException](LcpArchive.fromBytes(bytes))
+
+  /** `a`'s bytes with frame `i`'s entry replaced by `f` of it. */
+  private def withEntry(a: LcpArchive, i: Int)(f: FrameEntry => FrameEntry): Array[Byte] =
+    rewritten(a)(entries = a.entries.updated(i, f(a.entries(i))))
+
+  test("the rewrite of an unchanged archive is its own bytes, and the test tables are as documented") {
+    for (a <- Seq(helium, twoAnchors)) assert(rewritten(a)().sameElements(a.toBytes))
+    assert(table(helium) == "STTT|TTTT|TTTT")
+    assert(helium.anchors.size == 1 && helium.batches.map(_.size) == Seq(3, 4, 4))
+    assert(twoAnchors.anchors.size == 2 && twoAnchors.entries(4).inAnchor, table(twoAnchors))
+    assert(twoAnchors.entries(8).temporal && twoAnchors.entries(8).anchorRef == 1, table(twoAnchors))
+  }
+
+  test("frameTable derives slots and anchor references from the S/T choices") {
+    val t = LcpArchive.frameTable("STTSTTT".map(_ == 'T'), 3)
+    assert(t == IndexedSeq(
+      FrameEntry(temporal = false, inAnchor = true, 0, -1), FrameEntry(temporal = true, inAnchor = false, 0, -1),
+      FrameEntry(temporal = true, inAnchor = false, 1, -1), FrameEntry(temporal = false, inAnchor = true, 1, -1),
+      FrameEntry(temporal = true, inAnchor = false, 0, -1), FrameEntry(temporal = true, inAnchor = false, 1, -1),
+      FrameEntry(temporal = true, inAnchor = false, 0, 1)))
+    intercept[IllegalArgumentException](LcpArchive.frameTable(IndexedSeq(true), 1))
+    intercept[IllegalArgumentException](LcpArchive.frameTable(IndexedSeq(false), 0))
+  }
+
+  test("copy checks the frame table and lists as fromBytes does") {
+    intercept[IllegalArgumentException](helium.copy(batches = helium.batches.init))
+    intercept[IllegalArgumentException](helium.copy(entries = helium.entries.updated(2, helium.entries(1))))
+  }
+
+  test("a dropped last batch list is rejected") {
+    rejected(rewritten(helium)(batches = helium.batches.init))
+  }
+
+  test("an extra empty batch is rejected") {
+    rejected(rewritten(helium)(batches = helium.batches :+ IndexedSeq.empty))
+  }
+
+  test("an extra anchor is rejected") {
+    rejected(rewritten(helium)(anchors = helium.anchors :+ helium.anchors(0)))
+  }
+
+  test("an extra payload in batch 0 is rejected") {
+    rejected(rewritten(helium)(batches = helium.batches.updated(0, helium.batches(0) :+ helium.batches(0)(0))))
+  }
+
+  test("a non-head frame flagged as anchor 0 is rejected") {
+    rejected(withEntry(helium, 1)(_.copy(inAnchor = true, slot = 0)))
+  }
+
+  test("a frame given its predecessor's slot is rejected") {
+    rejected(withEntry(helium, 2)(_.copy(slot = helium.entries(1).slot)))
+  }
+
+  test("a payload slot or an anchor slot past its list is rejected") {
+    rejected(withEntry(helium, 1)(_.copy(slot = 99)))
+    rejected(withEntry(helium, 0)(_.copy(slot = 99)))
+  }
+
+  test("a temporal head without an anchor reference, or with one past the anchors, is rejected") {
+    for (ref <- Seq(-1, 50)) rejected(withEntry(helium, 4)(_.copy(anchorRef = ref)))
+  }
+
+  test("a header batch size other than the frame table's is rejected") {
+    for (size <- Seq(3L, 5L)) rejected(withHeaderVarint(helium.toBytes, 0, size))
+  }
+
+  test("a temporal frame 0 is rejected") {
+    rejected(withEntry(helium, 0)(_ => FrameEntry(temporal = true, inAnchor = false, 0, -1)))
+  }
+
+  test("a temporal head naming an older anchor than the latest is rejected") {
+    rejected(withEntry(twoAnchors, 8)(_.copy(anchorRef = 0)))
+  }
+
+  test("a flags byte with bit 2 set is rejected") {
+    val bytes = helium.toBytes
+    bytes(headerEnd(bytes)) = (bytes(headerEnd(bytes)) | 4).toByte
+    rejected(bytes)
+  }
+
+  test("retrieval indices outside the archive fail fast") {
+    intercept[IllegalArgumentException](Lcp.decompressBatch(helium, 3))
+    intercept[IllegalArgumentException](Lcp.decompressBatch(helium, -1))
+    for (i <- Seq(-1, 12)) intercept[IllegalArgumentException](Lcp.decompressFrame(helium, i))
   }
 }

@@ -198,16 +198,21 @@ class LcpSpec extends AnyFunSuite with PropSupport {
   }
 
   test("temporal batch head depends on nearest anchor, not previous batch tail") {
-    val frames = TestFrames.copper(800, 12)
+    // Helium then Copper: batch 1's head is a second anchor, so a later
+    // temporal head could be pointed at the older one.
+    val frames = TestFrames.heliumThenCopper(800, 12)
     val r = Lcp.compress(frames, LcpConfig(0.05, batchSize = 4))
     // Find a temporal batch head; its anchorRef must point at an anchor
-    // that decodes standalone.
+    // that decodes standalone, and the head must decode within the bound.
     val heads = frames.indices.filter(i => i % 4 == 0 && r.archive.entries(i).temporal)
+    assert(heads.exists(i => r.archive.entries.take(i).count(_.inAnchor) >= 2), s"methods were ${r.methods}")
     heads.foreach { i =>
       val ref = r.archive.entries(i).anchorRef
       assert(ref >= 0 && ref < r.archive.anchors.size)
       val anchor = LcpS.decompress(r.archive.anchors(ref))
       assert(anchor.n == frames(i).n)
+      val head = Lcp.decompressFrame(r.archive, i)
+      assert(Metrics.withinBound(Metrics.maxAbsError(frames(i), head, r.perms(i)), 0.05), s"frame $i bound")
     }
   }
   /** The bound up to the rounding of d' = (2q+1)·eb + min (Eq. 5), a few

@@ -1,6 +1,7 @@
 package repro.sparkio
 
 import java.nio.file.Files
+import org.apache.spark.SparkException
 import org.apache.spark.sql.AnalysisException
 import org.apache.spark.sql.execution.FileSourceScanExec
 import org.apache.spark.sql.functions._
@@ -186,6 +187,38 @@ class LcpSparkSpec extends SparkSpec {
 
   test("a negative frame index fails fast") {
     intercept[IllegalArgumentException](LcpSpark.readFrameBatch(spark, store, cfg, batchesPerGroup = 1, frameIdx = -1))
+  }
+
+  /** The frame indices of the rows that a batch read of frame `i` returns. */
+  private def framesRead(dir: String, batchesPerGroup: Int, i: Int): Seq[Int] =
+    LcpSpark.readFrameBatch(spark, dir, cfg, batchesPerGroup, i)
+      .select("frame").distinct().collect().map(_.getInt(0)).sorted.toSeq
+
+  test("a frame past the end of a partial last group gives no rows") {
+    // 10 frames at batch 4, one batch per group: group 2 holds frames 8 and 9.
+    val dir = Files.createTempDirectory("lcp-parquet").toString + "/store"
+    LcpSpark.writeParquet(LcpSpark.compress(LcpSpark.framesToDf(spark, TestFrames.copper(800, 10)), cfg, 1), dir)
+    assert(framesRead(dir, 1, 9) == Seq(8, 9))
+    for (i <- Seq(10, 11)) assert(framesRead(dir, 1, i).isEmpty, s"frame $i")
+  }
+
+  test("a frame before its group's first frame gives no rows") {
+    // Frames numbered 2..9 at two batches per group: group 0 holds 2..7.
+    val dir     = Files.createTempDirectory("lcp-parquet").toString + "/store"
+    val shifted = LcpSpark.framesToDf(spark, frames).withColumn("frame", col("frame") + 2)
+    LcpSpark.writeParquet(LcpSpark.compress(shifted, cfg, batchesPerGroup = 2), dir)
+    assert(framesRead(dir, 2, 2) == Seq(2, 3, 4, 5))
+    for (i <- Seq(0, 1)) assert(framesRead(dir, 2, i).isEmpty, s"frame $i")
+  }
+
+  test("compress rejects a group whose frame indices are not consecutive and distinct") {
+    val df = LcpSpark.framesToDf(spark, frames.take(4))
+    // Frames {0, 2, 3} and {0, 0, 1}, in one group at batch 4.
+    for (bad <- Seq(df.where(col("frame") =!= 1), df.where(col("frame") < 2).union(df.where(col("frame") === 0)))) {
+      val e = intercept[SparkException](LcpSpark.compress(bad, cfg, batchesPerGroup = 1).collect())
+      val causes = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      assert(causes.exists(_.isInstanceOf[IllegalArgumentException]), e.toString)
+    }
   }
 
   test("batchesPerGroup = 0 fails fast in compress and readFrameBatch") {
