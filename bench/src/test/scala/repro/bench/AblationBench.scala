@@ -7,23 +7,27 @@ import repro.metrics.Metrics
 /** Fig 8 (ablation) + Fig 9 (error distribution). */
 class AblationBench extends AnyFunSuite {
 
+  private lazy val ablation = AblationTables.ablation()
+  private lazy val errors   = AblationTables.errorDistribution()
+
+  /** Payload bytes by ablation stage name. */
+  private def sizes(ds: String, eb: Double): Map[String, Long] =
+    AblationTables.variants.map(_._1).zip(ablation.find(a => a.dataset == ds && a.eb == eb).get.bytes).toMap
+
   test("Fig 8: ablation table") {
-    println(AblationTables.ablation())
+    println(AblationTables.ablationTable(ablation))
   }
 
   test("Fig 8 shape: each stage helps (BLK universally, T on coherent data)") {
-    for ((ds, frames) <- BenchData.multiFrame) {
-      val eb = 1e-2
-      val sizes = Par.map(AblationTables.variants) { case (vn, codec) =>
-        vn -> codec.compress(frames, eb, 16).payload.length.toLong
-      }.toMap
+    for ((ds, _) <- BenchData.multiFrame) {
+      val s = sizes(ds, 1e-2)
       // Dynamic block size never hurts beyond sampling noise (Fig 8 line 2).
-      assert(sizes("LCP-S+BLK") <= sizes("LCP-S") * 1.05, s"$ds: BLK hurt")
+      assert(s("LCP-S+BLK") <= s("LCP-S") * 1.05, s"$ds: BLK hurt")
       // The temporal hybrid never loses to spatial-only: the FSM falls back
       // to LCP-S when LCP-T does not pay (Fig 8 line 3).
-      assert(sizes("LCP-S+BLK+T") <= sizes("LCP-S+BLK") * 1.02, s"$ds: hybrid hurt")
+      assert(s("LCP-S+BLK+T") <= s("LCP-S+BLK") * 1.02, s"$ds: hybrid hurt")
       // Full LCP stays within noise of the best ablation stage.
-      assert(sizes("LCP-S+BLK+T+EB") <= sizes("LCP-S+BLK+T") * 1.05, s"$ds: EB scaling hurt")
+      assert(s("LCP-S+BLK+T+EB") <= s("LCP-S+BLK+T") * 1.05, s"$ds: EB scaling hurt")
     }
   }
 
@@ -32,27 +36,15 @@ class AblationBench extends AnyFunSuite {
     // data at coarse bounds. (Vibration-regime Copper compresses spatially
     // almost for free at eb=1e-1 and the FSM rightly keeps LCP-S there.)
     for (ds <- Seq("Helium", "LJ")) {
-      val frames = BenchData.multiFrame.find(_._1 == ds).get._2
-      val eb = 1e-1 // coarse bound: frame-to-frame motion within a few bins
-      val blk  = AblationTables.variants(1)._2.compress(frames, eb, 16).payload.length
-      val full = AblationTables.variants(3)._2.compress(frames, eb, 16).payload.length
+      val s = sizes(ds, 1e-1) // coarse bound: frame-to-frame motion within a few bins
+      val blk  = s("LCP-S+BLK")
+      val full = s("LCP-S+BLK+T+EB")
       assert(full < blk / 2, s"$ds: temporal should win big at coarse eb ($full vs $blk)")
     }
   }
 
   test("Fig 9: error distribution, max error within bound") {
-    val t = AblationTables.errorDistribution()
-    println(t)
-    assert(t.contains("<= eb"))
-  }
-
-  test("Fig 9 shape: LCP max error obeys the bound on Helium at eb=0.1") {
-    val frames = BenchData.multiFrame.find(_._1 == "Helium").get._2
-    val codec  = repro.baselines.LcpCodec.full
-    val c      = codec.compress(frames, 0.1, 16)
-    val dec    = codec.decompress(c.payload)
-    frames.indices.foreach { t =>
-      assert(Metrics.withinBound(Metrics.maxAbsError(frames(t), dec(t), c.perms(t)), 0.1))
-    }
+    println(AblationTables.errorTable(errors))
+    assert(Metrics.withinBound(errors.maxErr, errors.eb), s"max |err| ${errors.maxErr} > eb ${errors.eb}")
   }
 }

@@ -2,43 +2,34 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.benchlib._
-import repro.core.{BlockSizeOpt, LcpS}
 
 /** Figs 5–7: block-size study, optimizer effectiveness, eb-scale study. */
 class OptimizationBench extends AnyFunSuite {
 
+  private lazy val optimizer = OptTables.optimizerEffectiveness()
+  private lazy val scaling   = OptTables.ebScaleSweep()
+
   test("Fig 5: block size sweep") {
-    println(OptTables.blockSizeSweep())
+    println(OptTables.blockSizeTable(OptTables.blockSizeSweep()))
   }
 
   test("Fig 6: block size optimizer effectiveness") {
-    println(OptTables.optimizerEffectiveness())
+    println(OptTables.optimizerTable(optimizer))
   }
 
   test("Fig 6 shape: optimizer reaches >= 85% of the best CR in most cases") {
-    val combos = for { (ds, f) <- BenchData.singleFrame; eb <- BenchData.PaperEbs } yield (ds, f, eb)
-    val ratios = Par.map(combos) { case (ds, f, eb) =>
-      val (pOpt, _) = BlockSizeOpt.bestBlockSize(f, eb)
-      val sizeOpt  = LcpS.compress(f, eb, pOpt).bytes.length.toDouble
-      val sizeBest = BlockSizeOpt.Candidates.map(p => LcpS.compress(f, eb, p).bytes.length).min.toDouble
-      (s"$ds/$eb", sizeBest / sizeOpt)
-    }
+    val ratios = optimizer.map(o => (s"${o.dataset}/${o.eb}", o.share))
     val below = ratios.filter(_._2 < 0.85)
     assert(below.size <= 2, s"optimizer below 85% in: $below")
     assert(ratios.forall(_._2 >= 0.70), s"optimizer catastrophically off: ${ratios.filter(_._2 < 0.70)}")
   }
 
   test("Fig 7: anchor eb scale sweep") {
-    println(OptTables.ebScaleSweep())
+    println(OptTables.ebScaleTable(scaling))
   }
 
   test("Fig 7 shape: scaling helps diffusive data at coarse bounds (anchor error dominates)") {
-    val frames = BenchData.multiFrame.find(_._1 == "Helium").get._2
-    def crAt(factor: Double): Double = {
-      val codec = new repro.baselines.LcpCodec("LCP", None, repro.core.Lcp.Forced(factor))
-      val c = codec.compress(frames, 1e-1, 2)
-      repro.metrics.Metrics.compressionRatio(frames, c.payload.length.toLong)
-    }
+    def crAt(factor: Double): Double = scaling.find(s => s.dataset == "Helium" && s.factor == factor).get.cr
     val cr1 = crAt(1.0); val cr5 = crAt(5.0); val cr20 = crAt(20.0)
     assert(cr5 >= cr1 * 0.99, s"factor 5 should help at coarse eb: $cr5 vs $cr1")
     // Diminishing returns: pushing far past 5 gains nothing over 5.
@@ -48,7 +39,7 @@ class OptimizationBench extends AnyFunSuite {
   test("Fig 7 shape: Auto applies scaling only when the micro-trial shows it pays") {
     // Vibration-regime Copper: temporal frames are nearly free, anchors
     // dominate — scaling must stay OFF despite high temporal correlation.
-    val frames = BenchData.multiFrame.find(_._1 == "Copper").get._2.take(16)
+    val frames = BenchData.multi("Copper").take(16)
     val r = repro.core.Lcp.compress(frames.toIndexedSeq,
       repro.core.Lcp.LcpConfig(2e-1, batchSize = 4))
     assert(r.archive.anchorEbScale == 1.0,

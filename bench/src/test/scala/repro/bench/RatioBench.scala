@@ -7,28 +7,23 @@ import repro.benchlib._
   * batch sizes and error bounds. */
 class RatioBench extends AnyFunSuite {
 
-  private lazy val cells = RatioTables.cells()
+  private lazy val cells        = RatioTables.cells()
+  private lazy val improvements = RatioTables.improvements(cells)
 
   test("Fig 11: compression ratio table") {
     println(RatioTables.ratios(cells))
-    println(RatioTables.improvements(cells))
+    println(RatioTables.improvementTable(improvements))
   }
 
   test("Fig 10: CD-diagram analog (mean rank)") {
-    val t = RatioTables.ranking(cells)
-    println(t)
-    val firstRow = t.linesIterator.drop(3).next()
-    assert(firstRow.contains("LCP"), s"LCP must rank first overall, got: $firstRow")
+    val ranks = RatioTables.ranking(cells)
+    println(RatioTables.rankingTable(ranks))
+    assert(ranks.head.codec == "LCP", s"LCP must rank first overall, got: $ranks")
   }
 
   test("Fig 11 shape: LCP has the highest CR on every dataset at batch 16 (mean over ebs)") {
-    for (ds <- BenchData.multiFrame.map(_._1)) {
-      val mine = cells.filter(c => c.dataset == ds && c.batch == 16)
-      val mean = BenchData.codecs.map(_.name)
-        .map(n => n -> mine.map(_.crByCodec(n)).sum / mine.size).toMap
-      val second = (mean - "LCP").values.max
-      assert(mean("LCP") > second, s"$ds: LCP ${mean("LCP")} vs second $second")
-    }
+    for (i <- improvements)
+      assert(i.lcpCr > i.secondCr, s"${i.dataset}: LCP ${i.lcpCr} vs second ${i.secondCr}")
   }
 
   test("Fig 11 shape: larger batch never hurts LCP (longer temporal domain)") {

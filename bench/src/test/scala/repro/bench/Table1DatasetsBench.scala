@@ -6,9 +6,9 @@ import repro.benchlib._
 /** Table 1: dataset roster at bench scale. */
 class Table1DatasetsBench extends AnyFunSuite {
   test("Table 1: datasets") {
-    val t = DataTables.table1()
-    println(t)
-    assert(t.contains("HACC") && t.contains("Cosmology"))
-    assert(t.linesIterator.size == 8 + 3)
+    val ds = DataTables.datasets()
+    println(DataTables.datasetTable(ds))
+    assert(ds.size == 8)
+    assert(ds.exists(d => d.name == "HACC" && d.domain == "Cosmology"))
   }
 }

@@ -2,8 +2,6 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.benchlib._
-import repro.core.{BlockIndex, Quantizer}
-import repro.metrics.Metrics
 
 /** Table 2: spatial blocking lowers entropy and raises autocorrelation of
   * the quantized data — the mechanism LCP-S's coding gains rest on.
@@ -11,39 +9,27 @@ import repro.metrics.Metrics
   */
 class Table2BlockingBench extends AnyFunSuite {
 
+  private lazy val blocking = DataTables.blocking()
+
   test("Table 2: blocking vs entropy/autocorrelation") {
-    println(DataTables.table2())
+    println(DataTables.blockingTable(blocking))
   }
 
   test("Table 2 shape: entropy strictly decreases with blocking on all three datasets") {
-    for (name <- Seq("Copper", "YIIP", "BUN-ZIPPER")) {
-      val f  = BenchData.singleFrame.find(_._1 == name).get._2
-      val qf = Quantizer.quantizeFrame(f, 1e-3)
-      val entNo = Seq(qf.qx, qf.qy, qf.qz).map(Metrics.shannonEntropy).sum / 3
-      def entAt(p: Int) = {
-        val g = BlockIndex.group(qf, p)
-        Seq(g.relX, g.relY, g.relZ).map(Metrics.shannonEntropy).sum / 3
-      }
-      assert(entAt(64) < entNo, s"$name: BS=64 must lower entropy")
-      assert(entAt(8) < entAt(64), s"$name: BS=8 must lower entropy further")
-      assert(entAt(8) <= 3.0 + 1e-9, s"$name: 8-bin relative values need <= 3 bits")
+    for (b <- blocking) {
+      assert(b.ent64 < b.entNo, s"${b.dataset}: BS=64 must lower entropy")
+      assert(b.ent8 < b.ent64, s"${b.dataset}: BS=8 must lower entropy further")
+      assert(b.ent8 <= 3.0 + 1e-9, s"${b.dataset}: 8-bin relative values need <= 3 bits")
     }
   }
 
   test("Table 2 shape: block ordering raises lag-1 autocorrelation") {
-    for (name <- Seq("Copper", "YIIP", "BUN-ZIPPER")) {
-      val f  = BenchData.singleFrame.find(_._1 == name).get._2
-      val qf = Quantizer.quantizeFrame(f, 1e-3)
-      val g  = BlockIndex.group(qf, 8)
-      val acNo = Seq(qf.qx, qf.qy, qf.qz)
-        .map(a => Metrics.lag1Autocorrelation(a.map(_.toDouble))).sum / 3
-      val acB8 = Seq(qf.qx, qf.qy, qf.qz)
-        .map(a => Metrics.lag1Autocorrelation(g.perm.map(i => a(i).toDouble))).sum / 3
-      assert(acB8 > acNo + 0.3, s"$name: block order must raise autocorrelation ($acNo -> $acB8)")
+    for (b <- blocking) {
+      assert(b.ac8 > b.acNo + 0.3, s"${b.dataset}: block order must raise autocorrelation (${b.acNo} -> ${b.ac8})")
       // Copper sits near one particle per lattice site at bench scale, so
       // its blocked sequence jumps sites every few particles — the paper's
       // denser Copper reaches 0.9999; the *rise* is the reproduced shape.
-      assert(acB8 > 0.6, s"$name: blocked autocorrelation should be high ($acB8)")
+      assert(b.ac8 > 0.6, s"${b.dataset}: blocked autocorrelation should be high (${b.ac8})")
     }
   }
 }

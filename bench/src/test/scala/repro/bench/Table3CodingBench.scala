@@ -2,23 +2,21 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.benchlib._
-import repro.core.LcpS
 
 /** Table 3: Huffman vs fixed-length per LCP-S section. The paper's point is
   * that the winner varies by dataset and bound, so LCP must pick per array
   * by expected length. */
 class Table3CodingBench extends AnyFunSuite {
 
+  private lazy val coding = DataTables.coding()
+
   test("Table 3: Huffman vs fixed-length section sizes") {
-    println(DataTables.table3())
+    println(DataTables.codingTable(coding))
   }
 
   test("Table 3 shape: the optimal coding method varies across cells") {
     val winners = for {
-      name <- Seq("Helium", "Copper", "3DEP")
-      f = BenchData.singleFrame.find(_._1 == name).get._2
-      eb <- BenchData.PaperEbs
-      c = LcpS.sectionCosts(f, eb, 64)
+      c       <- coding.map(_.costs)
       (h, fx) <- Seq((c.blockIdHuffman, c.blockIdFixed), (c.relPosHuffman, c.relPosFixed))
     } yield h.exists(_ < fx)
     assert(winners.contains(true), "Huffman should win at least one cell")
@@ -28,7 +26,7 @@ class Table3CodingBench extends AnyFunSuite {
   test("Table 3 shape: pick-smaller never loses to either single method") {
     for {
       name <- Seq("Helium", "Copper")
-      f = BenchData.singleFrame.find(_._1 == name).get._2
+      f = BenchData.single(name)
       eb <- Seq(1e-1, 1e-3)
     } {
       val grouped = repro.core.BlockIndex.group(repro.core.Quantizer.quantizeFrame(f, eb), 64)

@@ -2,14 +2,11 @@ package repro.jobs
 
 import java.nio.file.Files
 import org.apache.spark.sql.SparkSession
-import repro.benchlib._
-import repro.core.Lcp.LcpConfig
-import repro.metrics.Metrics
-import repro.sparkio.LcpSpark
+import repro.benchlib.SparkPipeline
 
 /** Distributed storage/retrieval workflow (Fig. 2): per-partition LCP
-  * compression of a particle DataFrame, Parquet storage, and partial
-  * retrieval of a single batch.
+  * compression of a particle DataFrame, Parquet storage, and full and
+  * partial retrieval.
   *
   *   spark-submit --class repro.jobs.SparkPipelineJob <jar> [outputDir]
   */
@@ -20,25 +17,8 @@ object SparkPipelineJob {
       .appName("lcp-pipeline")
       .getOrCreate()
     try {
-      val dir    = args.headOption.getOrElse(Files.createTempDirectory("lcp-job").toString + "/store")
-      val frames = BenchData.multiFrame.find(_._1 == "Helium").get._2
-      val cfg    = LcpConfig(eb = 1e-2, batchSize = 16)
-
-      val df     = LcpSpark.framesToDf(spark, frames)
-      val groups = LcpSpark.compress(df, cfg, batchesPerGroup = 1).cache()
-      LcpSpark.writeParquet(groups, dir)
-
-      val compressed = groups.collect().map(_.blob.length.toLong).sum
-      val orig       = Metrics.originalSizeBytes(frames)
-      val (_, partT) = Metrics.time {
-        LcpSpark.readFrameBatch(spark, dir, cfg, batchesPerGroup = 1, frameIdx = 0).count()
-      }
-      println(TableFmt.render("LCP Spark pipeline", Seq("Metric", "Value"), Seq(
-        Seq("store", dir),
-        Seq("original", TableFmt.bytes(orig)),
-        Seq("compressed", TableFmt.bytes(compressed)),
-        Seq("CR", TableFmt.f2(orig.toDouble / compressed)),
-        Seq("single-batch retrieval", f"$partT%.2f s"))))
+      val dir = args.headOption.getOrElse(Files.createTempDirectory("lcp-job").toString + "/store")
+      println(SparkPipeline.table(SparkPipeline.run(spark, dir)))
     } finally spark.stop()
   }
 }

@@ -9,24 +9,24 @@ import repro.benchlib._
   *   spark-submit --class repro.jobs.RatioJob target/scala-2.13/repro_2.13-*.jar
   */
 object Table1Job {
-  def main(args: Array[String]): Unit = println(DataTables.table1())
+  def main(args: Array[String]): Unit = println(DataTables.datasetTable(DataTables.datasets()))
 }
 
 /** Table 2: entropy / autocorrelation vs blocking. */
 object Table2Entropy {
-  def main(args: Array[String]): Unit = println(DataTables.table2())
+  def main(args: Array[String]): Unit = println(DataTables.blockingTable(DataTables.blocking()))
 }
 
 /** Table 3: Huffman vs fixed-length section sizes. */
 object Table3Coding {
-  def main(args: Array[String]): Unit = println(DataTables.table3())
+  def main(args: Array[String]): Unit = println(DataTables.codingTable(DataTables.coding()))
 }
 
 /** Fig 8 + Fig 9. */
 object AblationJob {
   def main(args: Array[String]): Unit = {
-    println(AblationTables.ablation())
-    println(AblationTables.errorDistribution())
+    println(AblationTables.ablationTable(AblationTables.ablation()))
+    println(AblationTables.errorTable(AblationTables.errorDistribution()))
   }
 }
 
@@ -35,17 +35,18 @@ object RatioJob {
   def main(args: Array[String]): Unit = {
     val cells = RatioTables.cells()
     println(RatioTables.ratios(cells))
-    println(RatioTables.ranking(cells))
-    println(RatioTables.improvements(cells))
+    println(RatioTables.rankingTable(RatioTables.ranking(cells)))
+    println(RatioTables.improvementTable(RatioTables.improvements(cells)))
   }
 }
 
 /** Figs 12 + 13. */
 object RateDistortionJob {
   def main(args: Array[String]): Unit = {
-    println(RateDistortionTables.singleFrame())
-    println(RateDistortionTables.psnrAdvantage())
-    println(RateDistortionTables.multiFrame())
+    val single = RateDistortionTables.singleFrame()
+    println(RateDistortionTables.singleFrameTable(single))
+    println(RateDistortionTables.psnrAdvantage(single))
+    println(RateDistortionTables.multiFrameTable(RateDistortionTables.multiFrame()))
   }
 }
 
@@ -64,8 +65,8 @@ object SpeedJob {
 /** Figs 5–7. */
 object OptimizationJob {
   def main(args: Array[String]): Unit = {
-    println(OptTables.blockSizeSweep())
-    println(OptTables.optimizerEffectiveness())
-    println(OptTables.ebScaleSweep())
+    println(OptTables.blockSizeTable(OptTables.blockSizeSweep()))
+    println(OptTables.optimizerTable(OptTables.optimizerEffectiveness()))
+    println(OptTables.ebScaleTable(OptTables.ebScaleSweep()))
   }
 }

@@ -6,6 +6,12 @@ import repro.metrics.Metrics
 /** Figure 8 (ablation) and Figure 9 (error distribution) as tables. */
 object AblationTables {
 
+  /** Payload bytes of each ablation stage, in [[variants]] order. */
+  final case class Ablation(dataset: String, eb: Double, bytes: Seq[Long])
+
+  /** Largest |error| and the count of errors in each tenth of eb. */
+  final case class Errors(eb: Double, maxErr: Double, buckets: Seq[Long])
+
   /** The four ablation lines of Fig. 8, in paper order. */
   def variants: Seq[(String, LcpCodec)] = Seq(
     "LCP-S"           -> LcpCodec.lcpSOnly(64),
@@ -13,49 +19,52 @@ object AblationTables {
     "LCP-S+BLK+T"     -> LcpCodec.lcpNoEbScale,
     "LCP-S+BLK+T+EB"  -> LcpCodec.full)
 
-  /** Bit rate of each ablation stage on every multi-frame dataset. */
-  def ablation(batchSize: Int = 16): String = {
-    val combos = for {
-      (ds, frames) <- BenchData.multiFrame
-      eb <- BenchData.PaperEbs
-    } yield (ds, frames, eb)
-    val rows = Par.map(combos) { case (ds, frames, eb) =>
-      val rates = variants.map { case (_, codec) =>
-        val c = codec.compress(frames, eb, batchSize)
-        Metrics.bitRate(frames, c.payload.length.toLong)
-      }
-      Seq(ds, TableFmt.sci(eb)) ++ rates.map(TableFmt.f3)
+  private val Batch: Int = 16
+
+  /** Payload size of each ablation stage on every multi-frame dataset. */
+  def ablation(): Seq[Ablation] = {
+    val combos = for { (ds, frames) <- BenchData.multiFrame; eb <- BenchData.PaperEbs } yield (ds, frames, eb)
+    Par.map(combos) { case (ds, frames, eb) =>
+      Ablation(ds, eb, variants.map(_._2.compress(frames, eb, Batch).payload.length.toLong))
     }
-    TableFmt.render(s"Fig 8 (ablation): bit rate per LCP stage (batch=$batchSize; lower is better)",
+  }
+
+  def ablationTable(as: Seq[Ablation]): String = {
+    val rows = as.map { a =>
+      Seq(a.dataset, TableFmt.sci(a.eb)) ++
+        a.bytes.map(b => TableFmt.f3(Metrics.bitRate(BenchData.multi(a.dataset), b)))
+    }
+    TableFmt.render(s"Fig 8 (ablation): bit rate per LCP stage (batch=$Batch; lower is better)",
       Seq("Dataset", "eb") ++ variants.map(_._1), rows)
   }
 
   /** Fig. 9: error distribution of LCP on Helium at eb = 0.1. */
-  def errorDistribution(eb: Double = 0.1): String = {
-    val frames = BenchData.multiFrame.find(_._1 == "Helium").get._2
+  def errorDistribution(): Errors = {
+    val eb     = 0.1
+    val frames = BenchData.multi("Helium")
     val codec  = LcpCodec.full
-    val c      = codec.compress(frames, eb, 16)
+    val c      = codec.compress(frames, eb, Batch)
     val dec    = codec.decompress(c.payload)
     val buckets = new Array[Long](10)
     var maxErr  = 0.0
-    frames.indices.foreach { t =>
+    for (t <- frames.indices; i <- 0 until dec(t).n) {
       val o = frames(t); val d = dec(t); val perm = c.perms(t)
-      var i = 0
-      while (i < d.n) {
-        val j = if (perm == null) i else perm(i)
-        Seq(o.x(j) - d.x(i), o.y(j) - d.y(i), o.z(j) - d.z(i)).foreach { e =>
-          val a = math.abs(e)
-          maxErr = math.max(maxErr, a)
-          buckets(math.min(9, (a / eb * 10).toInt)) += 1
-        }
-        i += 1
+      val j = if (perm == null) i else perm(i)
+      for (e <- Seq(o.x(j) - d.x(i), o.y(j) - d.y(i), o.z(j) - d.z(i))) {
+        val a = math.abs(e)
+        maxErr = math.max(maxErr, a)
+        buckets(math.min(9, (a / eb * 10).toInt)) += 1
       }
     }
-    val total = buckets.sum.toDouble
-    val rows = buckets.zipWithIndex.map { case (cnt, k) =>
+    Errors(eb, maxErr, buckets.toSeq)
+  }
+
+  def errorTable(e: Errors): String = {
+    val total = e.buckets.sum.toDouble
+    val rows = e.buckets.zipWithIndex.map { case (cnt, k) =>
       Seq(f"[${k / 10.0}%.1f, ${(k + 1) / 10.0}%.1f)·eb", cnt.toString, f"${cnt / total * 100}%.2f%%")
     }
-    TableFmt.render(f"Fig 9: LCP error distribution on Helium (eb=$eb; max |err| = $maxErr%.6f <= eb)",
-      Seq("Error bucket", "Count", "Share"), rows.toSeq)
+    TableFmt.render(f"Fig 9: LCP error distribution on Helium (eb=${e.eb}; max |err| = ${e.maxErr}%.6f <= eb)",
+      Seq("Error bucket", "Count", "Share"), rows)
   }
 }

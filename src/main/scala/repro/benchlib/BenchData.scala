@@ -35,5 +35,9 @@ object BenchData {
       else s.name -> s.gen(SingleN, 1, 2000).head
     }
 
+  /** The multi-frame and single-frame inputs of one dataset. */
+  def multi(name: String): IndexedSeq[Frame] = multiFrame.find(_._1 == name).get._2
+  def single(name: String): Frame              = singleFrame.find(_._1 == name).get._2
+
   val PaperEbs: Seq[Double] = Seq(1e-1, 1e-2, 1e-3)
 }

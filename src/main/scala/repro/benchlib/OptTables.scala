@@ -7,51 +7,70 @@ import repro.metrics.Metrics
 /** Figures 5–7: the dynamic-optimization studies of §7.4. */
 object OptTables {
 
+  final case class BlockSize(dataset: String, p: Int, bytes: Long)
+
+  /** The optimizer's chosen p, its LCP-S size, and the smallest size over
+    * every candidate p. */
+  final case class Optimizer(dataset: String, eb: Double, chosenP: Int, chosenBytes: Long, bestBytes: Long) {
+    /** CR at the chosen p as a share of the best exhaustive CR. */
+    def share: Double = bestBytes.toDouble / chosenBytes
+  }
+
+  final case class Scaling(dataset: String, factor: Double, bytes: Long) {
+    def cr: Double = Metrics.compressionRatio(BenchData.multi(dataset), bytes)
+  }
+
+  /** Fig. 5's error bound; Fig. 7's error bound and batch size. */
+  private val SweepEb: Double           = 1e-2
+  private val ScaleEb: Double           = 1e-1
+  private val ScaleBatch: Int           = 2
+  private val ScaleFactors: Seq[Double] = Seq(1.0, 2.0, 5.0, 10.0, 20.0)
+
   /** Fig. 5: LCP-S compressed size vs block size p (two contrasting sets). */
-  def blockSizeSweep(eb: Double = 1e-2): String = {
-    val inputs = Seq("Copper", "3DEP").map(n => n -> BenchData.singleFrame.find(_._1 == n).get._2)
-    val rows = Par.map(for { (ds, f) <- inputs; p <- BlockSizeOpt.Candidates } yield (ds, f, p)) {
-      case (ds, f, p) =>
-        val r = LcpS.compress(f, eb, p)
-        Seq(ds, p.toString, TableFmt.bytes(r.bytes.length.toLong),
-          TableFmt.f3(Metrics.bitRate(Seq(f), r.bytes.length.toLong)))
+  def blockSizeSweep(): Seq[BlockSize] =
+    Par.map(for { ds <- Seq("Copper", "3DEP"); p <- BlockSizeOpt.Candidates } yield (ds, p)) {
+      case (ds, p) => BlockSize(ds, p, LcpS.compress(BenchData.single(ds), SweepEb, p).bytes.length.toLong)
     }
-    TableFmt.render(s"Fig 5: LCP-S size vs block size p (eb=$eb)",
+
+  def blockSizeTable(bs: Seq[BlockSize]): String = {
+    val rows = bs.map { b =>
+      Seq(b.dataset, b.p.toString, TableFmt.bytes(b.bytes),
+        TableFmt.f3(Metrics.bitRate(Seq(BenchData.single(b.dataset)), b.bytes)))
+    }
+    TableFmt.render(s"Fig 5: LCP-S size vs block size p (eb=$SweepEb)",
       Seq("Dataset", "p", "Compressed size", "Bit rate"), rows)
   }
 
   /** Fig. 6: CR of the sampled optimizer relative to exhaustive search. */
-  def optimizerEffectiveness(): String = {
+  def optimizerEffectiveness(): Seq[Optimizer] = {
     val combos = for { (ds, f) <- BenchData.singleFrame; eb <- BenchData.PaperEbs } yield (ds, f, eb)
-    val rows = Par.map(combos) { case (ds, f, eb) =>
+    Par.map(combos) { case (ds, f, eb) =>
       val (pOpt, _) = BlockSizeOpt.bestBlockSize(f, eb)
-      val sizeOpt  = LcpS.compress(f, eb, pOpt).bytes.length.toDouble
-      val sizeBest = BlockSizeOpt.Candidates.map(p => LcpS.compress(f, eb, p).bytes.length).min.toDouble
-      Seq(ds, TableFmt.sci(eb), pOpt.toString, f"${sizeBest / sizeOpt * 100}%.1f%%")
+      Optimizer(ds, eb, pOpt, LcpS.compress(f, eb, pOpt).bytes.length.toLong,
+        BlockSizeOpt.Candidates.map(p => LcpS.compress(f, eb, p).bytes.length).min.toLong)
     }
-    TableFmt.render("Fig 6: optimized block size CR as % of best exhaustive CR (target >= 85%)",
-      Seq("Dataset", "eb", "Chosen p", "CR / best CR"), rows)
   }
 
-  /** Fig. 7: overall CR vs anchor error-bound scale factor. The effect
-    * concentrates where motion ≪ eb (anchor quantization error dominates
-    * the temporal residuals of anchor-dependent batch heads), i.e. coarse
-    * bounds — the paper likewise reports gains "when the bit rate is
-    * small". */
-  def ebScaleSweep(eb: Double = 1e-1, batchSize: Int = 2): String = {
-    val factors = Seq(1.0, 2.0, 5.0, 10.0, 20.0)
-    // Diffusive datasets in the coarse-eb regime: anchor quantization error
-    // dominates the batch heads' temporal residuals, the case §7.4.2
-    // targets (vibration-around-sites Copper compresses its heads almost
-    // for free either way, so scaling cannot pay there — see EXPERIMENTS).
-    val inputs  = BenchData.multiFrame.filter(t => t._1 == "Helium" || t._1 == "LJ")
-    val rows = Par.map(for { (ds, frames) <- inputs; factor <- factors } yield (ds, frames, factor)) {
-      case (ds, frames, factor) =>
+  def optimizerTable(os: Seq[Optimizer]): String =
+    TableFmt.render("Fig 6: optimized block size CR as % of best exhaustive CR (target >= 85%)",
+      Seq("Dataset", "eb", "Chosen p", "CR / best CR"),
+      os.map(o => Seq(o.dataset, TableFmt.sci(o.eb), o.chosenP.toString, f"${o.share * 100}%.1f%%")))
+
+  /** Fig. 7: overall CR vs anchor error-bound scale factor, on the
+    * diffusive datasets at a coarse bound. There motion ≪ eb, so anchor
+    * quantization error dominates the temporal residuals of anchor-dependent
+    * batch heads: the case §7.4.2 targets, and the paper likewise reports
+    * gains "when the bit rate is small". (Vibration-around-sites Copper
+    * compresses its heads almost for free either way, so scaling cannot pay
+    * there — see EXPERIMENTS.) */
+  def ebScaleSweep(): Seq[Scaling] =
+    Par.map(for { ds <- Seq("Helium", "LJ"); factor <- ScaleFactors } yield (ds, factor)) {
+      case (ds, factor) =>
         val codec = new LcpCodec(s"LCP(x$factor)", None, Lcp.Forced(factor))
-        val c = codec.compress(frames, eb, batchSize)
-        Seq(ds, factor.toString, TableFmt.f2(Metrics.compressionRatio(frames, c.payload.length.toLong)))
+        Scaling(ds, factor, codec.compress(BenchData.multi(ds), ScaleEb, ScaleBatch).payload.length.toLong)
     }
-    TableFmt.render(s"Fig 7: CR vs anchor eb scale factor (eb=$eb, batch=$batchSize; paper picks 5)",
-      Seq("Dataset", "Scale factor", "CR"), rows)
-  }
+
+  def ebScaleTable(ss: Seq[Scaling]): String =
+    TableFmt.render(s"Fig 7: CR vs anchor eb scale factor (eb=$ScaleEb, batch=$ScaleBatch; paper picks 5)",
+      Seq("Dataset", "Scale factor", "CR"), ss.map(s => Seq(s.dataset, s.factor.toString, TableFmt.f2(s.cr))))
 }

@@ -6,64 +6,54 @@ import repro.metrics.Metrics
 /** Figures 12 (single-frame) and 13 (multi-frame) rate-distortion tables. */
 object RateDistortionTables {
 
+  final case class Point(dataset: String, codec: String, eb: Double, bytes: Long, psnr: Double)
+
   val SweepEbs: Seq[Double] = Seq(1e-1, 2e-2, 1e-2, 2e-3)
 
-  private def rdRow(frames: IndexedSeq[Frame], codecName: String,
-                    codec: repro.baselines.ParticleCodec, eb: Double, batch: Int): (Double, Double) = {
-    val c   = codec.compress(frames, eb, batch)
-    val dec = codec.decompress(c.payload)
-    val br  = Metrics.bitRate(frames, c.payload.length.toLong)
-    val ps  = Metrics.psnr(frames, dec, c.perms)
-    (br, ps)
+  /** Every codec at every sweep eb on every input, in (dataset, codec, eb) order. */
+  private def sweep(inputs: Seq[(String, IndexedSeq[Frame])], batch: Int): Seq[Point] = {
+    val combos = for { (ds, frames) <- inputs; codec <- BenchData.codecs; eb <- SweepEbs } yield (ds, frames, codec, eb)
+    Par.map(combos) { case (ds, frames, codec, eb) =>
+      val c = codec.compress(frames, eb, batch)
+      Point(ds, codec.name, eb, c.payload.length.toLong, Metrics.psnr(frames, codec.decompress(c.payload), c.perms))
+    }
   }
 
   /** Fig. 12: single-frame rate-distortion on all eight datasets. */
-  def singleFrame(): String = {
-    val combos = for {
-      (ds, f) <- BenchData.singleFrame
-      codec <- BenchData.codecs
-      eb <- SweepEbs
-    } yield (ds, f, codec, eb)
-    val rows = Par.map(combos) { case (ds, f, codec, eb) =>
-      val (br, ps) = rdRow(IndexedSeq(f), codec.name, codec, eb, 1)
-      Seq(ds, codec.name, TableFmt.sci(eb), TableFmt.f3(br), TableFmt.f1(ps))
-    }
-    TableFmt.render("Fig 12: single-frame rate-distortion (lower bit rate + higher PSNR = better)",
-      Seq("Dataset", "Compressor", "eb", "Bit rate", "PSNR dB"), rows)
-  }
+  def singleFrame(): Seq[Point] = sweep(BenchData.singleFrame.map { case (ds, f) => ds -> IndexedSeq(f) }, 1)
 
   /** Fig. 13: multi-frame rate-distortion at batch 16. */
-  def multiFrame(): String = {
-    val combos = for {
-      (ds, frames) <- BenchData.multiFrame
-      codec <- BenchData.codecs
-      eb <- SweepEbs
-    } yield (ds, frames, codec, eb)
-    val rows = Par.map(combos) { case (ds, frames, codec, eb) =>
-      val (br, ps) = rdRow(frames, codec.name, codec, eb, 16)
-      Seq(ds, codec.name, TableFmt.sci(eb), TableFmt.f3(br), TableFmt.f1(ps))
-    }
-    TableFmt.render("Fig 13: multi-frame rate-distortion (batch = 16)",
-      Seq("Dataset", "Compressor", "eb", "Bit rate", "PSNR dB"), rows)
-  }
+  def multiFrame(): Seq[Point] = sweep(BenchData.multiFrame, 16)
 
-  /** The §8.2.4 comparison: PSNR at the *same* bit rate (a vertical slice
-    * of the rate-distortion plot; paper quotes LCP up to +34 dB single /
-    * +35 dB multi over the second best). LCP is evaluated at the middle
-    * sweep eb; each baseline's PSNR at LCP's bit rate is linearly
-    * interpolated on its own sweep curve (clamped to its endpoints, which
-    * only favours the baseline). */
-  def psnrAdvantage(): String = {
-    val rows = Par.map(BenchData.singleFrame) { case (ds, f) =>
-      val frames = IndexedSeq(f)
-      val eb = SweepEbs(2)
-      val (lcpBr, lcpPs) = rdRow(frames, "LCP", BenchData.codecs.head, eb, 1)
+  private def singleBitRate(p: Point): Double = Metrics.bitRate(Seq(BenchData.single(p.dataset)), p.bytes)
+
+  private def table(title: String, ps: Seq[Point], bitRate: Point => Double): String =
+    TableFmt.render(title, Seq("Dataset", "Compressor", "eb", "Bit rate", "PSNR dB"),
+      ps.map(p => Seq(p.dataset, p.codec, TableFmt.sci(p.eb), TableFmt.f3(bitRate(p)), TableFmt.f1(p.psnr))))
+
+  def singleFrameTable(ps: Seq[Point]): String =
+    table("Fig 12: single-frame rate-distortion (lower bit rate + higher PSNR = better)", ps, singleBitRate)
+
+  def multiFrameTable(ps: Seq[Point]): String =
+    table("Fig 13: multi-frame rate-distortion (batch = 16)", ps,
+      p => Metrics.bitRate(BenchData.multi(p.dataset), p.bytes))
+
+  /** The §8.2.4 comparison from the single-frame points: PSNR at the *same*
+    * bit rate (a vertical slice of the rate-distortion plot; paper quotes LCP
+    * up to +34 dB single / +35 dB multi over the second best). LCP is
+    * evaluated at the middle sweep eb; each baseline's PSNR at LCP's bit rate
+    * is linearly interpolated on its own sweep curve (clamped to its
+    * endpoints, which only favours the baseline). */
+  def psnrAdvantage(single: Seq[Point]): String = {
+    val rows = BenchData.singleFrame.map(_._1).map { ds =>
+      val mine = single.filter(_.dataset == ds)
+      val lcp  = mine.find(p => p.codec == "LCP" && p.eb == SweepEbs(2)).get
       val best = BenchData.codecs.drop(1).map { codec =>
-        val curve = SweepEbs.map(beb => rdRow(frames, codec.name, codec, beb, 1)).sortBy(_._1)
-        codec.name -> psnrAt(curve, lcpBr)
+        val curve = mine.filter(_.codec == codec.name).map(p => (singleBitRate(p), p.psnr)).sortBy(_._1)
+        codec.name -> psnrAt(curve, singleBitRate(lcp))
       }.maxBy(_._2)
-      Seq(ds, TableFmt.f3(lcpBr), TableFmt.f1(lcpPs), best._1, TableFmt.f1(best._2),
-        f"${lcpPs - best._2}%+.1f dB")
+      Seq(ds, TableFmt.f3(singleBitRate(lcp)), TableFmt.f1(lcp.psnr), best._1, TableFmt.f1(best._2),
+        f"${lcp.psnr - best._2}%+.1f dB")
     }
     TableFmt.render("Fig 12 summary: PSNR at LCP's bit rate (baselines interpolated on their R-D curves)",
       Seq("Dataset", "Bit rate", "LCP PSNR", "Best baseline", "Baseline PSNR", "LCP advantage"), rows)

@@ -58,7 +58,7 @@ object SpeedTables {
   /** Figs. 16 + 17: single-frame compression and decompression speed. */
   def singleFrame(eb: Double = 1e-2): Seq[SpeedSet] =
     SingleSpeedSets.map { ds =>
-      val f = BenchData.singleFrame.find(_._1 == ds).get._2
+      val f = BenchData.single(ds)
       SpeedSet(Metrics.originalSizeBytes(Seq(f)),
         BenchData.codecs.map(codec => measure(ds, IndexedSeq(f), codec, eb, 1)))
     }

@@ -31,7 +31,7 @@ final class LcpFsm {
     else skipInterval = 1
   }
 
-  /** Current backoff interval (exposed for tests and the overhead bench). */
+  /** Current backoff interval (read by `LcpFsmSpec`). */
   def interval: Int = skipInterval
 }
 

@@ -4,12 +4,12 @@ import java.security.MessageDigest
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestFrames
 import repro.baselines.{DracoLike, MdzLike, ParticleCodec, SperrLike, Sz2Like, Sz3Like, Tmc13Like, ZfpLike}
-import repro.core.Lcp._
+import repro.core.Lcp.LcpArchive
 import repro.data.Particles
 
 /** Decode-side byte-identity gate: pins the SHA-256 of the decoded doubles
   * (x, y and z of every frame, in frame order, as big-endian IEEE bits) for
-  * the archive cells of `GoldenArchiveSpec` and the baseline payload cells
+  * the archive cells of `LcpGoldenCells` and the baseline payload cells
   * of `GoldenArchiveSpec` and `CoderGoldenSpec`. A decoder refactor keeps
   * every digest. For the LCP cells, every `decompressBatch` slice and every
   * `decompressFrame` must equal the frames `decompressAll` returns.
@@ -32,11 +32,11 @@ class DecodeDigestSpec extends AnyFunSuite {
     java.util.Arrays.equals(bits(a.x), bits(b.x)) && java.util.Arrays.equals(bits(a.y), bits(b.y)) &&
       java.util.Arrays.equals(bits(a.z), bits(b.z))
 
-  private def lcpCell(name: String, frames: => IndexedSeq[Frame], cfg: LcpConfig, digest: String): Unit =
-    test(s"LCP decoded digest: $name") {
-      val a   = LcpArchive.fromBytes(Lcp.compress(frames, cfg).archive.toBytes)
+  for (c <- LcpGoldenCells.all)
+    test(s"LCP decoded digest: ${c.name}") {
+      val a   = LcpArchive.fromBytes(Lcp.compress(c.frames(), c.cfg).archive.toBytes)
       val all = Lcp.decompressAll(a)
-      assert(sha256(all) == digest, s"DECODED $name -> ${sha256(all)}")
+      assert(sha256(all) == c.decodedDigest, s"DECODED ${c.name} -> ${sha256(all)}")
       for (b <- a.batches.indices) {
         val start = b * a.batchSize
         assert(Lcp.decompressBatch(a, b).corresponds(all.slice(start, start + a.batchSize))(sameFrame),
@@ -44,28 +44,6 @@ class DecodeDigestSpec extends AnyFunSuite {
       }
       for (f <- all.indices) assert(sameFrame(Lcp.decompressFrame(a, f), all(f)), s"frame $f")
     }
-
-  lcpCell("copper 800x8, eb 0.02, batch 4",
-    TestFrames.copper(800, 8), LcpConfig(0.02, batchSize = 4),
-    "eab13f0ba1b8a7bb2e9c2d8ad61a6438959f411752d0dfbbcd8bdcbbbc5f07cd")
-  lcpCell("helium 1200x12, eb 0.05, batch 4, Auto eb scaling",
-    TestFrames.helium(1200, 12), LcpConfig(0.05, batchSize = 4, ebScaleMode = Auto),
-    "ff4d50fc78f0e357ab68514759805a1c103f6584fc35dd8a0765ad51f132fb97")
-  lcpCell("lj 400x10, eb 0.02, batch 4",
-    TestFrames.lj(400, 10), LcpConfig(0.02, batchSize = 4),
-    "275e31044873796608d38bc2a00d46311518a086adc44a4fa1fe7de045618f50")
-  lcpCell("yiip 400x4, eb 0.02, batch 2",
-    TestFrames.yiip(400, 4), LcpConfig(0.02, batchSize = 2),
-    "237a239c32f5c9ef810ba5a0a88a2b2701cfbec0edf709b73f88a28fefe57962")
-  lcpCell("bunny single frame, eb 0.01",
-    IndexedSeq(TestFrames.bunny(500)), LcpConfig(0.01, batchSize = 8),
-    "0b8dbbea00ba063a3f5f5544203daa1a0d48d2a104ceb5625f794008871eb26b")
-  lcpCell("copper 500x6, eb 0.05, batch 3, temporal disabled",
-    TestFrames.copper(500, 6), LcpConfig(0.05, batchSize = 3, disableTemporal = true),
-    "5f97f6ec6f732c8d93db8bda4e2020603d5241fa1064246bb7cb9db2402951ed")
-  lcpCell("helium 600x5, eb 0.01, batch 2, block size p = 1",
-    TestFrames.helium(600, 5), LcpConfig(0.01, batchSize = 2, blockSizeP = Some(1)),
-    "578026504524d6160978b9f14da543e6ba0e9efec6be34347738da1d03cce2e5")
 
   private def baselineCell(codec: ParticleCodec, name: String, frames: => IndexedSeq[Frame], eb: Double,
                            batchSize: Int, digest: String): Unit =

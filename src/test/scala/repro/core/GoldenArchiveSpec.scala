@@ -6,11 +6,10 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestFrames
 import repro.baselines.{MdzLike, ParticleCodec, SperrLike, Sz2Like, Sz3Like}
 import repro.coding.{ByteIO, Zigzag}
-import repro.core.Lcp._
 import repro.data.Particles
 
-/** Byte-identity gate: pins the SHA-256 of the serialized archive for a
-  * small golden set of (dataset, eb, batch, option) cells, plus the payload
+/** Byte-identity gate: pins the SHA-256 of the serialized archive for the
+  * golden (dataset, eb, batch, option) cells of `LcpGoldenCells`, plus the payload
   * digests of the prediction-based baselines. A refactor that must not
   * change the format keeps every digest; a deliberate format change updates
   * them in the same change and records the compression-ratio effect.
@@ -20,32 +19,21 @@ class GoldenArchiveSpec extends AnyFunSuite {
   private def sha256(bytes: Array[Byte]): String =
     MessageDigest.getInstance("SHA-256").digest(bytes).map("%02x".format(_)).mkString
 
-  private def lcpCell(name: String, frames: => IndexedSeq[Frame], cfg: LcpConfig, digest: String): Unit =
-    test(s"LCP golden archive: $name") {
-      assert(sha256(Lcp.compress(frames, cfg).archive.toBytes) == digest)
+  for (c <- LcpGoldenCells.all)
+    test(s"LCP golden archive: ${c.name}") {
+      val got = sha256(Lcp.compress(c.frames(), c.cfg).archive.toBytes)
+      assert(got == c.archiveDigest, s"ARCHIVE ${c.name} -> $got")
     }
 
-  lcpCell("copper 800x8, eb 0.02, batch 4",
-    TestFrames.copper(800, 8), LcpConfig(0.02, batchSize = 4),
-    "69ccfe5437c173a26d46ae7e3fdb2a9f2402b1a1f70386b28cccef916a4dcb6f")
-  lcpCell("helium 1200x12, eb 0.05, batch 4, Auto eb scaling",
-    TestFrames.helium(1200, 12), LcpConfig(0.05, batchSize = 4, ebScaleMode = Auto),
-    "6ab940fa663eb0271d225b254f38fe9da44b21cb127af40896b69bdca0784d17")
-  lcpCell("lj 400x10, eb 0.02, batch 4",
-    TestFrames.lj(400, 10), LcpConfig(0.02, batchSize = 4),
-    "b1e222692332a84dcc6f26bee6a9ea826fc2c95a5fde6f595f88821066cfb476")
-  lcpCell("yiip 400x4, eb 0.02, batch 2",
-    TestFrames.yiip(400, 4), LcpConfig(0.02, batchSize = 2),
-    "cc373f05b3593a73d40c2f8442bb139e4a6445b7c00a16e9444df135c557de83")
-  lcpCell("bunny single frame, eb 0.01",
-    IndexedSeq(TestFrames.bunny(500)), LcpConfig(0.01, batchSize = 8),
-    "51866544a9f701f39d249b195ddf356b39a025d1516d17dfa67370290a0e36fb")
-  lcpCell("copper 500x6, eb 0.05, batch 3, temporal disabled",
-    TestFrames.copper(500, 6), LcpConfig(0.05, batchSize = 3, disableTemporal = true),
-    "f4fe0df6285d33bbebb03aac279254e2c286557e37e1db09e675056bcb34bf21")
-  lcpCell("helium 600x5, eb 0.01, batch 2, block size p = 1",
-    TestFrames.helium(600, 5), LcpConfig(0.01, batchSize = 2, blockSizeP = Some(1)),
-    "7ae05d14e8c7872061b82a0fcb4a02674d02db1973be99e918a08be2e2ccd6d6")
+  test("the two-anchor golden cells store frame 4 in a second anchor, which frame 8 predicts from") {
+    val Seq(auto, scaled) = Seq(LcpGoldenCells.twoAnchors, LcpGoldenCells.twoAnchorsScaled)
+      .map(c => Lcp.compress(c.frames(), c.cfg).archive)
+    for (a <- Seq(auto, scaled)) {
+      assert(a.anchors.size == 2 && a.entries(4).inAnchor)
+      assert(a.entries(8).temporal && a.entries(8).anchorRef == 1)
+    }
+    assert(scaled.anchorEbScale == EbScale.Factor)
+  }
 
   private lazy val baselineFrames = TestFrames.copper(800, 8)
 
