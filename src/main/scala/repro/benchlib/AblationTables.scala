@@ -21,13 +21,14 @@ object AblationTables {
 
   private val Batch: Int = 16
 
-  /** Payload size of each ablation stage on every multi-frame dataset. */
-  def ablation(): Seq[Ablation] = {
-    val combos = for { (ds, frames) <- BenchData.multiFrame; eb <- BenchData.PaperEbs } yield (ds, frames, eb)
-    Par.map(combos) { case (ds, frames, eb) =>
-      Ablation(ds, eb, variants.map(_._2.compress(frames, eb, Batch).payload.length.toLong))
-    }
-  }
+  /** Fig 8's keys: every stage on every multi-frame dataset and paper eb. */
+  def keys: Seq[CellGrid.Key] =
+    for { ds <- BenchData.MultiNames; eb <- BenchData.PaperEbs; (_, codec) <- variants }
+      yield CellGrid.Key(ds, codec.name, eb, Batch)
+
+  /** Payload size of each ablation stage, read from the cell grid. */
+  def ablation(): Seq[Ablation] =
+    keys.grouped(variants.size).toSeq.map(ks => Ablation(ks.head.dataset, ks.head.eb, ks.map(CellGrid.multi(_).bytes)))
 
   def ablationTable(as: Seq[Ablation]): String = {
     val rows = as.map { a =>
@@ -64,7 +65,8 @@ object AblationTables {
     val rows = e.buckets.zipWithIndex.map { case (cnt, k) =>
       Seq(f"[${k / 10.0}%.1f, ${(k + 1) / 10.0}%.1f)·eb", cnt.toString, f"${cnt / total * 100}%.2f%%")
     }
-    TableFmt.render(f"Fig 9: LCP error distribution on Helium (eb=${e.eb}; max |err| = ${e.maxErr}%.6f <= eb)",
+    val bound = if (e.maxErr <= e.eb) "<=" else ">"
+    TableFmt.render(f"Fig 9: LCP error distribution on Helium (eb=${e.eb}; max |err| = ${e.maxErr}%.6f $bound eb)",
       Seq("Error bucket", "Count", "Share"), rows)
   }
 }

@@ -35,6 +35,10 @@ object BenchData {
       else s.name -> s.gen(SingleN, 1, 2000).head
     }
 
+  /** Dataset names, without generating any frames. */
+  val MultiNames: Seq[String]  = Particles.multiFrame.map(_.name)
+  val SingleNames: Seq[String] = Particles.all.map(_.name)
+
   /** The multi-frame and single-frame inputs of one dataset. */
   def multi(name: String): IndexedSeq[Frame] = multiFrame.find(_._1 == name).get._2
   def single(name: String): Frame              = singleFrame.find(_._1 == name).get._2

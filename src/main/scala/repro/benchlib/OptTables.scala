@@ -7,7 +7,7 @@ import repro.metrics.Metrics
 /** Figures 5–7: the dynamic-optimization studies of §7.4. */
 object OptTables {
 
-  final case class BlockSize(dataset: String, p: Int, bytes: Long)
+  final case class BlockSize(dataset: String, eb: Double, p: Int, bytes: Long)
 
   /** The optimizer's chosen p, its LCP-S size, and the smallest size over
     * every candidate p. */
@@ -26,11 +26,18 @@ object OptTables {
   private val ScaleBatch: Int           = 2
   private val ScaleFactors: Seq[Double] = Seq(1.0, 2.0, 5.0, 10.0, 20.0)
 
+  /** The LCP-S size table's keys: (dataset, eb, p). */
+  def sizeKeys: Seq[(String, Double, Int)] =
+    for { ds <- BenchData.SingleNames; eb <- BenchData.PaperEbs; p <- BlockSizeOpt.Candidates } yield (ds, eb, p)
+
+  /** LCP-S bytes of every single-frame set, paper eb and candidate p: Figs 5 and 6 read it. */
+  lazy val sizes: Map[(String, Double, Int), Long] = sizeKeys.zip(Par.map(sizeKeys) {
+    case (ds, eb, p) => LcpS.compress(BenchData.single(ds), eb, p).bytes.length.toLong
+  }).toMap
+
   /** Fig. 5: LCP-S compressed size vs block size p (two contrasting sets). */
   def blockSizeSweep(): Seq[BlockSize] =
-    Par.map(for { ds <- Seq("Copper", "3DEP"); p <- BlockSizeOpt.Candidates } yield (ds, p)) {
-      case (ds, p) => BlockSize(ds, p, LcpS.compress(BenchData.single(ds), SweepEb, p).bytes.length.toLong)
-    }
+    for { ds <- Seq("Copper", "3DEP"); p <- BlockSizeOpt.Candidates } yield BlockSize(ds, SweepEb, p, sizes((ds, SweepEb, p)))
 
   def blockSizeTable(bs: Seq[BlockSize]): String = {
     val rows = bs.map { b =>
@@ -43,11 +50,10 @@ object OptTables {
 
   /** Fig. 6: CR of the sampled optimizer relative to exhaustive search. */
   def optimizerEffectiveness(): Seq[Optimizer] = {
-    val combos = for { (ds, f) <- BenchData.singleFrame; eb <- BenchData.PaperEbs } yield (ds, f, eb)
-    Par.map(combos) { case (ds, f, eb) =>
-      val (pOpt, _) = BlockSizeOpt.bestBlockSize(f, eb)
-      Optimizer(ds, eb, pOpt, LcpS.compress(f, eb, pOpt).bytes.length.toLong,
-        BlockSizeOpt.Candidates.map(p => LcpS.compress(f, eb, p).bytes.length).min.toLong)
+    val settings = for { ds <- BenchData.SingleNames; eb <- BenchData.PaperEbs } yield (ds, eb)
+    val chosen   = Par.map(settings) { case (ds, eb) => BlockSizeOpt.bestBlockSize(BenchData.single(ds), eb)._1 }
+    settings.zip(chosen).map { case ((ds, eb), p) =>
+      Optimizer(ds, eb, p, sizes((ds, eb, p)), BlockSizeOpt.Candidates.map(q => sizes((ds, eb, q))).min)
     }
   }
 

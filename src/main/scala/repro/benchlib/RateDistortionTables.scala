@@ -1,6 +1,5 @@
 package repro.benchlib
 
-import repro.core.Frame
 import repro.metrics.Metrics
 
 /** Figures 12 (single-frame) and 13 (multi-frame) rate-distortion tables. */
@@ -10,20 +9,22 @@ object RateDistortionTables {
 
   val SweepEbs: Seq[Double] = Seq(1e-1, 2e-2, 1e-2, 2e-3)
 
-  /** Every codec at every sweep eb on every input, in (dataset, codec, eb) order. */
-  private def sweep(inputs: Seq[(String, IndexedSeq[Frame])], batch: Int): Seq[Point] = {
-    val combos = for { (ds, frames) <- inputs; codec <- BenchData.codecs; eb <- SweepEbs } yield (ds, frames, codec, eb)
-    Par.map(combos) { case (ds, frames, codec, eb) =>
-      val c = codec.compress(frames, eb, batch)
-      Point(ds, codec.name, eb, c.payload.length.toLong, Metrics.psnr(frames, codec.decompress(c.payload), c.perms))
-    }
-  }
+  /** Every codec at every sweep eb on each dataset, in (dataset, codec, eb) order. */
+  private def keys(datasets: Seq[String], batch: Int): Seq[CellGrid.Key] =
+    for { ds <- datasets; codec <- BenchData.codecs; eb <- SweepEbs } yield CellGrid.Key(ds, codec.name, eb, batch)
+
+  private def point(k: CellGrid.Key, c: CellGrid.Cell): Point = Point(k.dataset, k.codec, k.eb, c.bytes, c.psnr.get)
+
+  /** Fig 13's keys: the multi-frame sets at batch 16. */
+  def multiKeys: Seq[CellGrid.Key] = keys(BenchData.MultiNames, 16)
 
   /** Fig. 12: single-frame rate-distortion on all eight datasets. */
-  def singleFrame(): Seq[Point] = sweep(BenchData.singleFrame.map { case (ds, f) => ds -> IndexedSeq(f) }, 1)
+  def singleFrame(): Seq[Point] = Par.map(keys(BenchData.SingleNames, 1)) { k =>
+    point(k, CellGrid.cell(k, IndexedSeq(BenchData.single(k.dataset)), decode = true))
+  }
 
-  /** Fig. 13: multi-frame rate-distortion at batch 16. */
-  def multiFrame(): Seq[Point] = sweep(BenchData.multiFrame, 16)
+  /** Fig. 13: multi-frame rate-distortion at batch 16, read from the cell grid. */
+  def multiFrame(): Seq[Point] = multiKeys.map(k => point(k, CellGrid.multi(k)))
 
   private def singleBitRate(p: Point): Double = Metrics.bitRate(Seq(BenchData.single(p.dataset)), p.bytes)
 
@@ -45,7 +46,7 @@ object RateDistortionTables {
     * is linearly interpolated on its own sweep curve (clamped to its
     * endpoints, which only favours the baseline). */
   def psnrAdvantage(single: Seq[Point]): String = {
-    val rows = BenchData.singleFrame.map(_._1).map { ds =>
+    val rows = BenchData.SingleNames.map { ds =>
       val mine = single.filter(_.dataset == ds)
       val lcp  = mine.find(p => p.codec == "LCP" && p.eb == SweepEbs(2)).get
       val best = BenchData.codecs.drop(1).map { codec =>

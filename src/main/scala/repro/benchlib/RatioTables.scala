@@ -10,21 +10,16 @@ object RatioTables {
   /** Mean CR over the ebs at batch 16 of LCP and of the best other codec. */
   final case class Improvement(dataset: String, lcpCr: Double, second: String, secondCr: Double)
 
-  /** CR of every codec on every (multi-frame dataset, batch, eb) cell. */
-  def cells(): Seq[Cell] = {
-    val combos = for {
-      (ds, frames) <- BenchData.multiFrame
-      batch <- Seq(8, 16)
-      eb <- BenchData.PaperEbs
-      codec <- BenchData.codecs
-    } yield (ds, frames, batch, eb, codec)
-    val crs = Par.map(combos) { case (ds, frames, batch, eb, codec) =>
-      val c = codec.compress(frames, eb, batch)
-      (ds, batch, eb) -> (codec.name -> Metrics.compressionRatio(frames, c.payload.length.toLong))
-    }
-    crs.groupBy(_._1).toSeq
-      .sortBy { case ((ds, batch, eb), _) => (BenchData.multiFrame.indexWhere(_._1 == ds), batch, -eb) }
-      .map { case ((ds, batch, eb), vs) => Cell(ds, batch, eb, vs.map(_._2).toMap) }
+  /** Fig 11's keys: every codec on every (multi-frame dataset, batch, eb),
+    * in table order. */
+  def keys: Seq[CellGrid.Key] = for {
+    ds <- BenchData.MultiNames; batch <- Seq(8, 16); eb <- BenchData.PaperEbs; codec <- BenchData.codecs
+  } yield CellGrid.Key(ds, codec.name, eb, batch)
+
+  /** CR of every codec on every setting, read from the cell grid. */
+  def cells(): Seq[Cell] = keys.grouped(BenchData.codecs.size).toSeq.map { ks =>
+    Cell(ks.head.dataset, ks.head.batch, ks.head.eb, ks.map(k =>
+      k.codec -> Metrics.compressionRatio(BenchData.multi(k.dataset), CellGrid.multi(k).bytes)).toMap)
   }
 
   /** Fig. 11 as a table: CR per codec per setting. */
@@ -57,7 +52,7 @@ object RatioTables {
   /** The §8.2.3 quoted numbers: LCP's CR against the second best at batch
     * 16, per dataset (paper: Helium +78%, Copper +26%, LJ +12%, YIIP +104%). */
   def improvements(cs: Seq[Cell]): Seq[Improvement] =
-    BenchData.multiFrame.map(_._1).map { ds =>
+    BenchData.MultiNames.map { ds =>
       val mine = cs.filter(c => c.dataset == ds && c.batch == 16)
       // Aggregate over ebs by mean CR, as a table-level summary.
       val mean = BenchData.codecs.map(_.name)
