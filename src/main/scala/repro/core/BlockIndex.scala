@@ -73,23 +73,15 @@ object BlockIndex {
         Array.emptyLongArray, Array.emptyLongArray, Array.emptyLongArray,
         Array.emptyIntArray, 1L, 1L)
 
-    val bx = new Array[Long](n); val by = new Array[Long](n); val bz = new Array[Long](n)
-    var maxBx = 0L; var maxBy = 0L; var maxBz = 0L
-    var i = 0
-    while (i < n) {
-      bx(i) = fdiv(qf.qx(i), p); by(i) = fdiv(qf.qy(i), p); bz(i) = fdiv(qf.qz(i), p)
-      if (bx(i) > maxBx) maxBx = bx(i)
-      if (by(i) > maxBy) maxBy = by(i)
-      if (bz(i) > maxBz) maxBz = bz(i)
-      i += 1
-    }
-    require(fits(maxBx + 1, maxBy + 1, maxBz + 1),
+    // floorDiv by p is monotone, so the largest block index is the block
+    // index of the largest bin.
+    val bnx = fdiv(maxOf(qf.qx), p) + 1
+    val bny = fdiv(maxOf(qf.qy), p) + 1
+    require(fits(bnx, bny, fdiv(maxOf(qf.qz), p) + 1),
       s"block grid at p = $p exceeds $MaxGridCells blocks (see fittingP)")
-    val bnx = maxBx + 1
-    val bny = maxBy + 1
     val ids = new Array[Long](n)
-    i = 0
-    while (i < n) { ids(i) = bx(i) + bnx * by(i) + bnx * bny * bz(i); i += 1 }
+    var i = 0
+    while (i < n) { ids(i) = fdiv(qf.qx(i), p) + bnx * (fdiv(qf.qy(i), p) + bny * fdiv(qf.qz(i), p)); i += 1 }
 
     val perm = sortedIndicesBy(ids)
 
