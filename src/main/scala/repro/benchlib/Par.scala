@@ -9,8 +9,7 @@ import scala.jdk.CollectionConverters._
   */
 object Par {
   def map[A, B](in: Seq[A])(f: A => B): Seq[B] = {
-    val threads = math.max(2, Runtime.getRuntime.availableProcessors - 2)
-    val pool    = Executors.newFixedThreadPool(threads)
+    val pool = Executors.newFixedThreadPool(Runtime.getRuntime.availableProcessors)
     try {
       val futures = pool.invokeAll(in.map(a => new Callable[B] { def call(): B = f(a) }).asJava)
       futures.asScala.toSeq.map(_.get())

@@ -100,7 +100,7 @@ object IntCoder {
     emit(p, delta, buildCode(p).filter { case (c, h) => huffCost(c, h, p.n) < p.fixedCost })
   }
 
-  /** Encode with an explicit method choice (bench support for Table 3). */
+  /** Encode with an explicit method choice (tests check [[encode]]'s choice with it). */
   def encodeForced(a: Array[Long], delta: Boolean, useHuffman: Boolean): Array[Byte] = {
     val p = prepare(a, delta)
     emit(p, delta, if (useHuffman) buildCode(p) else None)

@@ -34,21 +34,23 @@ object Lcp {
     require(batchSize >= 1, "batch size must be >= 1")
   }
 
-  /** Per-frame metadata. `slot` indexes the anchor array when `inAnchor`,
-    * otherwise the payload list of the frame's batch. `anchorRef` is the
-    * anchor a first-in-batch temporal frame depends on (-1 otherwise). */
+  /** One frame's row of the frame table. `slot` indexes the anchor array
+    * when `inAnchor`, otherwise the payload list of the frame's batch.
+    * `anchorRef` is the anchor a first-in-batch temporal frame depends on
+    * (-1 otherwise). */
   final case class FrameEntry(temporal: Boolean, inAnchor: Boolean, slot: Int, anchorRef: Int)
 
   /** The compressed multi-frame container (§7.3's two output arrays plus
     * metadata). Self-contained: [[toBytes]]/[[fromBytes]] round-trip it.
-    * Construction checks the frame table and every list size against the
-    * S/T choices, so a decode only follows slots and references that exist. */
+    * It stores each frame's S/T choice and derives the frame table from them;
+    * construction checks every list size against that table, so a decode
+    * only follows slots and references that exist. */
   final case class LcpArchive(eb: Double, anchorEbScale: Double, batchSize: Int, p: Int,
-                              entries: IndexedSeq[FrameEntry],
+                              temporal: IndexedSeq[Boolean],
                               anchors: IndexedSeq[Array[Byte]],
                               batches: IndexedSeq[IndexedSeq[Array[Byte]]]) {
-    require(entries == LcpArchive.frameTable(entries.map(_.temporal), batchSize),
-      "archive frame table does not follow from its S/T choices")
+    /** Every frame's anchor or payload slot and anchor reference. */
+    val entries: IndexedSeq[FrameEntry] = LcpArchive.frameTable(temporal, batchSize)
     require(anchors.size == entries.count(_.inAnchor),
       s"archive: ${anchors.size} anchors for ${entries.count(_.inAnchor)} spatial batch heads")
     require(batches.size == (numFrames + batchSize - 1L) / batchSize,
@@ -56,7 +58,7 @@ object Lcp {
     batches.indices.foreach(b => require(batches(b).size == batchFrames(b).count(!entries(_).inAnchor),
       s"archive batch $b: ${batches(b).size} payloads do not match its frame table"))
 
-    def numFrames: Int = entries.size
+    def numFrames: Int = temporal.size
 
     /** The frames of batch `b`. */
     def batchFrames(b: Int): Range = b * batchSize until math.min(numFrames.toLong, (b + 1L) * batchSize).toInt
@@ -65,6 +67,10 @@ object Lcp {
       * counts all metadata — §8.1.3, MDZ note). */
     def compressedSizeBytes: Long = toBytes.length.toLong
 
+    /** Header, the S/T choices (one byte per frame: 0 = LCP-S, 1 = LCP-T),
+      * the anchor list, the batch count and each batch's list. The choices
+      * imply every count, but until a checksum covers the archive, the stored
+      * counts are what catch an edited batch size or a flipped head choice. */
     def toBytes: Array[Byte] = {
       val out = new ByteArrayOutputStream(1024)
       out.write('L'); out.write('C'); out.write('P'); out.write('1')
@@ -72,12 +78,7 @@ object Lcp {
       ByteIO.writeDouble(out, anchorEbScale)
       Zigzag.writeVarLong(out, batchSize.toLong)
       Zigzag.writeVarLong(out, p.toLong)
-      Zigzag.writeVarLong(out, entries.size.toLong)
-      entries.foreach { e =>
-        out.write((if (e.temporal) 1 else 0) | (if (e.inAnchor) 2 else 0))
-        Zigzag.writeVarLong(out, e.slot.toLong)
-        Zigzag.writeVarLong(out, Zigzag.encode(e.anchorRef.toLong))
-      }
+      ByteIO.writeSection(out, temporal.map(t => (if (t) 1 else 0).toByte).toArray)
       ByteIO.writeSections(out, anchors)
       Zigzag.writeVarLong(out, batches.size.toLong)
       batches.foreach(ByteIO.writeSections(out, _))
@@ -113,30 +114,26 @@ object Lcp {
       val scale     = ByteIO.readDouble(in)
       val batchSize = ByteIO.readCount(in, Int.MaxValue, "archive batch size")
       val p         = ByteIO.readCount(in, Int.MaxValue, "archive block size")
-      // Every entry and every batch takes at least one byte, so their counts
-      // cannot exceed the bytes remaining.
-      val entries = IndexedSeq.fill(ByteIO.readCount(in, in.available().toLong, "archive frame count")) {
-        val flags = in.read()
-        require(flags >= 0 && flags <= 3, s"archive frame flags: bad value $flags (-1 is end of stream)")
-        val slot  = ByteIO.readCount(in, Int.MaxValue, "frame slot")
-        val ref   = Zigzag.decode(Zigzag.readVarLong(in))
-        require(ref >= -1 && ref <= Int.MaxValue, s"frame anchor reference: bad value $ref")
-        FrameEntry((flags & 1) != 0, (flags & 2) != 0, slot, ref.toInt)
+      val temporal  = ByteIO.readSection(in).toIndexedSeq.map { m =>
+        require(m == 0 || m == 1, s"archive frame method: bad value $m (0 = LCP-S, 1 = LCP-T)")
+        m == 1
       }
       val anchors = ByteIO.readSections(in)
+      // Every batch takes at least a byte, which bounds their count.
       val batches = IndexedSeq.fill(ByteIO.readCount(in, in.available().toLong, "archive batch count"))(
         ByteIO.readSections(in))
-      LcpArchive(eb, scale, batchSize, p, entries, anchors, batches)
+      require(in.available() == 0, s"archive: ${in.available()} bytes after the last batch")
+      LcpArchive(eb, scale, batchSize, p, temporal, anchors, batches)
     }
   }
 
   /** Compression output. `perms(i)(s)` = original index of the particle at
     * stored slot s of frame i (codec-internal correspondence, used by tests
-    * to verify the error bound per particle). `methods` (derived from the
-    * archive's entries) and `tTrials` expose the FSM's behaviour for the
+    * to verify the error bound per particle). `methods` (the archive's S/T
+    * choices) and `tTrials` expose the FSM's behaviour for the
     * ablation/overhead benches. */
   final case class Result(archive: LcpArchive, perms: IndexedSeq[Array[Int]], tTrials: Int) {
-    def methods: IndexedSeq[Char] = archive.entries.map(e => if (e.temporal) 'T' else 'S')
+    def methods: IndexedSeq[Char] = archive.temporal.map(t => if (t) 'T' else 'S')
   }
 
   /** §7.4.2 micro-trial: compress a particle-sampled prefix of 3 batches
@@ -237,8 +234,7 @@ object Lcp {
       }
     }
 
-    val archive = LcpArchive(cfg.eb, scale, cfg.batchSize, p,
-      LcpArchive.frameTable(temporal.result(), cfg.batchSize), anchors.result(), batches.result())
+    val archive = LcpArchive(cfg.eb, scale, cfg.batchSize, p, temporal.result(), anchors.result(), batches.result())
     Result(archive, perms.result(), tTrials)
   }
 

@@ -56,7 +56,7 @@ object LcpSpark {
     * `batchesPerGroup` consecutive batches. Returns one blob row per group.
     * A group's frame indices must be consecutive and distinct, since a group
     * stores only its first index and its frame count. */
-  def compress(df: DataFrame, cfg: LcpConfig, batchesPerGroup: Int = 4): Dataset[CompressedGroup] = {
+  def compress(df: DataFrame, cfg: LcpConfig, batchesPerGroup: Int): Dataset[CompressedGroup] = {
     require(batchesPerGroup >= 1, s"batchesPerGroup must be at least 1, got $batchesPerGroup")
     val spark = df.sparkSession
     import spark.implicits._

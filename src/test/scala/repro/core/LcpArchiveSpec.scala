@@ -6,10 +6,10 @@ import repro.TestFrames
 import repro.coding.{ByteIO, Zigzag}
 import repro.core.Lcp._
 
-/** `LcpArchive.fromBytes` on archives whose header counts or frame tables
+/** `LcpArchive.fromBytes` on archives whose header counts or S/T choices
   * were rewritten: every count is checked before it is used, never
-  * truncated to an Int, and the frame table must be the one its S/T
-  * choices imply, with lists of the sizes it implies. */
+  * truncated to an Int, the lists must have the sizes the S/T choices
+  * imply, and no byte may follow the last batch. */
 class LcpArchiveSpec extends AnyFunSuite {
 
   private lazy val archive = Lcp.compress(TestFrames.copper(200, 4), LcpConfig(0.05, batchSize = 2)).archive
@@ -17,7 +17,8 @@ class LcpArchiveSpec extends AnyFunSuite {
   private val empty = LcpArchive(0.1, 1.0, 4, 1, IndexedSeq.empty, IndexedSeq.empty, IndexedSeq.empty)
 
   /** The offsets where header varint `k` (0 = batch size, 1 = p, 2 = frame
-    * count; the varints follow the magic and two doubles) starts and ends. */
+    * count, the length of the S/T section; the varints follow the magic and
+    * two doubles) starts and ends. */
   private def headerVarint(bytes: Array[Byte], k: Int): (Int, Int) = {
     val in = new ByteArrayInputStream(bytes, 20, bytes.length - 20)
     (0 until k).foreach(_ => Zigzag.readVarLong(in))
@@ -73,7 +74,7 @@ class LcpArchiveSpec extends AnyFunSuite {
       intercept[IllegalArgumentException](LcpArchive.fromBytes(withHeaderVarint(archive.toBytes, 0, size)))
   }
 
-  // Real archives whose frame table or lists are rewritten: the rewrite keeps
+  // Real archives whose S/T choices or lists are rewritten: the rewrite keeps
   // the header and writes the rest in `toBytes`'s layout, bypassing the
   // checks that `copy` now applies.
 
@@ -86,24 +87,17 @@ class LcpArchiveSpec extends AnyFunSuite {
   private lazy val twoAnchors = Lcp.compress(TestFrames.heliumThenCopper(500, 12), LcpConfig(0.01, batchSize = 4)).archive
 
   private def table(a: LcpArchive): String =
-    a.entries.map(e => if (e.temporal) 'T' else 'S').grouped(a.batchSize).map(_.mkString).mkString("|")
-
-  /** The end of the header: the offset of frame 0's flags byte. */
-  private def headerEnd(bytes: Array[Byte]): Int = headerVarint(bytes, 2)._2
+    a.temporal.map(t => if (t) 'T' else 'S').grouped(a.batchSize).map(_.mkString).mkString("|")
 
   /** `a`'s bytes with its header kept and the rest written from the given
-    * frame table and lists. */
-  private def rewritten(a: LcpArchive)(entries: IndexedSeq[FrameEntry] = a.entries,
+    * S/T choices and lists. */
+  private def rewritten(a: LcpArchive)(temporal: IndexedSeq[Boolean] = a.temporal,
                                        anchors: IndexedSeq[Array[Byte]] = a.anchors,
                                        batches: IndexedSeq[IndexedSeq[Array[Byte]]] = a.batches): Array[Byte] = {
     val bytes = a.toBytes
     val out   = new ByteArrayOutputStream()
-    out.write(bytes, 0, headerEnd(bytes))
-    entries.foreach { e =>
-      out.write((if (e.temporal) 1 else 0) | (if (e.inAnchor) 2 else 0))
-      Zigzag.writeVarLong(out, e.slot.toLong)
-      Zigzag.writeVarLong(out, Zigzag.encode(e.anchorRef.toLong))
-    }
+    out.write(bytes, 0, headerVarint(bytes, 2)._1)
+    ByteIO.writeSection(out, temporal.map(t => (if (t) 1 else 0).toByte).toArray)
     ByteIO.writeSections(out, anchors)
     Zigzag.writeVarLong(out, batches.size.toLong)
     batches.foreach(ByteIO.writeSections(out, _))
@@ -112,10 +106,6 @@ class LcpArchiveSpec extends AnyFunSuite {
 
   private def rejected(bytes: Array[Byte]): Unit =
     intercept[IllegalArgumentException](LcpArchive.fromBytes(bytes))
-
-  /** `a`'s bytes with frame `i`'s entry replaced by `f` of it. */
-  private def withEntry(a: LcpArchive, i: Int)(f: FrameEntry => FrameEntry): Array[Byte] =
-    rewritten(a)(entries = a.entries.updated(i, f(a.entries(i))))
 
   test("the rewrite of an unchanged archive is its own bytes, and the test tables are as documented") {
     for (a <- Seq(helium, twoAnchors)) assert(rewritten(a)().sameElements(a.toBytes))
@@ -138,7 +128,7 @@ class LcpArchiveSpec extends AnyFunSuite {
 
   test("copy checks the frame table and lists as fromBytes does") {
     intercept[IllegalArgumentException](helium.copy(batches = helium.batches.init))
-    intercept[IllegalArgumentException](helium.copy(entries = helium.entries.updated(2, helium.entries(1))))
+    intercept[IllegalArgumentException](helium.copy(temporal = helium.temporal.updated(4, false)))
   }
 
   test("a dropped last batch list is rejected") {
@@ -157,39 +147,27 @@ class LcpArchiveSpec extends AnyFunSuite {
     rejected(rewritten(helium)(batches = helium.batches.updated(0, helium.batches(0) :+ helium.batches(0)(0))))
   }
 
-  test("a non-head frame flagged as anchor 0 is rejected") {
-    rejected(withEntry(helium, 1)(_.copy(inAnchor = true, slot = 0)))
-  }
-
-  test("a frame given its predecessor's slot is rejected") {
-    rejected(withEntry(helium, 2)(_.copy(slot = helium.entries(1).slot)))
-  }
-
-  test("a payload slot or an anchor slot past its list is rejected") {
-    rejected(withEntry(helium, 1)(_.copy(slot = 99)))
-    rejected(withEntry(helium, 0)(_.copy(slot = 99)))
-  }
-
-  test("a temporal head without an anchor reference, or with one past the anchors, is rejected") {
-    for (ref <- Seq(-1, 50)) rejected(withEntry(helium, 4)(_.copy(anchorRef = ref)))
-  }
-
   test("a header batch size other than the frame table's is rejected") {
     for (size <- Seq(3L, 5L)) rejected(withHeaderVarint(helium.toBytes, 0, size))
   }
 
   test("a temporal frame 0 is rejected") {
-    rejected(withEntry(helium, 0)(_ => FrameEntry(temporal = true, inAnchor = false, 0, -1)))
+    rejected(rewritten(helium)(temporal = helium.temporal.updated(0, true)))
   }
 
-  test("a temporal head naming an older anchor than the latest is rejected") {
-    rejected(withEntry(twoAnchors, 8)(_.copy(anchorRef = 0)))
-  }
-
-  test("a flags byte with bit 2 set is rejected") {
+  test("a method byte other than 0 (LCP-S) or 1 (LCP-T) is rejected") {
     val bytes = helium.toBytes
-    bytes(headerEnd(bytes)) = (bytes(headerEnd(bytes)) | 4).toByte
+    bytes(headerVarint(bytes, 2)._2 + 1) = 2 // frame 1, an LCP-T frame
     rejected(bytes)
+  }
+
+  test("a flipped batch-head choice is rejected: frame 4 S to T, frame 8 T to S") {
+    rejected(rewritten(twoAnchors)(temporal = twoAnchors.temporal.updated(4, true)))
+    rejected(rewritten(twoAnchors)(temporal = twoAnchors.temporal.updated(8, false)))
+  }
+
+  test("bytes after the last batch are rejected") {
+    rejected(helium.toBytes :+ 0.toByte)
   }
 
   test("retrieval indices outside the archive fail fast") {
