@@ -351,6 +351,45 @@ object Huffman {
       out
     }
 
+    /** [[decode]] fused with the residual reconstruction of LCP-T: decodes
+      * `prev.length` symbols and writes `prev(i) + step(symbol i)` with no
+      * intermediate symbol array. `step` runs once per distinct symbol of
+      * the table, not once per value. The window loop and the canonical
+      * walk are [[decode]]'s. */
+    def decodeResiduals(bytes: Array[Byte], prev: Array[Double], step: Long => Double): Array[Double] = {
+      val m = prev.length
+      require(m == 0 || n > 0, "corrupt Huffman stream")
+      val steps = new Array[Double](n)
+      var k = 0
+      while (k < n) { steps(k) = step(vals(k)); k += 1 }
+      val out    = new Array[Double](m)
+      val limit  = 8L * bytes.length
+      val tb     = tableBits
+      val tab    = table
+      var bitPos = 0L
+      var i      = 0
+      while (i < m) {
+        val avail = math.min(64L - (bitPos & 7), limit - bitPos).toInt
+        var w     = BitPack.window(bytes, bitPos)
+        var used  = 0
+        var e     = 1
+        while (i < m && used + tb <= avail && { e = tab((w >>> (64 - tb)).toInt); e != 0 }) {
+          out(i) = prev(i) + steps(e >>> 6)
+          w <<= e & 63
+          used += e & 63
+          i += 1
+        }
+        bitPos += used
+        if (i < m && (e == 0 || limit - bitPos < tb)) {
+          val s = slowSymbol(bytes, bitPos, limit)
+          out(i) = prev(i) + steps((s >>> 6).toInt)
+          bitPos += s & 63
+          i += 1
+        }
+      }
+      out
+    }
+
     /** The code at `bitPos`, read bit by bit through the canonical tables
       * and never past `limit`: (canonical index << 6 | length). */
     private def slowSymbol(bytes: Array[Byte], bitPos: Long, limit: Long): Long = {

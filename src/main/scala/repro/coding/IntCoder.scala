@@ -112,33 +112,67 @@ object IntCoder {
     * fixed-length array is zigzag-decoded in place, and the delta prefix
     * sum runs last, in place. */
   def decode(in: ByteArrayInputStream, maxCount: Int = Int.MaxValue): Array[Long] = {
-    val flags = in.read()
-    require(flags >= 0, "IntCoder: EOF")
-    val delta = (flags & 1) != 0
-    val huff  = (flags & 2) != 0
+    val flags = readFlags(in)
     // The count comes from the input: it is checked against the caller's
     // bound and against the payload (a symbol takes at least one bit, a
     // fixed-length value its width) before the output is allocated.
     val n = ByteIO.readCount(in, maxCount, "IntCoder count")
     if (n == 0) return Array.emptyLongArray
     val z =
-      if (huff) {
-        val dec     = new Huffman.Decoder(in)
-        val payload = ByteIO.readSection(in)
-        require(n <= 8L * payload.length, s"IntCoder: $n symbols in ${payload.length} Huffman bytes")
-        dec.decode(payload, n)
-      } else {
-        val width = in.read()
-        val c     = FixedLength.decode(ByteIO.readSection(in), n, width)
+      if ((flags & 2) != 0) { val (dec, payload) = huffmanPayload(in, n); dec.decode(payload, n) }
+      else {
+        val c = fixedCodes(in, n)
         var i = 0
         while (i < n) { c(i) = Zigzag.decode(c(i)); i += 1 }
         c
       }
-    if (delta) {
+    if ((flags & 1) != 0) {
       var prev = 0L
       var i    = 0
       while (i < n) { prev += z(i); z(i) = prev; i += 1 }
     }
     z
+  }
+
+  /** Decode a residual array, written by `encode(q, delta = false)`,
+    * straight into `prev(i) + step(q(i))` (LCP-T's reconstruction). The
+    * count must be `prev.length`, and a delta-coded array is rejected. A
+    * Huffman array decodes with no intermediate `Long` array and `step`
+    * evaluated once per distinct symbol; a fixed-length array is unpacked,
+    * then reconstructed in one pass. */
+  def decodeResiduals(in: ByteArrayInputStream, prev: Array[Double], step: Long => Double): Array[Double] = {
+    val flags = readFlags(in)
+    require((flags & 1) == 0, "IntCoder: a residual array is never delta coded")
+    val n = ByteIO.readCount(in, prev.length, "IntCoder residual count")
+    require(n == prev.length, s"IntCoder: $n residuals for ${prev.length} predictions")
+    if (n == 0) Array.emptyDoubleArray
+    else if ((flags & 2) != 0) { val (dec, payload) = huffmanPayload(in, n); dec.decodeResiduals(payload, prev, step) }
+    else {
+      val c   = fixedCodes(in, n)
+      val out = new Array[Double](n)
+      var i   = 0
+      while (i < n) { out(i) = prev(i) + step(Zigzag.decode(c(i))); i += 1 }
+      out
+    }
+  }
+
+  private def readFlags(in: ByteArrayInputStream): Int = {
+    val flags = in.read()
+    require(flags >= 0, "IntCoder: EOF")
+    flags
+  }
+
+  /** The table and payload of a Huffman array of `n` symbols. */
+  private def huffmanPayload(in: ByteArrayInputStream, n: Int): (Huffman.Decoder, Array[Byte]) = {
+    val dec     = new Huffman.Decoder(in)
+    val payload = ByteIO.readSection(in)
+    require(n <= 8L * payload.length, s"IntCoder: $n symbols in ${payload.length} Huffman bytes")
+    (dec, payload)
+  }
+
+  /** The `n` zigzag codes of a fixed-length array. */
+  private def fixedCodes(in: ByteArrayInputStream, n: Int): Array[Long] = {
+    val width = in.read()
+    FixedLength.decode(ByteIO.readSection(in), n, width)
   }
 }

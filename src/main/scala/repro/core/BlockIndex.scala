@@ -140,14 +140,18 @@ object BlockIndex {
     out
   }
 
-  /** Rebuild quantization bins from grouped block data (decompression side).
-    * The counts come from the input: one per block id, each at least 1 (no
-    * empty block is stored), summing to the particle count. They are
-    * checked before any bin is written. */
+  /** Rebuild the frame from grouped block data (decompression side): each
+    * particle's bin, `block · p + relative position`, dequantized by Eq. 5
+    * against the dimension's minimum in the same pass. The counts come from
+    * the input: one per block id, each at least 1 (no empty block is
+    * stored), summing to the particle count. They are checked before any
+    * coordinate is written. */
   def ungroup(blockIds: Array[Long], counts: Array[Long],
               relX: Array[Long], relY: Array[Long], relZ: Array[Long],
-              p: Int, bnx: Long, bny: Long): (Array[Long], Array[Long], Array[Long]) = {
+              p: Int, bnx: Long, bny: Long,
+              minX: Double, minY: Double, minZ: Double, eb: Double): Frame = {
     val n = relX.length
+    require(relY.length == n && relZ.length == n, s"relative positions: ${relX.length}, ${relY.length}, ${relZ.length}")
     require(counts.length == blockIds.length, s"${counts.length} block counts for ${blockIds.length} blocks")
     var total = 0L
     var k     = 0
@@ -158,7 +162,7 @@ object BlockIndex {
       k += 1
     }
     require(total == n, s"block counts ($total) disagree with particle total ($n)")
-    val qx = new Array[Long](n); val qy = new Array[Long](n); val qz = new Array[Long](n)
+    val x = new Array[Double](n); val y = new Array[Double](n); val z = new Array[Double](n)
     var pos = 0
     var b   = 0
     while (b < blockIds.length) {
@@ -169,14 +173,14 @@ object BlockIndex {
       val bx  = rem - by * bnx
       var c = 0L
       while (c < counts(b)) {
-        qx(pos) = bx * p + relX(pos)
-        qy(pos) = by * p + relY(pos)
-        qz(pos) = bz * p + relZ(pos)
+        x(pos) = Quantizer.dequantize(bx * p + relX(pos), minX, eb)
+        y(pos) = Quantizer.dequantize(by * p + relY(pos), minY, eb)
+        z(pos) = Quantizer.dequantize(bz * p + relZ(pos), minZ, eb)
         pos += 1
         c += 1
       }
       b += 1
     }
-    (qx, qy, qz)
+    Frame(x, y, z)
   }
 }

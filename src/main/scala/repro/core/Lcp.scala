@@ -244,15 +244,27 @@ object Lcp {
     * frame it references. Each later temporal frame decodes against its
     * predecessor, so only the previous frame is kept live. `anchor(k)` is
     * the decoded anchor frame k, for a spatial frame stored as an anchor
-    * and for a head's temporal basis alike. */
+    * and for a head's temporal basis alike.
+    *
+    * A frame that does not decode raises an `IllegalArgumentException`
+    * naming the frame, its batch and its stored method, caused by the
+    * decoder's own error: the S/T choices are not checksummed, so a flipped
+    * non-head choice passes `fromBytes` and surfaces only here. */
   private def decodeChain(a: LcpArchive, batchIdx: Int, from: Int, to: Int, anchor: Int => Frame): Iterator[Frame] = {
     val head = batchIdx * a.batchSize
     var prev: Frame = null
     (from to to).iterator.map { i =>
       val e = a.entries(i)
       prev =
-        if (!e.temporal) { if (e.inAnchor) anchor(e.slot) else LcpS.decompress(a.batches(batchIdx)(e.slot)) }
-        else LcpT.decompress(a.batches(batchIdx)(e.slot), if (i == head) anchor(e.anchorRef) else prev)
+        try {
+          if (!e.temporal) { if (e.inAnchor) anchor(e.slot) else LcpS.decompress(a.batches(batchIdx)(e.slot)) }
+          else LcpT.decompress(a.batches(batchIdx)(e.slot), if (i == head) anchor(e.anchorRef) else prev)
+        } catch {
+          case err: IllegalArgumentException =>
+            throw new IllegalArgumentException(
+              s"LCP archive: frame $i (batch $batchIdx, stored as LCP-${if (e.temporal) "T" else "S"}) " +
+                s"does not decode: ${err.getMessage}", err)
+        }
       prev
     }
   }

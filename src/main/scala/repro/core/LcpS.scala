@@ -78,8 +78,7 @@ object LcpS {
     val Array(blockIds, counts, relX, relY, relZ) =
       ByteIO.readBody(in, 5).map(s => IntCoder.decode(new ByteArrayInputStream(s), n))
     require(relX.length == n, s"decoded ${relX.length} particles, expected $n")
-    val (qx, qy, qz) = BlockIndex.ungroup(blockIds, counts, relX, relY, relZ, p, bnx, bny)
-    QFrame(qx, qy, qz, mx, my, mz, eb).dequantize
+    BlockIndex.ungroup(blockIds, counts, relX, relY, relZ, p, bnx, bny, mx, my, mz, eb)
   }
 
   /** Per-section encoded sizes (block ids, counts, rel pos) under both

@@ -57,13 +57,9 @@ object LcpT {
     val stored = Zigzag.readVarLong(in)
     require(stored == n, s"frame length $stored does not match previous frame $n")
     val eb   = ByteIO.readDouble(in)
+    val step = (q: Long) => Quantizer.residualStep(q, eb)
     val dims = ByteIO.readBody(in, 3).zip(Array(prevRecon.x, prevRecon.y, prevRecon.z)).map { case (section, prev) =>
-      val q = IntCoder.decode(new ByteArrayInputStream(section), n)
-      require(q.length == n, "decoded length mismatch")
-      val r = new Array[Double](n)
-      var i = 0
-      while (i < n) { r(i) = Quantizer.reconResidual(prev(i), q(i), eb); i += 1 }
-      r
+      IntCoder.decodeResiduals(new ByteArrayInputStream(section), prev, step)
     }
     Frame(dims(0), dims(1), dims(2))
   }

@@ -50,7 +50,13 @@ object Quantizer {
     q
   }
 
-  @inline def reconResidual(pred: Double, q: Long, eb: Double): Double = pred + 2.0 * eb * q
+  @inline def reconResidual(pred: Double, q: Long, eb: Double): Double = pred + residualStep(q, eb)
+
+  /** The offset `2·eb·q` of residual bin `q` from its prediction. The
+    * encoder's reconstruction and both decode loops of LCP-T (per distinct
+    * Huffman symbol, per fixed-length value) evaluate this one expression,
+    * so their doubles agree bit for bit. */
+  @inline def residualStep(q: Long, eb: Double): Double = 2.0 * eb * q
 
   /** `v`, which must be finite: no bin holds NaN or ±Inf, and a non-finite
     * minimum would shift every bin of its dimension. */

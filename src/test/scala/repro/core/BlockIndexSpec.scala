@@ -47,17 +47,33 @@ class BlockIndexSpec extends AnyFunSuite with PropSupport {
     assert(g.perm.sorted.sameElements(Array.range(0, 1500)))
   }
 
-  test("ungroup inverts group") {
-    val f  = TestFrames.lj(1200).head
-    val qf = Quantizer.quantizeFrame(f, 0.02)
-    val g  = BlockIndex.group(qf, 32)
-    val (qx, qy, qz) = BlockIndex.ungroup(g.blockIds, g.counts, g.relX, g.relY, g.relZ, 32, g.bnx, g.bny)
+  /** `ungroup` of `qf`'s grouping at `p` holds, at each stored slot, the
+    * Eq. 5 dequantization of the original particle's exact bins. */
+  private def assertUngroupInverts(qf: Quantizer.QFrame, p: Int): Unit = {
+    val g = BlockIndex.group(qf, p)
+    val r = BlockIndex.ungroup(g.blockIds, g.counts, g.relX, g.relY, g.relZ, p, g.bnx, g.bny,
+      qf.minX, qf.minY, qf.minZ, qf.eb)
+    assert(r.n == qf.n)
+    def same(a: Double, q: Long, min: Double) =
+      java.lang.Double.doubleToRawLongBits(a) == java.lang.Double.doubleToRawLongBits(Quantizer.dequantize(q, min, qf.eb))
     var i = 0
-    while (i < f.n) {
+    while (i < qf.n) {
       val j = g.perm(i)
-      assert(qx(i) == qf.qx(j) && qy(i) == qf.qy(j) && qz(i) == qf.qz(j))
+      assert(same(r.x(i), qf.qx(j), qf.minX) && same(r.y(i), qf.qy(j), qf.minY) && same(r.z(i), qf.qz(j), qf.minZ),
+        s"p = $p, slot $i")
       i += 1
     }
+  }
+
+  test("ungroup inverts group") {
+    assertUngroupInverts(Quantizer.quantizeFrame(TestFrames.lj(1200).head, 0.02), 32)
+  }
+
+  test("ungroup rejects relative positions of unequal lengths") {
+    val g = BlockIndex.group(Quantizer.quantizeFrame(TestFrames.lj(300).head, 0.02), 32)
+    for ((ry, rz) <- Seq((g.relY.init, g.relZ), (g.relY, g.relZ.init)))
+      intercept[IllegalArgumentException](
+        BlockIndex.ungroup(g.blockIds, g.counts, g.relX, ry, rz, 32, g.bnx, g.bny, 0.0, 0.0, 0.0, 0.02))
   }
 
   test("p=1 gives one block per occupied bin with zero rel positions") {
@@ -93,17 +109,7 @@ class BlockIndexSpec extends AnyFunSuite with PropSupport {
 
   test("property: group/ungroup roundtrip on random frames") {
     val pGen = Gen.oneOf(1, 4, 8, 64, 512)
-    forAllG2(TestFrames.frameGen, pGen) { (f, p) =>
-      val qf = Quantizer.quantizeFrame(f, 0.05)
-      val g  = BlockIndex.group(qf, p)
-      val (qx, qy, qz) = BlockIndex.ungroup(g.blockIds, g.counts, g.relX, g.relY, g.relZ, p, g.bnx, g.bny)
-      var i = 0
-      while (i < f.n) {
-        val j = g.perm(i)
-        assert(qx(i) == qf.qx(j) && qy(i) == qf.qy(j) && qz(i) == qf.qz(j))
-        i += 1
-      }
-    }
+    forAllG2(TestFrames.frameGen, pGen)((f, p) => assertUngroupInverts(Quantizer.quantizeFrame(f, 0.05), p))
   }
   test("property: sortedIndicesBy equals a stable sort for any keys") {
     val keyGen = Gen.oneOf(Gen.choose(0L, 50L), Gen.choose(Long.MinValue, Long.MaxValue), Gen.choose(-3L, 3L))

@@ -166,6 +166,18 @@ class LcpArchiveSpec extends AnyFunSuite {
     rejected(rewritten(twoAnchors)(temporal = twoAnchors.temporal.updated(8, false)))
   }
 
+  test("a flipped non-head choice fails at decode naming the frame, batch and method: frames 1, 2, 5 T to S") {
+    for (k <- Seq(1, 2, 5)) {
+      val a = LcpArchive.fromBytes(rewritten(helium)(temporal = helium.temporal.updated(k, false)))
+      val e = intercept[IllegalArgumentException](Lcp.decompressAll(a))
+      assert(e.getMessage.startsWith(s"LCP archive: frame $k (batch ${k / 4}, stored as LCP-S) does not decode: "),
+        e.getMessage)
+      assert(e.getCause.isInstanceOf[IllegalArgumentException] && e.getMessage.endsWith(e.getCause.getMessage))
+      assert(intercept[IllegalArgumentException](Lcp.decompressBatch(a, k / 4)).getMessage == e.getMessage)
+      assert(intercept[IllegalArgumentException](Lcp.decompressFrame(a, k)).getMessage == e.getMessage)
+    }
+  }
+
   test("bytes after the last batch are rejected") {
     rejected(helium.toBytes :+ 0.toByte)
   }

@@ -6,7 +6,8 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.PropSupport
 import repro.coding.{ByteIO, FixedLength, Huffman, IntCoder, Zigzag}
 
-/** LCP-T's residual decode against its reference: every decoded double
+/** LCP-T's residual decode (`IntCoder.decodeResiduals`, directly and
+  * through `LcpT.decompress`) against its reference: every decoded double
   * equals `Quantizer.reconResidual(prev, q, eb)` of the bins `IntCoder.decode`
   * returns, bit for bit. The sections cover the Huffman window table and
   * codes longer than it (the canonical walk), every fixed-length width that
@@ -34,8 +35,8 @@ class ResidualDecodeSpec extends AnyFunSuite with PropSupport {
     a.length == b.length && a.indices.forall(i =>
       java.lang.Double.doubleToRawLongBits(a(i)) == java.lang.Double.doubleToRawLongBits(b(i)))
 
-  /** Decode the three sections through LCP-T and check each dimension
-    * against the reference. */
+  /** Decode the three sections through LCP-T, and each one alone, and
+    * check every dimension against the reference. */
   private def check(sections: Seq[Array[Byte]], eb: Double, seed: Long): Unit = {
     val n    = IntCoder.decode(new ByteArrayInputStream(sections.head)).length
     val rng  = new java.util.Random(seed)
@@ -43,8 +44,12 @@ class ResidualDecodeSpec extends AnyFunSuite with PropSupport {
       Array.fill(n)(rng.nextDouble() * 1e-3))
     val Seq(sx, sy, sz) = sections
     val d    = LcpT.decompress(frameBytes(prev, eb, sx, sy, sz), prev)
-    for ((got, section, p) <- Seq((d.x, sx, prev.x), (d.y, sy, prev.y), (d.z, sz, prev.z)))
-      assert(sameBits(got, reference(section, p, eb)), s"n = $n, eb = $eb")
+    for ((got, section, p) <- Seq((d.x, sx, prev.x), (d.y, sy, prev.y), (d.z, sz, prev.z))) {
+      val expected = reference(section, p, eb)
+      assert(sameBits(got, expected), s"n = $n, eb = $eb")
+      val direct = IntCoder.decodeResiduals(new ByteArrayInputStream(section), p, Quantizer.residualStep(_, eb))
+      assert(sameBits(direct, expected), s"n = $n, eb = $eb")
+    }
   }
 
   /** A fixed-length residual section of the zigzag codes `z` at `width`
@@ -139,9 +144,18 @@ class ResidualDecodeSpec extends AnyFunSuite with PropSupport {
     val ok = IntCoder.encode(Array.fill(prev.n)(0L), delta = false)
     for (sections <- Seq(Seq(section, ok, ok), Seq(ok, ok, section)))
       intercept[IllegalArgumentException](LcpT.decompress(frameBytes(prev, 1e-2, sections(0), sections(1), sections(2)), prev))
+    intercept[IllegalArgumentException](
+      IntCoder.decodeResiduals(new ByteArrayInputStream(section), prev.x, Quantizer.residualStep(_, 1e-2)))
   }
 
   private val prev500 = repro.TestFrames.helium(500, 1).head
+
+  test("a delta-coded residual section is rejected (LCP-T never writes one)") {
+    val rng = new java.util.Random(7)
+    val q   = Array.fill(prev500.n)(rng.nextInt(9).toLong - 4)
+    for (useHuffman <- Seq(true, false))
+      rejected(prev500, IntCoder.encodeForced(q, delta = true, useHuffman))
+  }
 
   test("a residual count other than the particle count is rejected") {
     val rng = new java.util.Random(9)
