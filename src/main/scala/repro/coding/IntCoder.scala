@@ -113,20 +113,22 @@ object IntCoder {
     * sum runs last, in place. */
   def decode(in: ByteArrayInputStream, maxCount: Int = Int.MaxValue): Array[Long] = {
     val flags = readFlags(in)
+    val delta = (flags & 1) != 0
+    val huff  = (flags & 2) != 0
     // The count comes from the input: it is checked against the caller's
     // bound and against the payload (a symbol takes at least one bit, a
     // fixed-length value its width) before the output is allocated.
     val n = ByteIO.readCount(in, maxCount, "IntCoder count")
     if (n == 0) return Array.emptyLongArray
     val z =
-      if ((flags & 2) != 0) { val (dec, payload) = huffmanPayload(in, n); dec.decode(payload, n) }
+      if (huff) { val (dec, payload) = huffmanPayload(in, n); dec.decode(payload, n) }
       else {
         val c = fixedCodes(in, n)
         var i = 0
         while (i < n) { c(i) = Zigzag.decode(c(i)); i += 1 }
         c
       }
-    if ((flags & 1) != 0) {
+    if (delta) {
       var prev = 0L
       var i    = 0
       while (i < n) { prev += z(i); z(i) = prev; i += 1 }
