@@ -21,6 +21,14 @@ object TestFrames {
   def warpx(n: Int = 3000): Frame                                = Particles.warpx(n, 17)
   def threeDep(n: Int = 3000): Frame                             = Particles.threeDep(n, 18)
 
+  /** Single frames of 1, 2, 3 and 17 particles: the sizes at which SZ3's
+    * interpolation levels start and stop. */
+  def fewParticles: IndexedSeq[Frame] = IndexedSeq(1, 2, 3, 17).map(n => helium(n, 1).head)
+
+  /** One frame of 40 000 particles: SZ3's top interpolation stride is
+    * capped at 2^14 there, below the largest power of two under n. */
+  def manyParticles: IndexedSeq[Frame] = helium(40000, 1)
+
   /** One small frame of every dataset (names match the paper's Table 1). */
   def oneOfEach: Seq[(String, Frame)] = Seq(
     "BUN-ZIPPER" -> bunny(), "Copper" -> copper().head, "Helium" -> helium().head,

@@ -64,6 +64,17 @@ class DecodeDigestSpec extends AnyFunSuite {
          DracoLike -> "07cd682abdc6e0a600c936b849c0ee2e99f0fae5e70d11bb3461272d5fb6818a"))
     baselineCell(codec, "copper 800x8, eb 0.02, batch 4", copper, 0.02, 4, digest)
 
+  for ((codec, few, many) <- Seq(
+         (Sz2Like,
+          "9bd2c7ce5269827b6b4f747af2d82e67984e6474665e722b2a231bef79b7a3b2",
+          "4d1e219432def5891c6821f99d57122c03cc1bbec1878d5596f0b8bbbd7831d6"),
+         (Sz3Like,
+          "3767c91b90f41c4ca29fba1813b024f6ad34c81902cab18cf9153410b74ffcc6",
+          "80f7523524fc8572dc33b2ebb348190646493e5b846e82efda6848718719c735"))) {
+    baselineCell(codec, "frames of 1, 2, 3 and 17 particles, eb 0.02", TestFrames.fewParticles, 0.02, 1, few)
+    baselineCell(codec, "helium 40000x1, eb 0.02", TestFrames.manyParticles, 0.02, 1, many)
+  }
+
   baselineCell(MdzLike, "lj 600x9, eb 0.02, batch 3 (temporal in every batch)",
     TestFrames.lj(600, 9), 0.02, 3,
     "e170686d969fa98156466ad23edc047a512318e86cb9ee5579a53cbb7f0d1a66")

@@ -47,6 +47,21 @@ class GoldenArchiveSpec extends AnyFunSuite {
     }
   }
 
+  for ((codec, few, many) <- Seq(
+         (Sz2Like,
+          "9c430b5955b3f17a4d561115c21e5e91af6489c0afad0fc8dc779568bb246d74",
+          "f990e55a406cd43c5da44e5d449cd6c0076b233c25e70aabc6039909ac71b6e5"),
+         (Sz3Like,
+          "87cc329f08077c802cf3407cc77fafa5fa7ad36ab919c24b7c33167b82238344",
+          "8bd6a2db1e5044b1fbb84a288d69f99d85a88bcb2c99cd46d08a252b6289d30c"));
+       (cell, frames, digest) <- Seq(
+         ("frames of 1, 2, 3 and 17 particles", () => TestFrames.fewParticles, few),
+         ("helium 40000x1", () => TestFrames.manyParticles, many)))
+    test(s"${codec.name} golden payload: $cell, eb 0.02") {
+      val got = sha256(codec.compress(frames(), 0.02, 1).payload)
+      assert(got == digest, s"GOLDEN ${codec.name} $cell -> $got")
+    }
+
   /** The mode byte of every MDZ batch (1 = temporal, 0 = spatial); the
     * payload is a batch count, then per batch its mode byte, a frame count
     * and the frames as sections. */

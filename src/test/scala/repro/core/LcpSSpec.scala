@@ -26,13 +26,24 @@ class LcpSSpec extends AnyFunSuite with PropSupport {
     assert(Metrics.withinBound(Metrics.maxAbsError(f, d, perm), 0.01))
   }
 
-  test("decompressed frame equals compressor-side reconstruction") {
-    val f = TestFrames.bunny(800)
-    val r = LcpS.compress(f, 0.01, 64)
+  private def sameBits(a: Array[Double], b: Array[Double]): Boolean =
+    a.length == b.length &&
+      a.indices.forall(i => java.lang.Double.doubleToRawLongBits(a(i)) == java.lang.Double.doubleToRawLongBits(b(i)))
+
+  /** The reconstruction LCP-T predicts from is the decoder's output, bit for bit. */
+  private def reconIsDecoded(f: Frame, eb: Double, p: Int): Unit = {
+    val r = LcpS.compress(f, eb, p)
     val d = LcpS.decompress(r.bytes)
-    (0 until f.n).foreach { i =>
-      assert(d.x(i) == r.recon.x(i) && d.y(i) == r.recon.y(i) && d.z(i) == r.recon.z(i))
-    }
+    assert(sameBits(r.recon.x, d.x) && sameBits(r.recon.y, d.y) && sameBits(r.recon.z, d.z), s"n=${f.n} eb=$eb p=$p")
+  }
+
+  test("decompressed frame equals compressor-side reconstruction") {
+    val gen = for { f <- TestFrames.frameGen; eb <- TestFrames.ebGen; p <- Gen.oneOf(1, 8, 64, 65536) } yield (f, eb, p)
+    forAllG(gen) { case (f, eb, p) => reconIsDecoded(f, eb, p) }
+    // At p = 1 this grid has more than MaxGridCells blocks, so fittingP raises p.
+    val wide = Frame(Array(0.0, 1000.0, 3.0), Array(0.0, 1000.0, 7.0), Array(0.0, 1000.0, 11.0))
+    assert(BlockIndex.fittingP(Quantizer.quantizeFrame(wide, 1e-6), 1) > 1)
+    reconIsDecoded(wide, 1e-6, 1)
   }
 
   test("error bound holds on every dataset at three bounds") {
