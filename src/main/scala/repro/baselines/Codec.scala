@@ -1,7 +1,7 @@
 package repro.baselines
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
-import repro.coding.ByteIO
+import repro.coding.{ByteIO, IntCoder, Zigzag}
 import repro.core.Frame
 
 /** Compression result: the serialized payload (all metadata included) plus
@@ -42,4 +42,38 @@ trait FrameWiseCodec extends ParticleCodec {
 
   final override def decompress(payload: Array[Byte]): IndexedSeq[Frame] =
     ByteIO.readSections(new ByteArrayInputStream(payload)).map(decompressFrame)
+}
+
+/** Frame-wise codec with the SZ frame layout: the particle count, the
+  * error bound, then a body of three sections, one `IntCoder` array of
+  * residual bin indices per coordinate (no delta). A subtype supplies only
+  * how one coordinate array maps to its indices and back. Order-preserving.
+  */
+trait SzFrameCodec extends FrameWiseCodec {
+  /** One residual bin index per value of `v`. */
+  protected def encodeDim(v: Array[Double], eb: Double): Array[Long]
+
+  /** The values [[encodeDim]] reconstructs from its indices `q`. */
+  protected def decodeDim(q: Array[Long], eb: Double): Array[Double]
+
+  final override def compressFrame(f: Frame, eb: Double): (Array[Byte], Array[Int]) = {
+    val out = new ByteArrayOutputStream(f.n + 64)
+    Zigzag.writeVarLong(out, f.n.toLong)
+    ByteIO.writeDouble(out, eb)
+    ByteIO.writeBody(out, Seq(f.x, f.y, f.z).map(dim => IntCoder.encode(encodeDim(dim, eb), delta = false)): _*)
+    (out.toByteArray, null)
+  }
+
+  final override def decompressFrame(bytes: Array[Byte]): Frame = {
+    val in = new ByteArrayInputStream(bytes)
+    val n  = ByteIO.readCount(in, Int.MaxValue, s"$name particle count")
+    val eb = ByteIO.readDouble(in)
+    val dims = ByteIO.readBody(in, 3).map { section =>
+      val q = IntCoder.decode(new ByteArrayInputStream(section), n)
+      // One index per value, so the decoded array bounds the header's count.
+      require(q.length == n, s"$name: ${q.length} indices for $n particles")
+      decodeDim(q, eb)
+    }
+    Frame(dims(0), dims(1), dims(2))
+  }
 }

@@ -8,14 +8,13 @@ import repro.data.Particles
   *
   * Sizes target the SF≈0.1 regime of the brief (~100 MB of work overall):
   * the paper's datasets are GB–TB scale, ours keep the same structure at
-  * 10⁴–10⁵ particles (see DESIGN.md §2). Override with BENCH_MULTI_N /
-  * BENCH_SINGLE_N / BENCH_FRAMES for larger runs.
+  * 10⁴–10⁵ particles (see DESIGN.md §2).
   */
 object BenchData {
 
-  val MultiN: Int      = sys.env.getOrElse("BENCH_MULTI_N", "40000").toInt
-  val MultiFrames: Int = sys.env.getOrElse("BENCH_FRAMES", "32").toInt
-  val SingleN: Int     = sys.env.getOrElse("BENCH_SINGLE_N", "100000").toInt
+  val MultiN: Int      = 40000
+  val MultiFrames: Int = 32
+  val SingleN: Int     = 100000
 
   /** All eight codecs of §8.1.3 minus TMC2, excluded exactly as the paper
     * excludes it (§8.2: point-count not preserved, 16-bit-only

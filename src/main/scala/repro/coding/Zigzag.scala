@@ -42,7 +42,9 @@ object Zigzag {
     p + 1
   }
 
-  /** Read an unsigned LEB128 varint written by [[writeVarLong]]. */
+  /** Read an unsigned LEB128 varint written by [[writeVarLong]]. A 64-bit
+    * value takes at most 10 bytes, the 10th holding only bit 63; a longer
+    * or wider varint is rejected, since `<<` would wrap its shift. */
   def readVarLong(in: java.io.InputStream): Long = {
     var shift = 0
     var out   = 0L
@@ -50,6 +52,7 @@ object Zigzag {
     do {
       b = in.read()
       require(b >= 0, "varint: unexpected end of stream")
+      require(shift < 63 || b <= 1, "varint: wider than 64 bits")
       out |= (b & 0x7fL) << shift
       shift += 7
     } while ((b & 0x80) != 0)

@@ -18,11 +18,12 @@ object BlockIndex {
     * @param counts     particles per non-empty block (aligned with blockIds)
     * @param relX/Y/Z   relative positions (q mod p) in block order
     * @param perm       perm(i) = original index of the particle stored at i
+    * @param p          bins per block side
     * @param bnx/bny    block-grid extent in x and y (needed to delinearize)
     */
   final case class Grouped(blockIds: Array[Long], counts: Array[Long],
                            relX: Array[Long], relY: Array[Long], relZ: Array[Long],
-                           perm: Array[Int], bnx: Long, bny: Long)
+                           perm: Array[Int], p: Int, bnx: Long, bny: Long)
 
   /** Euclidean floor-div for possibly negative bins (bins are >= 0 after
     * Eq. 5 quantization against the min, but keep this total for safety). */
@@ -71,7 +72,7 @@ object BlockIndex {
     if (n == 0)
       return Grouped(Array.emptyLongArray, Array.emptyLongArray,
         Array.emptyLongArray, Array.emptyLongArray, Array.emptyLongArray,
-        Array.emptyIntArray, 1L, 1L)
+        Array.emptyIntArray, p, 1L, 1L)
 
     // floorDiv by p is monotone, so the largest block index is the block
     // index of the largest bin.
@@ -105,7 +106,7 @@ object BlockIndex {
       relX(i) = fmod(qf.qx(j), p); relY(i) = fmod(qf.qy(j), p); relZ(i) = fmod(qf.qz(j), p)
       i += 1
     }
-    Grouped(blockIds, counts, relX, relY, relZ, perm, bnx, bny)
+    Grouped(blockIds, counts, relX, relY, relZ, perm, p, bnx, bny)
   }
 
   /** Indices 0..n-1 sorted ascending by key, ties in index order, through

@@ -28,23 +28,24 @@ object LcpS {
   /** Compress `f` at absolute error bound `eb` with block parameter `p`
     * (raised to [[BlockIndex.fittingP]] when the grid would overflow). */
   def compress(f: Frame, eb: Double, p: Int): SResult = {
-    val qf           = Quantizer.quantizeFrame(f, eb)
-    val (bytes, grp) = encode(qf, p)
-    // Reconstruction in stored order = dequantized bins in block order.
-    SResult(bytes, grp.perm, reorderQ(qf, grp.perm).dequantize)
+    val qf         = Quantizer.quantizeFrame(f, eb)
+    val (bytes, g) = encode(qf, p)
+    // The decoder's own rebuild, so LCP-T predicts from exactly the frame
+    // a reader decompresses.
+    SResult(bytes, g.perm, BlockIndex.ungroup(g.blockIds, g.counts, g.relX, g.relY, g.relZ,
+      g.p, g.bnx, g.bny, qf.minX, qf.minY, qf.minZ, qf.eb))
   }
 
   /** The frame bytes of [[compress]] for an already quantized frame, and
     * its block grouping, without the reconstruction: the §7.4.1 sweep
     * scores every candidate p through this and needs only the size. */
   private[core] def encode(qf: QFrame, p: Int): (Array[Byte], BlockIndex.Grouped) = {
-    val pFit    = BlockIndex.fittingP(qf, p)
-    val grouped = BlockIndex.group(qf, pFit)
+    val grouped = BlockIndex.group(qf, BlockIndex.fittingP(qf, p))
 
     val out = new ByteArrayOutputStream(qf.n + 96)
     Zigzag.writeVarLong(out, qf.n.toLong)
     ByteIO.writeDouble(out, qf.eb)
-    Zigzag.writeVarLong(out, pFit.toLong)
+    Zigzag.writeVarLong(out, grouped.p.toLong)
     ByteIO.writeDouble(out, qf.minX); ByteIO.writeDouble(out, qf.minY); ByteIO.writeDouble(out, qf.minZ)
     Zigzag.writeVarLong(out, grouped.bnx)
     Zigzag.writeVarLong(out, grouped.bny)
@@ -54,14 +55,6 @@ object LcpS {
       IntCoder.encode(grouped.blockIds), IntCoder.encode(grouped.counts),
       IntCoder.encode(grouped.relX), IntCoder.encode(grouped.relY), IntCoder.encode(grouped.relZ))
     (out.toByteArray, grouped)
-  }
-
-  private def reorderQ(qf: QFrame, perm: Array[Int]): QFrame = {
-    val n  = qf.n
-    val qx = new Array[Long](n); val qy = new Array[Long](n); val qz = new Array[Long](n)
-    var i = 0
-    while (i < n) { val j = perm(i); qx(i) = qf.qx(j); qy(i) = qf.qy(j); qz(i) = qf.qz(j); i += 1 }
-    QFrame(qx, qy, qz, qf.minX, qf.minY, qf.minZ, qf.eb)
   }
 
   /** Decompress a frame written by [[compress]] (returned in block order). */
