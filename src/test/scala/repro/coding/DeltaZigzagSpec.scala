@@ -31,25 +31,25 @@ class DeltaZigzagSpec extends AnyFunSuite with PropSupport {
     vals.foreach(v => assert(Zigzag.readVarLong(in) == v))
   }
 
-  private def readVarint(bytes: Int*): Long =
+  private def readVarint(bytes: Seq[Int]): Long =
     Zigzag.readVarLong(new java.io.ByteArrayInputStream(bytes.map(_.toByte).toArray))
 
   test("the 10-byte varint of -1 roundtrips") {
     val out = new java.io.ByteArrayOutputStream()
     Zigzag.writeVarLong(out, -1L)
-    val bytes = out.toByteArray
-    assert(bytes.map(_ & 0xff).toSeq == Seq.fill(9)(0xff) :+ 1)
-    assert(Zigzag.readVarLong(new java.io.ByteArrayInputStream(bytes)) == -1L)
+    val bytes = out.toByteArray.toSeq.map(_ & 0xff)
+    assert(bytes == Seq.fill(9)(0xff) :+ 1)
+    assert(readVarint(bytes) == -1L)
   }
 
   test("a varint longer than 10 bytes is rejected, not wrapped") {
-    // Shifts wrap mod 64, so this decoded to 5 + 64 = 69.
-    intercept[IllegalArgumentException](readVarint(0x85 +: Seq.fill(9)(0x80) :+ 0x01: _*))
+    // Unchecked, the 11th byte's shift wraps mod 64 and this reads as 69.
+    intercept[IllegalArgumentException](readVarint(0x85 +: Seq.fill(9)(0x80) :+ 0x01))
   }
 
   test("a 10th varint byte above 1 is rejected, not wrapped") {
-    // Bits past 63 fall off, so this decoded to 5.
-    intercept[IllegalArgumentException](readVarint(0x85 +: Seq.fill(8)(0x80) :+ 0x7e: _*))
+    // Unchecked, the bits past 63 fall off and this reads as 5.
+    intercept[IllegalArgumentException](readVarint(0x85 +: Seq.fill(8)(0x80) :+ 0x7e))
   }
 
   test("varint single byte for < 128") {
