@@ -1,7 +1,7 @@
 package repro.benchlib
 
 import repro.baselines.ParticleCodec
-import repro.core.Frame
+import repro.core.{Fork, Frame}
 import repro.metrics.Metrics
 
 /** The (dataset, codec, eb, batch) cells of §8, each compressed once. One
@@ -21,7 +21,7 @@ object CellGrid {
   /** The multi-frame grid; only Fig 13's keys are decoded. */
   lazy val multi: Map[Key, Cell] = {
     val decoded = RateDistortionTables.multiKeys.toSet
-    multiKeys.zip(Par.map(multiKeys)(k => cell(k, BenchData.multi(k.dataset), decoded(k)))).toMap
+    multiKeys.zip(Fork.map(multiKeys)(k => cell(k, BenchData.multi(k.dataset), decoded(k)))).toMap
   }
 
   /** Compress `frames` as `k` says, and decode them for PSNR if `decode`. */

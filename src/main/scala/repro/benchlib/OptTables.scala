@@ -1,7 +1,7 @@
 package repro.benchlib
 
 import repro.baselines.LcpCodec
-import repro.core.{BlockSizeOpt, Lcp, LcpS}
+import repro.core.{BlockSizeOpt, Fork, Lcp, LcpS}
 import repro.metrics.Metrics
 
 /** Figures 5–7: the dynamic-optimization studies of §7.4. */
@@ -31,7 +31,7 @@ object OptTables {
     for { ds <- BenchData.SingleNames; eb <- BenchData.PaperEbs; p <- BlockSizeOpt.Candidates } yield (ds, eb, p)
 
   /** LCP-S bytes of every single-frame set, paper eb and candidate p: Figs 5 and 6 read it. */
-  lazy val sizes: Map[(String, Double, Int), Long] = sizeKeys.zip(Par.map(sizeKeys) {
+  lazy val sizes: Map[(String, Double, Int), Long] = sizeKeys.zip(Fork.map(sizeKeys) {
     case (ds, eb, p) => LcpS.compress(BenchData.single(ds), eb, p).bytes.length.toLong
   }).toMap
 
@@ -51,7 +51,7 @@ object OptTables {
   /** Fig. 6: CR of the sampled optimizer relative to exhaustive search. */
   def optimizerEffectiveness(): Seq[Optimizer] = {
     val settings = for { ds <- BenchData.SingleNames; eb <- BenchData.PaperEbs } yield (ds, eb)
-    val chosen   = Par.map(settings) { case (ds, eb) => BlockSizeOpt.bestBlockSize(BenchData.single(ds), eb)._1 }
+    val chosen   = Fork.map(settings) { case (ds, eb) => BlockSizeOpt.bestBlockSize(BenchData.single(ds), eb)._1 }
     settings.zip(chosen).map { case ((ds, eb), p) =>
       Optimizer(ds, eb, p, sizes((ds, eb, p)), BlockSizeOpt.Candidates.map(q => sizes((ds, eb, q))).min)
     }
@@ -70,7 +70,7 @@ object OptTables {
     * compresses its heads almost for free either way, so scaling cannot pay
     * there — see EXPERIMENTS.) */
   def ebScaleSweep(): Seq[Scaling] =
-    Par.map(for { ds <- Seq("Helium", "LJ"); factor <- ScaleFactors } yield (ds, factor)) {
+    Fork.map(for { ds <- Seq("Helium", "LJ"); factor <- ScaleFactors } yield (ds, factor)) {
       case (ds, factor) =>
         val codec = new LcpCodec(s"LCP(x$factor)", None, Lcp.Forced(factor))
         Scaling(ds, factor, codec.compress(BenchData.multi(ds), ScaleEb, ScaleBatch).payload.length.toLong)

@@ -1,5 +1,6 @@
 package repro.benchlib
 
+import repro.core.Fork
 import repro.metrics.Metrics
 
 /** Figures 12 (single-frame) and 13 (multi-frame) rate-distortion tables. */
@@ -19,7 +20,7 @@ object RateDistortionTables {
   def multiKeys: Seq[CellGrid.Key] = keys(BenchData.MultiNames, 16)
 
   /** Fig. 12: single-frame rate-distortion on all eight datasets. */
-  def singleFrame(): Seq[Point] = Par.map(keys(BenchData.SingleNames, 1)) { k =>
+  def singleFrame(): Seq[Point] = Fork.map(keys(BenchData.SingleNames, 1)) { k =>
     point(k, CellGrid.cell(k, IndexedSeq(BenchData.single(k.dataset)), decode = true))
   }
 

@@ -10,9 +10,10 @@ package repro.core
   * LCP-S (including the Zstd stage — a pre-Zstd estimate mispredicts
   * configurations whose redundancy only the dictionary coder removes).
   * The sample is quantized once and every candidate runs the encode step
-  * of `LcpS.compress`, without its reconstruction;
-  * the 16 K sample keeps the whole sweep a small multiple of one full
-  * compression, matching the paper's mid-tier compression speed.
+  * of `LcpS.compress`, without its reconstruction, all candidates
+  * concurrently ([[Fork]]); the 16 K sample keeps the whole sweep a small
+  * multiple of one full compression, matching the paper's mid-tier
+  * compression speed.
   */
 object BlockSizeOpt {
 
@@ -57,7 +58,7 @@ object BlockSizeOpt {
       case ps                              => ps
     }
     val qs    = Quantizer.quantizeFrame(s, eb)
-    val sizes = live.map(p => p -> LcpS.encode(qs, p)._1.length.toLong).toMap
+    val sizes = live.zip(Fork.map(live)(p => LcpS.encode(qs, p)._1.length.toLong)).toMap
     (live.minBy(sizes), sizes)
   }
 }

@@ -32,6 +32,12 @@ object Lcp {
                              disableTemporal: Boolean = false) {
     require(eb > 0, "error bound must be positive")
     require(batchSize >= 1, "batch size must be >= 1")
+    ebScaleMode match {
+      // §7.4.2 only tightens anchors: a factor below 1 would loosen them past eb.
+      case Forced(f) => require(f >= 1 && f < Double.PositiveInfinity,
+        s"anchor eb scale factor must be finite and >= 1, got $f")
+      case _ =>
+    }
   }
 
   /** One frame's row of the frame table. `slot` indexes the anchor array
@@ -149,9 +155,11 @@ object Lcp {
         val idx    = Array.tabulate(4096)(i => (i * stride).toInt)
         prefix.map(_.reorder(idx))
       }
-    val base   = compress(sampled, cfg.copy(ebScaleMode = Off, blockSizeP = Some(p)))
-    val scaled = compress(sampled, cfg.copy(ebScaleMode = Forced(EbScale.Factor), blockSizeP = Some(p)))
-    scaled.archive.compressedSizeBytes < base.archive.compressedSizeBytes
+    // The two arms run concurrently.
+    val Seq(base, scaled) = Fork.map(Seq(Off, Forced(EbScale.Factor))) { mode =>
+      compress(sampled, cfg.copy(ebScaleMode = mode, blockSizeP = Some(p))).archive.compressedSizeBytes
+    }
+    scaled < base
   }
 
   /** Algorithm 1 with LCP-FSM selection and both §7.4 optimizations. */
@@ -206,7 +214,7 @@ object Lcp {
       // (measured once if there is none yet), so otherwise LCP-S runs only
       // when it is the method chosen.
       val compare = canTemporal && fsm.nextAction() == LcpFsm.Compare
-      val t = if (compare) { tTrials += 1; LcpT.compress(f.reorder(basisPerm), basisRecon, cfg.eb) } else null
+      val t = if (compare) { tTrials += 1; LcpT.compress(f, basisPerm, basisRecon, cfg.eb) } else null
       val sTrial = if (!compare || lastSSize < 0) LcpS.compress(f, sEb, p) else null
       val spatialWon =
         !compare || (if (sTrial != null) sTrial.bytes.length.toLong else lastSSize) <= t.bytes.length

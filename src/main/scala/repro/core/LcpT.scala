@@ -13,8 +13,9 @@ import repro.coding.{ByteIO, IntCoder, Zigzag}
   * identical reconstruction `prev + 2·eb·q`, so chaining is exact and the
   * per-frame bound |d − d'| ≤ eb holds regardless of chain length.
   *
-  * The caller must supply the current frame already aligned to the previous
-  * frame's stored particle order (per-index correspondence; DESIGN.md §2).
+  * The current frame is aligned to the previous frame's stored particle
+  * order (per-index correspondence; DESIGN.md §2), either by the caller or
+  * through the perm the multi-frame compressor passes.
   */
 object LcpT {
 
@@ -24,25 +25,32 @@ object LcpT {
 
   /** Compress `aligned` at bound `eb`, predicting from `prevRecon`. Every
     * coordinate of `aligned` must be finite. */
-  def compress(aligned: Frame, prevRecon: Frame, eb: Double): TResult = {
-    require(aligned.n == prevRecon.n,
-      s"temporal compression requires equal particle counts: ${aligned.n} vs ${prevRecon.n}")
+  def compress(aligned: Frame, prevRecon: Frame, eb: Double): TResult =
+    compress(aligned, Array.range(0, aligned.n), prevRecon, eb)
+
+  /** [[compress]] of `cur.reorder(perm)`, reading `cur(perm(i))` in place of
+    * the aligned frame. The three dimensions are quantized, reconstructed
+    * and coded concurrently ([[Fork]]). */
+  def compress(cur: Frame, perm: Array[Int], prevRecon: Frame, eb: Double): TResult = {
+    require(cur.n == prevRecon.n,
+      s"temporal compression requires equal particle counts: ${cur.n} vs ${prevRecon.n}")
+    require(perm.length == cur.n, s"alignment perm has ${perm.length} entries for ${cur.n} particles")
     require(eb > 0, s"error bound must be positive: $eb")
-    val n    = aligned.n
-    val dims = Seq((aligned.x, prevRecon.x), (aligned.y, prevRecon.y), (aligned.z, prevRecon.z))
-      .map { case (cur, prev) =>
+    val n    = cur.n
+    val dims = Fork.map(Seq((cur.x, prevRecon.x), (cur.y, prevRecon.y), (cur.z, prevRecon.z))) {
+      case (c, prev) =>
         val q = new Array[Long](n)
         val r = new Array[Double](n)
         var i = 0
         while (i < n) {
-          q(i) = Quantizer.quantizeResidual(Quantizer.finite(cur(i)), prev(i), eb)
+          q(i) = Quantizer.quantizeResidual(Quantizer.finite(c(perm(i))), prev(i), eb)
           r(i) = Quantizer.reconResidual(prev(i), q(i), eb)
           i += 1
         }
         // Diffs are already small and centred on zero; the delta stage stays
         // off and the Huffman-vs-fixed pick runs on the raw residual array.
         (IntCoder.encode(q, delta = false), r)
-      }
+    }
     val out = new ByteArrayOutputStream(n + 64)
     Zigzag.writeVarLong(out, n.toLong)
     ByteIO.writeDouble(out, eb)

@@ -3,6 +3,7 @@ package repro.core
 import java.io.ByteArrayInputStream
 import java.security.MessageDigest
 import org.scalatest.funsuite.AnyFunSuite
+import scala.jdk.CollectionConverters._
 import repro.TestFrames
 import repro.baselines.{MdzLike, ParticleCodec, SperrLike, Sz2Like, Sz3Like}
 import repro.coding.{ByteIO, Zigzag}
@@ -24,6 +25,24 @@ class GoldenArchiveSpec extends AnyFunSuite {
       val got = sha256(Lcp.compress(c.frames(), c.cfg).archive.toBytes)
       assert(got == c.archiveDigest, s"ARCHIVE ${c.name} -> $got")
     }
+
+  test("LCP golden archives compressed from several threads at once keep their digests") {
+    val cells = LcpGoldenCells.all
+    val digests = new java.util.concurrent.ConcurrentLinkedQueue[(String, String)]
+    // Four plain threads, each forking into the common pool, start the cells
+    // in rotated orders; the pool's own threads run them nested in Fork.map.
+    val threads = (0 until 4).map { k =>
+      new Thread(() => (cells.drop(k) ++ cells.take(k)).foreach { c =>
+        digests.add(c.name -> sha256(Lcp.compress(c.frames(), c.cfg).archive.toBytes))
+      })
+    }
+    threads.foreach(_.start())
+    Fork.map(cells)(c => digests.add(c.name -> sha256(Lcp.compress(c.frames(), c.cfg).archive.toBytes)))
+    threads.foreach(_.join())
+    val want = cells.map(c => c.name -> c.archiveDigest).toMap
+    assert(digests.size == 5 * cells.size)
+    digests.asScala.foreach { case (name, got) => assert(got == want(name), s"ARCHIVE $name -> $got") }
+  }
 
   test("the two-anchor golden cells store frame 4 in a second anchor, which frame 8 predicts from") {
     val Seq(auto, scaled) = Seq(LcpGoldenCells.twoAnchors, LcpGoldenCells.twoAnchorsScaled)

@@ -266,35 +266,54 @@ class LcpSpec extends AnyFunSuite with PropSupport {
     assert(e.getMessage.contains("no block size fits"))
   }
 
-  /** `f` with particle 5's x replaced by `v`. */
-  private def withX(f: Frame, v: Double): Frame = {
-    val x = f.x.clone()
-    x(5) = v
-    Frame(x, f.y, f.z)
+  /** `f` with particle 5's coordinate `dim` ('x', 'y' or 'z') replaced by
+    * `v`. LCP-T codes x on the calling thread and y and z on pool threads. */
+  private def withCoord(f: Frame, dim: Char, v: Double): Frame = {
+    val dims = Array(f.x, f.y, f.z)
+    val k    = "xyz".indexOf(dim.toInt)
+    dims(k) = dims(k).clone()
+    dims(k)(5) = v
+    Frame(dims(0), dims(1), dims(2))
   }
 
   private lazy val coherent = TestFrames.copper(300, 4)
 
-  /** Asserts that `run` raises the non-finite coordinate error. */
-  private def rejectsNonFinite(run: => Any): Unit = {
-    val e = intercept[IllegalArgumentException](run)
-    assert(e.getMessage.contains("non-finite"), e.getMessage)
-  }
-
   for ((name, v) <- Seq("NaN" -> Double.NaN, "+Inf" -> Double.PositiveInfinity, "-Inf" -> Double.NegativeInfinity)) {
+    /** Asserts that `run` raises the non-finite coordinate error itself,
+      * also when a pool thread raised it. */
+    def rejectsNonFinite(run: => Any): Unit = {
+      val e = intercept[IllegalArgumentException](run)
+      assert(e.getMessage == s"non-finite coordinate $v", e.getMessage)
+    }
+
     test(s"LcpS.compress rejects a $name coordinate") {
-      rejectsNonFinite(LcpS.compress(withX(coherent.head, v), 0.01, 8))
+      rejectsNonFinite(LcpS.compress(withCoord(coherent.head, 'x', v), 0.01, 8))
     }
 
     test(s"LcpT.compress rejects a $name coordinate") {
       val s = LcpS.compress(coherent(0), 0.01, 8)
-      rejectsNonFinite(LcpT.compress(withX(coherent(1).reorder(s.perm), v), s.recon, 0.01))
+      for (dim <- "xyz") {
+        rejectsNonFinite(LcpT.compress(withCoord(coherent(1).reorder(s.perm), dim, v), s.recon, 0.01))
+        rejectsNonFinite(LcpT.compress(withCoord(coherent(1), dim, v), s.perm, s.recon, 0.01))
+      }
     }
 
     test(s"Lcp.compress rejects a $name coordinate in a spatial or a temporal frame") {
       assert(Lcp.compress(coherent, LcpConfig(0.01, batchSize = 2)).methods.contains('T'))
-      for (i <- coherent.indices)
-        rejectsNonFinite(Lcp.compress(coherent.updated(i, withX(coherent(i), v)), LcpConfig(0.01, batchSize = 2)))
+      for (i <- coherent.indices; dim <- "xyz")
+        rejectsNonFinite(Lcp.compress(coherent.updated(i, withCoord(coherent(i), dim, v)), LcpConfig(0.01, batchSize = 2)))
     }
+  }
+
+  for (factor <- Seq(0.5, 0.0, Double.NaN, Double.PositiveInfinity))
+    test(s"a forced anchor eb scale factor of $factor is rejected") {
+      val e = intercept[IllegalArgumentException](LcpConfig(0.01, ebScaleMode = Forced(factor)))
+      assert(e.getMessage.contains(s"got $factor"), e.getMessage)
+    }
+
+  test("Fig 7's forced anchor eb scale factors 1 to 20 are accepted and keep the bound") {
+    val frames = TestFrames.helium(400, 8)
+    for (factor <- Seq(1.0, 2.0, 5.0, 10.0, 20.0))
+      checkBound(frames, Lcp.compress(frames, LcpConfig(0.01, batchSize = 4, ebScaleMode = Forced(factor))), 0.01)
   }
 }

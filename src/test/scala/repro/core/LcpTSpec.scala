@@ -1,5 +1,6 @@
 package repro.core
 
+import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{PropSupport, TestFrames}
 import repro.coding.{ByteIO, Zigzag}
@@ -58,6 +59,22 @@ class LcpTSpec extends AnyFunSuite with PropSupport {
       val d = LcpT.decompress(t.bytes, basis)
       assert(Metrics.withinBound(Metrics.maxAbsError(aligned, d, null), eb), s"frame $k")
       basis = d
+    }
+  }
+
+  test("property: the perm-taking compress equals compress of the reordered frame, in bytes and recon bits") {
+    val cases = for { f <- TestFrames.frameGen; eb <- TestFrames.ebGen; seed <- Gen.choose(0L, 1000000L) } yield (f, eb, seed)
+    forAllG(cases) { case (f, eb, seed) =>
+      val rng  = new scala.util.Random(seed)
+      val perm = rng.shuffle(Vector.range(0, f.n)).toArray
+      val aligned = f.reorder(perm)
+      val noisy   = (a: Array[Double]) => a.map(_ + rng.nextGaussian() * 3 * eb)
+      val basis   = Frame(noisy(aligned.x), noisy(aligned.y), noisy(aligned.z))
+      val fused   = LcpT.compress(f, perm, basis, eb)
+      val ref     = LcpT.compress(aligned, basis, eb)
+      assert(fused.bytes.sameElements(ref.bytes))
+      val bits = (r: Frame) => Seq(r.x, r.y, r.z).map(_.map(java.lang.Double.doubleToRawLongBits).toSeq)
+      assert(bits(fused.recon) == bits(ref.recon))
     }
   }
 
