@@ -1,7 +1,7 @@
 package repro.baselines
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
-import repro.coding.{ByteIO, Dictionary, IntCoder, Zigzag}
+import repro.coding.{ByteIO, IntCoder, Zigzag}
 import repro.core.{BlockIndex, Frame}
 
 /** Draco-style baseline: point-cloud sequential coding. Positions are
@@ -47,7 +47,7 @@ object DracoLike extends FrameWiseCodec {
     out.write(bits)
     ByteIO.writeDouble(out, mx); ByteIO.writeDouble(out, my); ByteIO.writeDouble(out, mz)
     ByteIO.writeDouble(out, step)
-    ByteIO.writeSection(out, Dictionary.compress(IntCoder.encode(sorted, delta = true)))
+    ByteIO.writeBody(out, IntCoder.encode(sorted, delta = true))
     (out.toByteArray, perm)
   }
 
@@ -58,7 +58,7 @@ object DracoLike extends FrameWiseCodec {
     require(bits >= 1 && bits <= Morton.MaxBits, s"bad bit count $bits")
     val mx = ByteIO.readDouble(in); val my = ByteIO.readDouble(in); val mz = ByteIO.readDouble(in)
     val step  = ByteIO.readDouble(in)
-    val codes = IntCoder.decode(new ByteArrayInputStream(Dictionary.decompress(ByteIO.readSection(in))), n)
+    val codes = IntCoder.decode(new ByteArrayInputStream(ByteIO.readBody(in, 1)(0)), n)
     require(codes.length == n, "length mismatch")
     val x = new Array[Double](n); val y = new Array[Double](n); val z = new Array[Double](n)
     var i = 0

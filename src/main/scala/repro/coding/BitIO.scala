@@ -123,9 +123,6 @@ final class BitWriter(initialCapacity: Int = 64) {
     }
   }
 
-  /** Number of bits written so far. */
-  def lengthInBits: Long = pos * 8L + bits
-
   /** Snapshot of the written bits, padded with zero bits to a byte boundary. */
   def toBytes: Array[Byte] = {
     val out = Arrays.copyOf(buf, pos + (bits + 7) / 8)

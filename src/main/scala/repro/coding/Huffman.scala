@@ -1,7 +1,6 @@
 package repro.coding
 
 import java.io.ByteArrayInputStream
-import scala.collection.mutable
 
 /** Canonical Huffman coder over Long symbols — the variable-length coding
   * choice of §6.2.2. The coding table is serialized compactly (symbol
@@ -15,21 +14,6 @@ object Huffman {
     * `symbols(id)`/`counts(id)` describe that symbol. */
   final class Histogram(val ids: Array[Int], val symbols: Array[Long], val counts: Array[Long]) {
     def size: Int = symbols.length
-
-    /** Ids in the iteration order of a `mutable.LongMap` into which the
-      * symbols were inserted in first-occurrence order. That map's layout
-      * depends only on the order of its new keys, so this is the leaf order
-      * of a histogram counted into a `LongMap`, which fixes how the code
-      * builder breaks weight ties (and with it the coded bytes). */
-    def leafOrder: Array[Int] = {
-      val m = new mutable.LongMap[Int]()
-      var id = 0
-      while (id < size) { m.update(symbols(id), id); id += 1 }
-      val order = new Array[Int](size)
-      var k = 0
-      m.foreach { case (_, i) => order(k) = i; k += 1 }
-      order
-    }
   }
 
   /** Codes below this (and below 8 per element) are counted in a dense
@@ -138,27 +122,28 @@ object Huffman {
 
   /** Build a canonical Huffman code from a histogram. Returns None when the
     * code is unusable (code lengths exceeding 58 bits, which cannot happen
-    * for realistic block arrays but guards adversarial input).
+    * for realistic block arrays but guards adversarial input). Equal
+    * weights merge in first-occurrence order, which fixes the coded bytes.
     */
   def build(h: Histogram): Option[Code] = {
-    val m      = h.size
-    val leaves = h.leafOrder
-    // Code length of each leaf (a position in `leaves`).
-    val depth  = new Array[Int](math.max(1, 2 * m - 1))
+    val m     = h.size
+    // Code length of each leaf, indexed by histogram id.
+    val depth = new Array[Int](math.max(1, 2 * m - 1))
     if (m == 1) depth(0) = 1
     else if (m > 1) {
-      // Array-based Huffman tree: leaves 0..m-1, internals m..2m-2. Leaves
-      // are sorted once by weight, ties in leaf order (a packed primitive
-      // sort); merging then uses the classic two-queue scan (internal
-      // nodes are produced in non-decreasing weight order), so the build is
-      // O(m log m) with no boxing.
+      // Array-based Huffman tree: leaves 0..m-1 (the histogram ids),
+      // internals m..2m-2. Leaves are sorted once by weight, ties in
+      // first-occurrence order (a packed primitive sort); merging then uses
+      // the classic two-queue scan (internal nodes are produced in
+      // non-decreasing weight order), so the build is O(m log m) with no
+      // boxing.
       val weight = new Array[Long](2 * m - 1)
       val parent = new Array[Int](2 * m - 1)
       val leafQ  = new Array[Int](m)
       locally {
         val packed = new Array[Long](m)
         var k = 0
-        while (k < m) { weight(k) = h.counts(leaves(k)); packed(k) = (weight(k) << 31) | k; k += 1 }
+        while (k < m) { weight(k) = h.counts(k); packed(k) = (weight(k) << 31) | k; k += 1 }
         java.util.Arrays.sort(packed)
         k = 0
         while (k < m) { leafQ(k) = (packed(k) & 0x7fffffffL).toInt; k += 1 }
@@ -191,22 +176,22 @@ object Huffman {
     var maxLen = 0
     var k = 0
     while (k < m) { if (depth(k) > maxLen) maxLen = depth(k); k += 1 }
-    if (maxLen > 58) None else Some(canonical(h, leaves, depth))
+    if (maxLen > 58) None else Some(canonical(h, depth))
   }
 
-  /** Assign canonical codewords given each leaf's code length: leaves are
-    * ordered by (length, symbol) through one packed primitive sort of
-    * (length, symbol rank) keys. */
-  private def canonical(h: Histogram, leaves: Array[Int], depth: Array[Int]): Code = {
-    val m      = leaves.length
+  /** Assign canonical codewords given each histogram id's code length:
+    * symbols are ordered by (length, symbol) through one packed primitive
+    * sort of (length, symbol rank) keys. */
+  private def canonical(h: Histogram, depth: Array[Int]): Code = {
+    val m      = h.size
     val sorted = java.util.Arrays.copyOf(h.symbols, m)
     java.util.Arrays.sort(sorted)
-    val leafOfRank = new Array[Int](m)
-    val keys       = new Array[Long](m)
+    val idOfRank = new Array[Int](m)
+    val keys     = new Array[Long](m)
     var k = 0
     while (k < m) {
-      val r = java.util.Arrays.binarySearch(sorted, h.symbols(leaves(k)))
-      leafOfRank(r) = k
+      val r = java.util.Arrays.binarySearch(sorted, h.symbols(k))
+      idOfRank(r) = k
       keys(k) = (depth(k).toLong << 32) | r
       k += 1
     }
@@ -225,7 +210,7 @@ object Huffman {
       code <<= (l - prevL)
       prevL = l
       symbols(k) = sorted(r); lengths(k) = l; codes(k) = code
-      val id = leaves(leafOfRank(r))
+      val id = idOfRank(r)
       idCodes(id) = code; idLengths(id) = l
       code += 1
       k += 1

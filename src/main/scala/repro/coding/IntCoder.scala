@@ -3,8 +3,8 @@ package repro.coding
 import java.io.ByteArrayInputStream
 
 /** The §6.2.2 coding chain for one integer array: delta coding, zigzag,
-  * then *either* canonical Huffman or fixed-length packing — whichever has
-  * the smaller expected size including table/header overhead (the tradeoff
+  * then *either* canonical Huffman or fixed-length packing — whichever
+  * encodes to fewer bytes, table/header overhead included (the tradeoff
   * the paper quantifies in Table 3) — ready for the final Zstd stage.
   *
   * Stream layout: flags byte (bit0 = delta, bit1 = huffman), varint count,
@@ -34,8 +34,15 @@ object IntCoder {
 
     def width: Int = FixedLength.widthOfOr(or)
 
-    def fixedCost: Long = 2L + varLongLen(n) + (width.toLong * n + 7) / 8
+    def fixedSize: Long = encodedSize(n, 1, (width.toLong * n + 7) / 8)
   }
+
+  /** Exactly the bytes [[emit]] writes for `n` codes with a head (the
+    * Huffman table or the width byte) and a payload of the given sizes:
+    * flags, the count varint, the head, the payload length varint and the
+    * payload. An empty array is its flags and count alone. */
+  private def encodedSize(n: Int, head: Long, payload: Long): Long =
+    if (n == 0) 2L else 1L + varLongLen(n) + head + varLongLen(payload) + payload
 
   /** Delta (when on) and zigzag in one pass into a fresh array. */
   private def prepare(a: Array[Long], delta: Boolean): Prepared = {
@@ -61,18 +68,15 @@ object IntCoder {
     if (p.n == 0) None
     else Huffman.histogram(p.z, p.or, MaxHuffmanAlphabet).flatMap(h => Huffman.build(h).map(_ -> h))
 
-  // Counts a section varint of varLongLen(Int.MaxValue) bytes; the fixed
-  // side counts none. The method choice depends on both formulas exactly
-  // as they are, so the coded bytes do too.
-  private def huffCost(code: Huffman.Code, h: Huffman.Histogram, n: Int): Long =
-    1L + varLongLen(n) + code.tableBytes + varLongLen(Int.MaxValue) + (code.payloadBits(h) + 7) / 8
+  private def huffmanSize(code: Huffman.Code, h: Huffman.Histogram, n: Int): Long =
+    encodedSize(n, code.tableBytes, (code.payloadBits(h) + 7) / 8)
 
   /** Exact encoded size in bytes of each method, used for selection and by
     * the Table 3 bench: (fixedBytes, huffmanBytes); huffman is None when
     * the alphabet is too large or code lengths degenerate. */
   def methodCosts(a: Array[Long], delta: Boolean): (Long, Option[Long]) = {
     val p = prepare(a, delta)
-    (p.fixedCost, buildCode(p).map { case (c, h) => huffCost(c, h, p.n) })
+    (p.fixedSize, buildCode(p).map { case (c, h) => huffmanSize(c, h, p.n) })
   }
 
   /** flags, the count varint, the method's head (the Huffman table or the
@@ -85,7 +89,7 @@ object IntCoder {
       case Some((code, h)) => (code.table, code.encodePayload(h))
       case None            => (Array(p.width.toByte), FixedLength.encode(p.z, p.width))
     }
-    val out = new Array[Byte](1 + varLongLen(n) + head.length + varLongLen(payload.length) + payload.length)
+    val out = new Array[Byte](encodedSize(n, head.length, payload.length).toInt)
     out(0) = flags.toByte
     var pos = Zigzag.putVarLong(out, 1, n.toLong)
     System.arraycopy(head, 0, out, pos, head.length)
@@ -94,10 +98,11 @@ object IntCoder {
     out
   }
 
-  /** Encode `a`, picking the cheaper of Huffman and fixed-length. */
+  /** Encode `a`, picking the smaller of Huffman and fixed-length (fixed
+    * on a tie). */
   def encode(a: Array[Long], delta: Boolean = true): Array[Byte] = {
     val p = prepare(a, delta)
-    emit(p, delta, buildCode(p).filter { case (c, h) => huffCost(c, h, p.n) < p.fixedCost })
+    emit(p, delta, buildCode(p).filter { case (c, h) => huffmanSize(c, h, p.n) < p.fixedSize })
   }
 
   /** Encode with an explicit method choice (tests check [[encode]]'s choice with it). */

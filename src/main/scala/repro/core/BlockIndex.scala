@@ -143,14 +143,17 @@ object BlockIndex {
 
   /** Rebuild the frame from grouped block data (decompression side): each
     * particle's bin, `block · p + relative position`, dequantized by Eq. 5
-    * against the dimension's minimum in the same pass. The counts come from
-    * the input: one per block id, each at least 1 (no empty block is
-    * stored), summing to the particle count. They are checked before any
-    * coordinate is written. */
+    * against the dimension's minimum in the same pass. The grid and the
+    * counts come from the input: p and the extents at least 1, with at most
+    * [[MaxGridCells]] blocks in a layer, and one count per block id, each at
+    * least 1 (no empty block is stored), summing to the particle count.
+    * They are checked before any coordinate is written. */
   def ungroup(blockIds: Array[Long], counts: Array[Long],
               relX: Array[Long], relY: Array[Long], relZ: Array[Long],
               p: Int, bnx: Long, bny: Long,
               minX: Double, minY: Double, minZ: Double, eb: Double): Frame = {
+    require(p >= 1 && fits(bnx, bny, 1), s"block grid of $bnx x $bny blocks at p = $p: " +
+      s"p and both extents must be >= 1, with at most $MaxGridCells blocks")
     val n = relX.length
     require(relY.length == n && relZ.length == n, s"relative positions: ${relX.length}, ${relY.length}, ${relZ.length}")
     require(counts.length == blockIds.length, s"${counts.length} block counts for ${blockIds.length} blocks")

@@ -86,10 +86,6 @@ object Quantizer {
   final case class QFrame(qx: Array[Long], qy: Array[Long], qz: Array[Long],
                           minX: Double, minY: Double, minZ: Double, eb: Double) {
     def n: Int = qx.length
-    def dequantize: Frame = Frame(
-      Quantizer.dequantizeArray(qx, minX, eb),
-      Quantizer.dequantizeArray(qy, minY, eb),
-      Quantizer.dequantizeArray(qz, minZ, eb))
   }
 
   /** Quantize all three dims of `f` at error bound `eb`. */

@@ -18,7 +18,7 @@ class BitIOSpec extends AnyFunSuite with PropSupport {
 
   test("zero-width write is a no-op") {
     val w = new BitWriter(); w.writeBits(123, 0)
-    assert(w.lengthInBits == 0)
+    assert(w.toBytes.isEmpty)
   }
 
   test("8-bit values roundtrip at byte boundaries") {
@@ -45,11 +45,10 @@ class BitIOSpec extends AnyFunSuite with PropSupport {
     assert(r.readBits(64) == Long.MaxValue)
   }
 
-  test("lengthInBits tracks written bits") {
+  test("toBytes pads the written bits with zeros to whole bytes") {
     val w = new BitWriter()
-    w.writeBits(3, 2); w.writeBits(1, 9)
-    assert(w.lengthInBits == 11)
-    assert(w.toBytes.length == 2)
+    w.writeBits(3, 2); w.writeBits(1, 9) // 11 000000001
+    assert(w.toBytes.sameElements(Array(0xc0, 0x20).map(_.toByte)))
   }
 
   test("reader rejects overrun") {

@@ -93,6 +93,23 @@ class HuffmanSpec extends AnyFunSuite with PropSupport {
     }
   }
 
+  test("property: the first-occurrence order of tied symbols changes neither payload bits nor table bytes") {
+    // Weights 1-4 tie most symbols with others, and ties merge in first-
+    // occurrence order: each seed orders the symbols' runs differently.
+    val weights = Gen.choose(2, 60).flatMap(Gen.listOfN(_, Gen.choose(1, 4)))
+    forAllG2(weights, Gen.choose(0L, 1000L)) { (ws, seed) =>
+      val runs = ws.zipWithIndex.map { case (w, s) => Array.fill(w)(s * 37L - 500) }
+      def sizes(a: Array[Long]): (Long, Int) = {
+        val freq = Huffman.frequencies(a)
+        val code = Huffman.build(freq).get
+        (code.payloadBits(freq), code.tableBytes)
+      }
+      val permuted = new scala.util.Random(seed).shuffle(runs).flatten.toArray
+      assert(sizes(permuted) == sizes(runs.flatten.toArray))
+      assert(roundtrip(permuted).sameElements(permuted))
+    }
+  }
+
   test("large alphabet roundtrip") {
     val a = Array.tabulate(20000)(i => (i % 5000).toLong)
     assert(roundtrip(a).sameElements(a))

@@ -103,22 +103,16 @@ class IntCoderSpec extends AnyFunSuite with PropSupport {
     }).map(_.toArray)
 
   test("property: encode picks what methodCosts says, and matches encodeForced of that choice") {
-    forAllG2(codedArrays, Gen.oneOf(true, false)) { (a, delta) =>
+    val arrays = Gen.frequency(1 -> Gen.const(Array.emptyLongArray), 9 -> codedArrays)
+    forAllG2(arrays, Gen.oneOf(true, false)) { (a, delta) =>
       val (fixed, huff) = IntCoder.methodCosts(a, delta)
       val useHuffman    = huff.exists(_ < fixed)
       val enc           = IntCoder.encode(a, delta)
       assert(((enc(0) & 2) != 0) == useHuffman)
       assert(enc.sameElements(IntCoder.encodeForced(a, delta, useHuffman)))
-      // The costs count the Huffman payload's section varint at its widest
-      // (5 bytes) and the fixed one's not at all.
-      if (a.nonEmpty) {
-        val fixedEnc = IntCoder.encodeForced(a, delta, useHuffman = false)
-        assert(fixedEnc.length - fixed >= 1 && fixedEnc.length - fixed <= 5)
-        huff.foreach { h =>
-          val huffEnc = IntCoder.encodeForced(a, delta, useHuffman = true)
-          assert(h - huffEnc.length >= 0 && h - huffEnc.length <= 4)
-        }
-      }
+      // The costs are the encoded sizes, empty arrays included.
+      assert(IntCoder.encodeForced(a, delta, useHuffman = false).length == fixed)
+      huff.foreach(h => assert(IntCoder.encodeForced(a, delta, useHuffman = true).length == h))
     }
   }
 

@@ -57,9 +57,9 @@ class GoldenArchiveSpec extends AnyFunSuite {
   private lazy val baselineFrames = TestFrames.copper(800, 8)
 
   for ((codec, digest) <- Seq[(ParticleCodec, String)](
-         Sz2Like   -> "7efe7495dc2c9d8e5fb66db4257bf0ec1562c576bc1622f1e7d0c3f2ce7be044",
-         Sz3Like   -> "8c103d364dcabec7b54ac8c9a17edf1080c009a9681425604a956b7c4d9c8c89",
-         MdzLike   -> "d4392207b46d81de50d1ebfdd0ba150631f199ad738f1e24725668b7d2f8d5f1",
+         Sz2Like   -> "b69d29117d44bfbdd2eb3c035341ac14705897ed8da5a62d99f5625fa5a011de",
+         Sz3Like   -> "eaf39329f1f58522bc5d6d8b0264e69d37cd0b66ee603416466c242d78a7c4ec",
+         MdzLike   -> "4a2d8d2e3c6dc867fa787f0d8e1dbf348d010cd37946bee2a609fb553a50c283",
          SperrLike -> "801f243be113b312a857302b33f88b06223de970c46099452d15bfc01e962ee8")) {
     test(s"${codec.name} golden payload: copper 800x8, eb 0.02, batch 4") {
       assert(sha256(codec.compress(baselineFrames, 0.02, 4).payload) == digest)

@@ -16,19 +16,19 @@ object LcpGoldenCells {
     * it. */
   val twoAnchors: Cell = Cell("helium then copper 500x12, eb 0.01, batch 4, two anchors, Auto eb scaling",
     () => TestFrames.heliumThenCopper(500, 12), LcpConfig(0.01, batchSize = 4, ebScaleMode = Auto),
-    "e1a8e6cef826f7a26a317180aaefc3e9f462afd4b2cb1d64cb9c6658d2ca4df7",
+    "c0d880cd9bc95bcd63ccd4895c598d11b505970d948e890dff2dae18ef8abf74",
     "9572d6ffed31a201702ca9fb4446aa87bcf3b34c984928854b5c5b1003226234")
 
   /** The same input with the anchor eb scale forced, so both anchors are scaled. */
   val twoAnchorsScaled: Cell = Cell("helium then copper 500x12, eb 0.01, batch 4, two anchors, eb scaling forced",
     twoAnchors.frames, twoAnchors.cfg.copy(ebScaleMode = Forced(EbScale.Factor)),
-    "8b2edd80d668cc46f181871681bdc18acc521fdf79be61419807a500f2d24260",
+    "45dd7c181597a014557acef4fede0bca69a6772f2e4f7e160f2a229b0b1ff6d8",
     "99924e67b010c973426a20451e600140ce37b6a696bc22a4c40cdaf629fd2e59")
 
   val all: Seq[Cell] = Seq(
     Cell("copper 800x8, eb 0.02, batch 4",
       () => TestFrames.copper(800, 8), LcpConfig(0.02, batchSize = 4),
-      "44201f4948fb238088a50fd7b3c4d9b9d0174eca730a23b6ada06fe216fa0c3a",
+      "2da967994f501fc4b18d99f9798c36092b7ba08590fd2c790e760ed86ad9220b",
       "eab13f0ba1b8a7bb2e9c2d8ad61a6438959f411752d0dfbbcd8bdcbbbc5f07cd"),
     Cell("helium 1200x12, eb 0.05, batch 4, Auto eb scaling",
       () => TestFrames.helium(1200, 12), LcpConfig(0.05, batchSize = 4, ebScaleMode = Auto),
@@ -36,11 +36,11 @@ object LcpGoldenCells {
       "ff4d50fc78f0e357ab68514759805a1c103f6584fc35dd8a0765ad51f132fb97"),
     Cell("lj 400x10, eb 0.02, batch 4",
       () => TestFrames.lj(400, 10), LcpConfig(0.02, batchSize = 4),
-      "cd80c291b40f34a8b3aa0f6ac1f8af84bd2f49c8af9917389b8711f7ae74e455",
+      "6d8c4ec6cf2324cbc5091f4ba7a0b54964504cad600bc0e23b6e01248a2bf02c",
       "275e31044873796608d38bc2a00d46311518a086adc44a4fa1fe7de045618f50"),
     Cell("yiip 400x4, eb 0.02, batch 2",
       () => TestFrames.yiip(400, 4), LcpConfig(0.02, batchSize = 2),
-      "69f8d4a70c129009d80fb6a4eb669b818db05b0733698ed82769d8a95fd44081",
+      "d2ccca65408c8f4d6211aac718e46bd701578ac0acfa2140fc045ec366c491d8",
       "237a239c32f5c9ef810ba5a0a88a2b2701cfbec0edf709b73f88a28fefe57962"),
     Cell("bunny single frame, eb 0.01",
       () => IndexedSeq(TestFrames.bunny(500)), LcpConfig(0.01, batchSize = 8),
@@ -48,11 +48,11 @@ object LcpGoldenCells {
       "0b8dbbea00ba063a3f5f5544203daa1a0d48d2a104ceb5625f794008871eb26b"),
     Cell("copper 500x6, eb 0.05, batch 3, temporal disabled",
       () => TestFrames.copper(500, 6), LcpConfig(0.05, batchSize = 3, disableTemporal = true),
-      "a482db706f912eb56f92f83f3b1e0e78a92626a0e7eaf5595a1f5ca69462a043",
+      "225f503b3115c7a9b5ed3e3d956766457ba39823e0153234da45d1f4bdc1c768",
       "5f97f6ec6f732c8d93db8bda4e2020603d5241fa1064246bb7cb9db2402951ed"),
     Cell("helium 600x5, eb 0.01, batch 2, block size p = 1",
       () => TestFrames.helium(600, 5), LcpConfig(0.01, batchSize = 2, blockSizeP = Some(1)),
-      "ec214ae2e2ab687a9a00aad20874b96700ddf4cd5ac64baa9659a97e38ff7ccb",
+      "c49738bd15e776f31c0842915f58226711ab9f22c73b1e7e152a8282a1a66897",
       "578026504524d6160978b9f14da543e6ba0e9efec6be34347738da1d03cce2e5"),
     twoAnchors, twoAnchorsScaled)
 }

@@ -164,4 +164,51 @@ class LcpSSpec extends AnyFunSuite with PropSupport {
     val crafted = withCounts(countedFrame) { c => c.updated(0, 0L).updated(1, c(0) + c(1)) }
     intercept[IllegalArgumentException](LcpS.decompress(crafted))
   }
+
+  /** The LCP-S frame `bytes` with its header's (p, bnx, bny) replaced by
+    * `edit` of them; the other fields and the body stay as they are. */
+  private def withGrid(bytes: Array[Byte])(edit: (Long, Long, Long) => (Long, Long, Long)): Array[Byte] = {
+    val in  = new ByteArrayInputStream(bytes)
+    val out = new ByteArrayOutputStream()
+    Zigzag.writeVarLong(out, Zigzag.readVarLong(in)); ByteIO.writeDouble(out, ByteIO.readDouble(in))
+    val p    = Zigzag.readVarLong(in)
+    val mins = Seq.fill(3)(ByteIO.readDouble(in))
+    val (p2, bnx, bny) = edit(p, Zigzag.readVarLong(in), Zigzag.readVarLong(in))
+    Zigzag.writeVarLong(out, p2)
+    mins.foreach(ByteIO.writeDouble(out, _))
+    Zigzag.writeVarLong(out, bnx); Zigzag.writeVarLong(out, bny)
+    out.write(in.readAllBytes())
+    out.toByteArray
+  }
+
+  /** Grid headers that must not decode: an empty extent, a grid whose block
+    * count overflows to 0 (2^40 · 2^40), a negative extent, and p = 0. */
+  private def badGrids(bytes: Array[Byte]): Seq[(String, Array[Byte])] = Seq(
+    "bnx = 0"          -> withGrid(bytes)((p, _, bny) => (p, 0, bny)),
+    "bny = 0"          -> withGrid(bytes)((p, bnx, _) => (p, bnx, 0)),
+    "bnx = bny = 2^40" -> withGrid(bytes)((p, _, _) => (p, 1L << 40, 1L << 40)),
+    "bnx = -bnx"       -> withGrid(bytes)((p, bnx, bny) => (p, -bnx, bny)),
+    "p = 0"            -> withGrid(bytes)((_, bnx, bny) => (0, bnx, bny)))
+
+  test("rewriting the grid header unchanged gives back the same frame bytes") {
+    assert(withGrid(countedFrame)((p, bnx, bny) => (p, bnx, bny)).sameElements(countedFrame))
+  }
+
+  test("a grid extent below 1, a grid past MaxGridCells or p = 0 is rejected") {
+    for ((what, crafted) <- badGrids(countedFrame))
+      withClue(what)(intercept[IllegalArgumentException](LcpS.decompress(crafted)))
+  }
+
+  test("a bad grid header in an archive's LCP-S frame fails at decode naming the frame") {
+    val a = Lcp.compress(TestFrames.helium(500, 4), Lcp.LcpConfig(0.01, batchSize = 2, disableTemporal = true)).archive
+    val k = a.entries.indexWhere(e => !e.inAnchor)
+    val e = a.entries(k)
+    val b = k / a.batchSize
+    for ((what, crafted) <- badGrids(a.batches(b)(e.slot))) {
+      val bad = a.copy(batches = a.batches.updated(b, a.batches(b).updated(e.slot, crafted)))
+      val err = withClue(what)(intercept[IllegalArgumentException](Lcp.decompressAll(bad)))
+      assert(err.getMessage.startsWith(s"LCP archive: frame $k (batch $b, stored as LCP-S) does not decode: "),
+        s"$what: ${err.getMessage}")
+    }
+  }
 }

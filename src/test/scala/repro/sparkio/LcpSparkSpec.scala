@@ -5,14 +5,13 @@ import org.apache.spark.SparkException
 import org.apache.spark.sql.AnalysisException
 import org.apache.spark.sql.execution.FileSourceScanExec
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec, TestFrames}
+import repro.{SparkSpec, TestFrames}
 import repro.core.{Frame, Lcp}
 import repro.core.Lcp.LcpConfig
 import repro.metrics.Metrics
 
 /** End-to-end Spark path: particle rows → per-partition LCP compression →
-  * Parquet → partial retrieval → Spark SQL over the decompressed table,
-  * cross-checked against DuckDB via the Oracle.
+  * Parquet → partial retrieval → the decompressed table.
   */
 class LcpSparkSpec extends SparkSpec {
 
@@ -224,26 +223,6 @@ class LcpSparkSpec extends SparkSpec {
   test("batchesPerGroup = 0 fails fast in compress and readFrameBatch") {
     intercept[IllegalArgumentException](LcpSpark.compress(LcpSpark.framesToDf(spark, frames), cfg, batchesPerGroup = 0))
     intercept[IllegalArgumentException](LcpSpark.readFrameBatch(spark, store, cfg, batchesPerGroup = 0, frameIdx = 5))
-  }
-
-  test("Oracle: Spark SQL aggregates over the decompressed table match DuckDB") {
-    val df     = LcpSpark.framesToDf(spark, frames.take(4))
-    val groups = LcpSpark.compress(df, cfg, batchesPerGroup = 1)
-    val back   = LcpSpark.decompressToDf(groups)
-    back.createOrReplaceTempView("particles")
-
-    val sparkOut = spark.sql(
-      """SELECT frame, COUNT(*) AS cnt,
-        |       ROUND(AVG(x), 4) AS ax, ROUND(MIN(y), 4) AS mny, ROUND(MAX(z), 4) AS mxz
-        |FROM particles GROUP BY frame""".stripMargin)
-    Oracle.assertEquivalent(
-      sparkOut,
-      """SELECT frame, COUNT(*) AS cnt,
-        |       ROUND(AVG(CAST(x AS DOUBLE)), 4) AS ax,
-        |       ROUND(MIN(CAST(y AS DOUBLE)), 4) AS mny,
-        |       ROUND(MAX(CAST(z AS DOUBLE)), 4) AS mxz
-        |FROM particles GROUP BY frame""".stripMargin,
-      "particles" -> back)
   }
 
   test("distributed compression ratio matches single-node codec within metadata slack") {
