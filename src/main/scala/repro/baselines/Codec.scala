@@ -2,7 +2,7 @@ package repro.baselines
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
 import repro.coding.{ByteIO, IntCoder, Zigzag}
-import repro.core.Frame
+import repro.core.{Fork, Frame}
 
 /** Compression result: the serialized payload (all metadata included) plus
   * the per-frame input→stored correspondence for fidelity metrics
@@ -26,7 +26,8 @@ trait ParticleCodec {
   def decompress(payload: Array[Byte]): IndexedSeq[Frame]
 }
 
-/** Base for codecs that compress every frame independently. */
+/** Base for codecs that compress every frame independently. The frames
+  * compress and decompress concurrently ([[Fork]]). */
 trait FrameWiseCodec extends ParticleCodec {
   /** Compress one frame; returns (bytes, perm-or-null). */
   def compressFrame(f: Frame, eb: Double): (Array[Byte], Array[Int])
@@ -34,20 +35,21 @@ trait FrameWiseCodec extends ParticleCodec {
   def decompressFrame(bytes: Array[Byte]): Frame
 
   final override def compress(frames: IndexedSeq[Frame], eb: Double, batchSize: Int): Compressed = {
-    val results = frames.map(compressFrame(_, eb))
+    val results = Fork.map(frames)(compressFrame(_, eb))
     val out     = new ByteArrayOutputStream()
     ByteIO.writeSections(out, results.map(_._1))
     Compressed(out.toByteArray, results.map(_._2))
   }
 
   final override def decompress(payload: Array[Byte]): IndexedSeq[Frame] =
-    ByteIO.readSections(new ByteArrayInputStream(payload)).map(decompressFrame)
+    Fork.map(ByteIO.readSections(new ByteArrayInputStream(payload)))(decompressFrame)
 }
 
 /** Frame-wise codec with the SZ frame layout: the particle count, the
   * error bound, then a body of three sections, one `IntCoder` array of
   * residual bin indices per coordinate (no delta). A subtype supplies only
-  * how one coordinate array maps to its indices and back. Order-preserving.
+  * how one coordinate array maps to its indices and back, and the three
+  * coordinates are coded concurrently ([[Fork]]). Order-preserving.
   */
 trait SzFrameCodec extends FrameWiseCodec {
   /** One residual bin index per value of `v`. */
@@ -60,7 +62,7 @@ trait SzFrameCodec extends FrameWiseCodec {
     val out = new ByteArrayOutputStream(f.n + 64)
     Zigzag.writeVarLong(out, f.n.toLong)
     ByteIO.writeDouble(out, eb)
-    ByteIO.writeBody(out, Seq(f.x, f.y, f.z).map(dim => IntCoder.encode(encodeDim(dim, eb), delta = false)): _*)
+    ByteIO.writeBody(out, Fork.map(Seq(f.x, f.y, f.z))(dim => IntCoder.encode(encodeDim(dim, eb), delta = false)): _*)
     (out.toByteArray, null)
   }
 
@@ -68,7 +70,7 @@ trait SzFrameCodec extends FrameWiseCodec {
     val in = new ByteArrayInputStream(bytes)
     val n  = ByteIO.readCount(in, Int.MaxValue, s"$name particle count")
     val eb = ByteIO.readDouble(in)
-    val dims = ByteIO.readBody(in, 3).map { section =>
+    val dims = Fork.map(ByteIO.readBody(in, 3).toSeq) { section =>
       val q = IntCoder.decode(new ByteArrayInputStream(section), n)
       // One index per value, so the decoded array bounds the header's count.
       require(q.length == n, s"$name: ${q.length} indices for $n particles")

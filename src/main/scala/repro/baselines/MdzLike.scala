@@ -2,7 +2,7 @@ package repro.baselines
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
 import repro.coding.{ByteIO, Zigzag}
-import repro.core.{Frame, LcpT}
+import repro.core.{Fork, Frame, LcpT}
 
 /** MDZ-style baseline: molecular-dynamics compressor with *batch-level*
   * method selection — the paper's key contrast with LCP's per-frame FSM
@@ -15,16 +15,14 @@ import repro.core.{Frame, LcpT}
   * from the reference accumulates over the batch (LCP-T's chained
   * prediction does not). The first frame of every batch is always
   * compressed spatially (no cross-batch anchors). A temporal frame is an
-  * LCP-T frame predicted from the reference. Order-preserving.
+  * LCP-T frame predicted from the reference. Order-preserving. The batches
+  * compress and decompress concurrently ([[Fork]]).
   */
 object MdzLike extends ParticleCodec {
   override val name = "MDZ"
 
   override def compress(frames: IndexedSeq[Frame], eb: Double, batchSize: Int): Compressed = {
-    val out = new ByteArrayOutputStream()
-    val batches = frames.grouped(batchSize).toIndexedSeq
-    Zigzag.writeVarLong(out, batches.size.toLong)
-    batches.foreach { batch =>
+    val coded = Fork.map(frames.grouped(batchSize).toSeq) { batch =>
       val head      = batch.head
       val headBytes = Sz2Like.compressFrame(head, eb)._1
       val reference = Sz2Like.decompressFrame(headBytes)
@@ -33,8 +31,13 @@ object MdzLike extends ParticleCodec {
       def spatial(f: Frame): Array[Byte]  = Sz2Like.compressFrame(f, eb)._1
       // Batch-level choice, probed on the second frame only.
       val temporalMode = uniformN && batch.size >= 2 && temporal(batch(1)).length < spatial(batch(1)).length
+      (temporalMode, headBytes +: batch.tail.map(if (temporalMode) temporal else spatial))
+    }
+    val out = new ByteArrayOutputStream()
+    Zigzag.writeVarLong(out, coded.size.toLong)
+    coded.foreach { case (temporalMode, sections) =>
       out.write(if (temporalMode) 1 else 0)
-      ByteIO.writeSections(out, headBytes +: batch.tail.map(if (temporalMode) temporal else spatial))
+      ByteIO.writeSections(out, sections)
     }
     Compressed(out.toByteArray, frames.map(_ => null))
   }
@@ -42,10 +45,13 @@ object MdzLike extends ParticleCodec {
   override def decompress(payload: Array[Byte]): IndexedSeq[Frame] = {
     val in = new ByteArrayInputStream(payload)
     // Every batch takes at least its mode byte.
-    IndexedSeq.fill(ByteIO.readCount(in, in.available().toLong, "MDZ batch count")) {
+    val batches = IndexedSeq.fill(ByteIO.readCount(in, in.available().toLong, "MDZ batch count")) {
       val temporalMode = in.read() == 1
       val sections     = ByteIO.readSections(in)
       require(sections.nonEmpty, "MDZ: empty batch")
+      (temporalMode, sections)
+    }
+    Fork.map(batches) { case (temporalMode, sections) =>
       val reference = Sz2Like.decompressFrame(sections.head)
       reference +: sections.tail.map(b => if (temporalMode) LcpT.decompress(b, reference) else Sz2Like.decompressFrame(b))
     }.flatten

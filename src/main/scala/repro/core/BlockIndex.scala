@@ -147,7 +147,9 @@ object BlockIndex {
     * counts come from the input: p and the extents at least 1, with at most
     * [[MaxGridCells]] blocks in a layer, and one count per block id, each at
     * least 1 (no empty block is stored), summing to the particle count.
-    * They are checked before any coordinate is written. */
+    * They are checked before any coordinate is written. Each block id must
+    * be at least 0 and each relative position in [0, p), or the point would
+    * land outside its block; these are checked as each point is written. */
   def ungroup(blockIds: Array[Long], counts: Array[Long],
               relX: Array[Long], relY: Array[Long], relZ: Array[Long],
               p: Int, bnx: Long, bny: Long,
@@ -171,15 +173,19 @@ object BlockIndex {
     var b   = 0
     while (b < blockIds.length) {
       val id  = blockIds(b)
+      require(id >= 0, s"block $b has id $id, below 0")
       val bz  = fdiv(id, bnx * bny)
       val rem = id - bz * bnx * bny
       val by  = fdiv(rem, bnx)
       val bx  = rem - by * bnx
       var c = 0L
       while (c < counts(b)) {
-        x(pos) = Quantizer.dequantize(bx * p + relX(pos), minX, eb)
-        y(pos) = Quantizer.dequantize(by * p + relY(pos), minY, eb)
-        z(pos) = Quantizer.dequantize(bz * p + relZ(pos), minZ, eb)
+        val rx = relX(pos); val ry = relY(pos); val rz = relZ(pos)
+        if ((rx | ry | rz) < 0 || rx >= p || ry >= p || rz >= p)
+          throw new IllegalArgumentException(s"particle $pos: relative position ($rx, $ry, $rz) outside [0, $p)")
+        x(pos) = Quantizer.dequantize(bx * p + rx, minX, eb)
+        y(pos) = Quantizer.dequantize(by * p + ry, minY, eb)
+        z(pos) = Quantizer.dequantize(bz * p + rz, minZ, eb)
         pos += 1
         c += 1
       }

@@ -2,10 +2,14 @@ package repro.core
 
 import java.util.concurrent.RecursiveAction
 
-/** Fork/join over a fixed list of independent pure tasks: LCP-T's x/y/z
-  * residual arrays (§7.1), the §7.4.1 block-size candidates, the §7.4.2
-  * trial arms and the bench sweeps' cells. (The paper's codec is parallel
-  * per block and per frame.)
+/** Fork/join over a fixed list of independent pure tasks. On compress:
+  * LCP-T's x/y/z residual arrays (§7.1), the §7.4.1 block-size candidates
+  * and the §7.4.2 trial arms. On decode: an archive's anchors, then its
+  * batches (§7.3), LCP-T's three residual sections and LCP-S's five
+  * sections (§6.2). The baselines fork their frames (frame-wise codecs),
+  * SZ's three dimensions and MDZ's batches, both ways, and the bench
+  * sweeps fork their cells. (The paper's codec is parallel per block and
+  * per frame.)
   *
   * The first task runs on the calling thread, the rest on
   * `ForkJoinPool.commonPool()`, which the JVM sizes. Joining from a pool

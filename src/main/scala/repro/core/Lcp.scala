@@ -57,8 +57,10 @@ object Lcp {
                               batches: IndexedSeq[IndexedSeq[Array[Byte]]]) {
     /** Every frame's anchor or payload slot and anchor reference. */
     val entries: IndexedSeq[FrameEntry] = LcpArchive.frameTable(temporal, batchSize)
-    require(anchors.size == entries.count(_.inAnchor),
-      s"archive: ${anchors.size} anchors for ${entries.count(_.inAnchor)} spatial batch heads")
+    /** `anchorFrames(k)` is the frame stored as anchor k. */
+    val anchorFrames: IndexedSeq[Int] = entries.indices.filter(entries(_).inAnchor)
+    require(anchors.size == anchorFrames.size,
+      s"archive: ${anchors.size} anchors for ${anchorFrames.size} spatial batch heads")
     require(batches.size == (numFrames + batchSize - 1L) / batchSize,
       s"archive: ${batches.size} batches for $numFrames frames at batch size $batchSize")
     batches.indices.foreach(b => require(batches(b).size == batchFrames(b).count(!entries(_).inAnchor),
@@ -246,40 +248,48 @@ object Lcp {
     Result(archive, perms.result(), tTrials)
   }
 
+  /** Runs `decode`, the decoding of frame `i` of `a`. A failure raises an
+    * `IllegalArgumentException` naming the frame, its batch and its stored
+    * method, caused by the decoder's own error. The S/T choices are not
+    * checksummed, so a flipped non-head choice passes `fromBytes` and
+    * surfaces only here. */
+  private def named(a: LcpArchive, i: Int)(decode: => Frame): Frame =
+    try decode
+    catch {
+      case err: IllegalArgumentException =>
+        throw new IllegalArgumentException(
+          s"LCP archive: frame $i (batch ${i / a.batchSize}, stored as LCP-${if (a.temporal(i)) "T" else "S"}) " +
+            s"does not decode: ${err.getMessage}", err)
+    }
+
   /** The §7.3 retrieval primitive: decode frames `from..to` of batch
     * `batchIdx`, lazily and in order. `from` must start a temporal chain:
     * a spatial frame, or the batch head, whose temporal basis is the anchor
     * frame it references. Each later temporal frame decodes against its
     * predecessor, so only the previous frame is kept live. `anchor(k)` is
     * the decoded anchor frame k, for a spatial frame stored as an anchor
-    * and for a head's temporal basis alike.
-    *
-    * A frame that does not decode raises an `IllegalArgumentException`
-    * naming the frame, its batch and its stored method, caused by the
-    * decoder's own error: the S/T choices are not checksummed, so a flipped
-    * non-head choice passes `fromBytes` and surfaces only here. */
+    * and for a head's temporal basis alike; it names anchor k's own frame
+    * when that does not decode. */
   private def decodeChain(a: LcpArchive, batchIdx: Int, from: Int, to: Int, anchor: Int => Frame): Iterator[Frame] = {
     val head = batchIdx * a.batchSize
     var prev: Frame = null
     (from to to).iterator.map { i =>
       val e = a.entries(i)
       prev =
-        try {
-          if (!e.temporal) { if (e.inAnchor) anchor(e.slot) else LcpS.decompress(a.batches(batchIdx)(e.slot)) }
-          else LcpT.decompress(a.batches(batchIdx)(e.slot), if (i == head) anchor(e.anchorRef) else prev)
-        } catch {
-          case err: IllegalArgumentException =>
-            throw new IllegalArgumentException(
-              s"LCP archive: frame $i (batch $batchIdx, stored as LCP-${if (e.temporal) "T" else "S"}) " +
-                s"does not decode: ${err.getMessage}", err)
+        if (e.inAnchor) anchor(e.slot)
+        else {
+          val basis = if (e.temporal && i == head) anchor(e.anchorRef) else prev
+          named(a, i) {
+            if (e.temporal) LcpT.decompress(a.batches(batchIdx)(e.slot), basis)
+            else LcpS.decompress(a.batches(batchIdx)(e.slot))
+          }
         }
       prev
     }
   }
 
-  /** Anchor k decoded on demand: a batch or frame retrieval needs at most
-    * one anchor. */
-  private def anchorDecoder(a: LcpArchive): Int => Frame = k => LcpS.decompress(a.anchors(k))
+  /** Anchor k, decoded under its frame's name. */
+  private def decodeAnchor(a: LcpArchive, k: Int): Frame = named(a, a.anchorFrames(k))(LcpS.decompress(a.anchors(k)))
 
   private def batchChain(a: LcpArchive, batchIdx: Int, anchor: Int => Frame): IndexedSeq[Frame] = {
     val frames = a.batchFrames(batchIdx)
@@ -288,10 +298,10 @@ object Lcp {
 
   /** Decompress every frame of one batch — the paper's retrieval unit
     * (§2.1.3). Only the batch's payloads plus (at most) one anchor frame
-    * are touched. */
+    * are touched, the anchor decoded on demand. */
   def decompressBatch(a: LcpArchive, batchIdx: Int): IndexedSeq[Frame] = {
     require(a.batches.indices.contains(batchIdx), s"batch $batchIdx outside 0 until ${a.batches.size}")
-    batchChain(a, batchIdx, anchorDecoder(a))
+    batchChain(a, batchIdx, decodeAnchor(a, _))
   }
 
   /** Decompress a single frame: decode only its batch up to the frame (plus
@@ -303,14 +313,16 @@ object Lcp {
     // target, or at the batch head — only that suffix of the batch is decoded.
     var chainStart = frameIdx
     while (chainStart > batchIdx * a.batchSize && a.entries(chainStart).temporal) chainStart -= 1
-    decodeChain(a, batchIdx, chainStart, frameIdx, anchorDecoder(a)).reduceLeft((_, f) => f)
+    decodeChain(a, batchIdx, chainStart, frameIdx, decodeAnchor(a, _)).reduceLeft((_, f) => f)
   }
 
-  /** Decompress the whole archive, batch by batch. Every anchor is a
-    * batch-head frame of its own, so each is decoded once, up front, and
-    * shared by every batch head that references it. */
+  /** Decompress the whole archive. Every anchor is a batch-head frame of
+    * its own, so each is decoded once, up front, and shared by every batch
+    * head that references it; the anchors, then the batches, decode
+    * concurrently ([[Fork]]). A failure is the first in frame order among
+    * the anchors, else among the batches. */
   def decompressAll(a: LcpArchive): IndexedSeq[Frame] = {
-    val anchors = a.anchors.map(LcpS.decompress)
-    a.batches.indices.flatMap(batchChain(a, _, anchors))
+    val anchors = Fork.map(a.anchors.indices)(decodeAnchor(a, _))
+    Fork.map(a.batches.indices)(batchChain(a, _, anchors)).flatten
   }
 }

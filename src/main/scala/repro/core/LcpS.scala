@@ -57,7 +57,8 @@ object LcpS {
     (out.toByteArray, grouped)
   }
 
-  /** Decompress a frame written by [[compress]] (returned in block order). */
+  /** Decompress a frame written by [[compress]] (returned in block order).
+    * The five sections decode concurrently ([[Fork]]). */
   def decompress(bytes: Array[Byte]): Frame = {
     val in  = new ByteArrayInputStream(bytes)
     val n   = ByteIO.readCount(in, Int.MaxValue, "LCP-S particle count")
@@ -68,8 +69,8 @@ object LcpS {
     val bny = Zigzag.readVarLong(in)
     // Every block holds at least one particle, so no array has more than n
     // values.
-    val Array(blockIds, counts, relX, relY, relZ) =
-      ByteIO.readBody(in, 5).map(s => IntCoder.decode(new ByteArrayInputStream(s), n))
+    val Seq(blockIds, counts, relX, relY, relZ) =
+      Fork.map(ByteIO.readBody(in, 5).toSeq)(s => IntCoder.decode(new ByteArrayInputStream(s), n))
     require(relX.length == n, s"decoded ${relX.length} particles, expected $n")
     BlockIndex.ungroup(blockIds, counts, relX, relY, relZ, p, bnx, bny, mx, my, mz, eb)
   }

@@ -58,7 +58,8 @@ object LcpT {
     TResult(out.toByteArray, Frame(dims(0)._2, dims(1)._2, dims(2)._2))
   }
 
-  /** Decompress a frame written by [[compress]] given the same `prevRecon`. */
+  /** Decompress a frame written by [[compress]] given the same `prevRecon`.
+    * The three residual sections decode concurrently ([[Fork]]). */
   def decompress(bytes: Array[Byte], prevRecon: Frame): Frame = {
     val in = new ByteArrayInputStream(bytes)
     val n  = prevRecon.n
@@ -66,8 +67,8 @@ object LcpT {
     require(stored == n, s"frame length $stored does not match previous frame $n")
     val eb   = ByteIO.readDouble(in)
     val step = (q: Long) => Quantizer.residualStep(q, eb)
-    val dims = ByteIO.readBody(in, 3).zip(Array(prevRecon.x, prevRecon.y, prevRecon.z)).map { case (section, prev) =>
-      IntCoder.decodeResiduals(new ByteArrayInputStream(section), prev, step)
+    val dims = Fork.map(ByteIO.readBody(in, 3).toSeq.zip(Seq(prevRecon.x, prevRecon.y, prevRecon.z))) {
+      case (section, prev) => IntCoder.decodeResiduals(new ByteArrayInputStream(section), prev, step)
     }
     Frame(dims(0), dims(1), dims(2))
   }

@@ -2,6 +2,7 @@ package repro.core
 
 import java.security.MessageDigest
 import org.scalatest.funsuite.AnyFunSuite
+import scala.jdk.CollectionConverters._
 import repro.TestFrames
 import repro.baselines.{DracoLike, MdzLike, ParticleCodec, SperrLike, Sz2Like, Sz3Like, Tmc13Like, ZfpLike}
 import repro.core.Lcp.LcpArchive
@@ -44,6 +45,29 @@ class DecodeDigestSpec extends AnyFunSuite {
       }
       for (f <- all.indices) assert(sameFrame(Lcp.decompressFrame(a, f), all(f)), s"frame $f")
     }
+
+  test("LCP golden archives decoded from several threads at once keep their digests") {
+    val cells    = LcpGoldenCells.all
+    val archives = cells.map(c => c.name -> LcpArchive.fromBytes(Lcp.compress(c.frames(), c.cfg).archive.toBytes)).toMap
+    val digests  = new java.util.concurrent.ConcurrentLinkedQueue[(String, String)]
+    // Each cell's frames through all three entry points: the whole archive,
+    // every batch and every frame, concatenated in frame order.
+    def decode(c: LcpGoldenCells.Cell): Unit = {
+      val a = archives(c.name)
+      digests.add(c.name -> sha256(Lcp.decompressAll(a)))
+      digests.add(c.name -> sha256(a.batches.indices.flatMap(Lcp.decompressBatch(a, _))))
+      digests.add(c.name -> sha256(a.entries.indices.map(Lcp.decompressFrame(a, _))))
+    }
+    // Four plain threads start the cells in rotated orders; the pool's own
+    // threads run them nested in Fork.map.
+    val threads = (0 until 4).map(k => new Thread(() => (cells.drop(k) ++ cells.take(k)).foreach(decode)))
+    threads.foreach(_.start())
+    Fork.map(cells)(decode)
+    threads.foreach(_.join())
+    val want = cells.map(c => c.name -> c.decodedDigest).toMap
+    assert(digests.size == 3 * 5 * cells.size)
+    digests.asScala.foreach { case (name, got) => assert(got == want(name), s"DECODED $name -> $got") }
+  }
 
   private def baselineCell(codec: ParticleCodec, name: String, frames: => IndexedSeq[Frame], eb: Double,
                            batchSize: Int, digest: String): Unit =

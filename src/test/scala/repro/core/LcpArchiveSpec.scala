@@ -178,6 +178,16 @@ class LcpArchiveSpec extends AnyFunSuite {
     }
   }
 
+  test("with undecodable frames in batches 1 and 2, decompressAll raises batch 1's error") {
+    // Frame 7 ends batch 1; frame 9 fails earlier in its own batch.
+    val a = LcpArchive.fromBytes(rewritten(helium)(temporal = helium.temporal.updated(7, false).updated(9, false)))
+    val e = intercept[IllegalArgumentException](Lcp.decompressAll(a))
+    assert(e.getMessage.startsWith("LCP archive: frame 7 (batch 1, stored as LCP-S) does not decode: "), e.getMessage)
+    assert(intercept[IllegalArgumentException](Lcp.decompressBatch(a, 1)).getMessage == e.getMessage)
+    assert(intercept[IllegalArgumentException](Lcp.decompressBatch(a, 2)).getMessage
+      .startsWith("LCP archive: frame 9 (batch 2, stored as LCP-S) does not decode: "))
+  }
+
   test("bytes after the last batch are rejected") {
     rejected(helium.toBytes :+ 0.toByte)
   }

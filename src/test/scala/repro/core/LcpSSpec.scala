@@ -128,41 +128,73 @@ class LcpSSpec extends AnyFunSuite with PropSupport {
     }
   }
 
-  /** The LCP-S frame `bytes` written again with its block counts replaced
-    * by `edit(counts)`; the header and the other sections stay as they are. */
-  private def withCounts(bytes: Array[Byte])(edit: Array[Long] => Array[Long]): Array[Byte] = {
+  /** The LCP-S frame `bytes` written again with its body section `k`
+    * (0 = block ids, 1 = block counts, 2–4 = relative x, y, z) replaced by
+    * `edit` of its values; the header and the other sections stay as they
+    * are. */
+  private def withSection(bytes: Array[Byte], k: Int)(edit: Array[Long] => Array[Long]): Array[Byte] = {
     val in = new ByteArrayInputStream(bytes)
     Zigzag.readVarLong(in); ByteIO.readDouble(in); Zigzag.readVarLong(in)
     (0 until 3).foreach(_ => ByteIO.readDouble(in))
     Zigzag.readVarLong(in); Zigzag.readVarLong(in)
     val header   = bytes.take(bytes.length - in.available())
     val sections = ByteIO.readBody(in, 5)
-    sections(1) = IntCoder.encode(edit(IntCoder.decode(new ByteArrayInputStream(sections(1)))))
+    sections(k) = IntCoder.encode(edit(IntCoder.decode(new ByteArrayInputStream(sections(k)))))
     val out = new ByteArrayOutputStream()
     out.write(header)
-    ByteIO.writeBody(out, sections: _*)
+    ByteIO.writeBody(out, sections.toIndexedSeq: _*)
     out.toByteArray
   }
 
   private lazy val countedFrame = LcpS.compress(TestFrames.helium(2000, 1).head, 0.01, 8).bytes
 
   test("rewriting the block counts unchanged gives back the same frame bytes") {
-    assert(withCounts(countedFrame)(identity).sameElements(countedFrame))
+    assert(withSection(countedFrame, 1)(identity).sameElements(countedFrame))
   }
 
   test("block counts summing past the particle count are rejected") {
-    val crafted = withCounts(countedFrame) { c => c.updated(0, c(0) + 1) }
+    val crafted = withSection(countedFrame, 1) { c => c.updated(0, c(0) + 1) }
     intercept[IllegalArgumentException](LcpS.decompress(crafted))
   }
 
   test("fewer block counts than block ids are rejected") {
-    val crafted = withCounts(countedFrame)(_.dropRight(1))
+    val crafted = withSection(countedFrame, 1)(_.dropRight(1))
     intercept[IllegalArgumentException](LcpS.decompress(crafted))
   }
 
   test("an empty block (count 0) is rejected even when the counts sum to n") {
-    val crafted = withCounts(countedFrame) { c => c.updated(0, 0L).updated(1, c(0) + c(1)) }
+    val crafted = withSection(countedFrame, 1) { c => c.updated(0, 0L).updated(1, c(0) + c(1)) }
     intercept[IllegalArgumentException](LcpS.decompress(crafted))
+  }
+
+  /** The block size p in the header of LCP-S frame `bytes`. */
+  private def headerP(bytes: Array[Byte]): Long = {
+    val in = new ByteArrayInputStream(bytes)
+    Zigzag.readVarLong(in); ByteIO.readDouble(in)
+    Zigzag.readVarLong(in)
+  }
+
+  test("rewriting the block ids or a relative-position section unchanged gives back the same frame bytes") {
+    for (k <- Seq(0, 2, 3, 4)) assert(withSection(countedFrame, k)(identity).sameElements(countedFrame), s"section $k")
+  }
+
+  test("a relative position of 10^6, -10^6 or p is rejected in every dimension") {
+    val p = headerP(countedFrame)
+    for (k <- 2 to 4; rel <- Seq(1000000L, -1000000L, p))
+      withClue(s"section $k, rel $rel")(
+        intercept[IllegalArgumentException](LcpS.decompress(withSection(countedFrame, k)(_.updated(0, rel)))))
+  }
+
+  test("a relative position of p - 1 in the last particle still decodes") {
+    val p = headerP(countedFrame)
+    val d = LcpS.decompress(withSection(countedFrame, 2)(r => r.updated(r.length - 1, p - 1)))
+    assert(d.n == LcpS.decompress(countedFrame).n)
+  }
+
+  test("a negative first block-id delta is rejected") {
+    val crafted = withSection(countedFrame, 0)(ids => ids.map(_ - ids(0) - 1))
+    val err     = intercept[IllegalArgumentException](LcpS.decompress(crafted))
+    assert(err.getMessage.contains("block 0 has id -1"), err.getMessage)
   }
 
   /** The LCP-S frame `bytes` with its header's (p, bnx, bny) replaced by
@@ -200,15 +232,33 @@ class LcpSSpec extends AnyFunSuite with PropSupport {
   }
 
   test("a bad grid header in an archive's LCP-S frame fails at decode naming the frame") {
+    // Frames 0 and 2 are anchors, frames 1 and 3 payloads; every entry point
+    // that decodes the frame raises the same error.
     val a = Lcp.compress(TestFrames.helium(500, 4), Lcp.LcpConfig(0.01, batchSize = 2, disableTemporal = true)).archive
-    val k = a.entries.indexWhere(e => !e.inAnchor)
-    val e = a.entries(k)
-    val b = k / a.batchSize
-    for ((what, crafted) <- badGrids(a.batches(b)(e.slot))) {
-      val bad = a.copy(batches = a.batches.updated(b, a.batches(b).updated(e.slot, crafted)))
-      val err = withClue(what)(intercept[IllegalArgumentException](Lcp.decompressAll(bad)))
-      assert(err.getMessage.startsWith(s"LCP archive: frame $k (batch $b, stored as LCP-S) does not decode: "),
-        s"$what: ${err.getMessage}")
+    assert(a.anchorFrames == Seq(0, 2))
+    for (k <- a.entries.indices; e = a.entries(k); b = k / a.batchSize) {
+      val stored = if (e.inAnchor) a.anchors(e.slot) else a.batches(b)(e.slot)
+      for ((what, crafted) <- badGrids(stored)) {
+        val bad =
+          if (e.inAnchor) a.copy(anchors = a.anchors.updated(e.slot, crafted))
+          else a.copy(batches = a.batches.updated(b, a.batches(b).updated(e.slot, crafted)))
+        val err = withClue(s"frame $k, $what")(intercept[IllegalArgumentException](Lcp.decompressAll(bad)))
+        assert(err.getMessage.startsWith(s"LCP archive: frame $k (batch $b, stored as LCP-S) does not decode: "),
+          s"frame $k, $what: ${err.getMessage}")
+        assert(intercept[IllegalArgumentException](Lcp.decompressBatch(bad, b)).getMessage == err.getMessage)
+        assert(intercept[IllegalArgumentException](Lcp.decompressFrame(bad, k)).getMessage == err.getMessage)
+      }
     }
+  }
+
+  test("an anchor that does not decode is named by its own frame, also from a temporal head that uses it") {
+    // Frames S T | T T: frame 2 is a temporal head predicted from anchor 0.
+    val a = Lcp.compress(TestFrames.helium(500, 4), Lcp.LcpConfig(0.01, batchSize = 2)).archive
+    assert(a.temporal == Seq(false, true, true, true) && a.entries(2).anchorRef == 0)
+    val bad  = a.copy(anchors = a.anchors.updated(0, badGrids(a.anchors(0)).head._2))
+    val want = "LCP archive: frame 0 (batch 0, stored as LCP-S) does not decode: "
+    assert(intercept[IllegalArgumentException](Lcp.decompressAll(bad)).getMessage.startsWith(want))
+    assert(intercept[IllegalArgumentException](Lcp.decompressBatch(bad, 1)).getMessage.startsWith(want))
+    assert(intercept[IllegalArgumentException](Lcp.decompressFrame(bad, 3)).getMessage.startsWith(want))
   }
 }
