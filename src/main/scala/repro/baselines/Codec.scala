@@ -41,8 +41,12 @@ trait FrameWiseCodec extends ParticleCodec {
     Compressed(out.toByteArray, results.map(_._2))
   }
 
-  final override def decompress(payload: Array[Byte]): IndexedSeq[Frame] =
-    Fork.map(ByteIO.readSections(new ByteArrayInputStream(payload)))(decompressFrame)
+  final override def decompress(payload: Array[Byte]): IndexedSeq[Frame] = {
+    val in     = new ByteArrayInputStream(payload)
+    val frames = ByteIO.readSections(in)
+    ByteIO.requireEnd(in, s"the last $name frame")
+    Fork.map(frames)(decompressFrame)
+  }
 }
 
 /** Frame-wise codec with the SZ frame layout: the particle count, the

@@ -51,6 +51,7 @@ object MdzLike extends ParticleCodec {
       require(sections.nonEmpty, "MDZ: empty batch")
       (temporalMode, sections)
     }
+    ByteIO.requireEnd(in, "the last MDZ batch")
     Fork.map(batches) { case (temporalMode, sections) =>
       val reference = Sz2Like.decompressFrame(sections.head)
       reference +: sections.tail.map(b => if (temporalMode) LcpT.decompress(b, reference) else Sz2Like.decompressFrame(b))

@@ -100,10 +100,12 @@ object Tmc13Like extends FrameWiseCodec {
         val px = Quantizer.dequantize(qx, mx, eb)
         val py = Quantizer.dequantize(qy, my, eb)
         val pz = Quantizer.dequantize(qz, mz, eb)
+        require(dupPos < dups.length, s"TMC13: occupancy describes more than ${dups.length} leaves")
         var c = dups(dupPos); dupPos += 1
         while (c > 0) { x(outPos) = px; y(outPos) = py; z(outPos) = pz; outPos += 1; c -= 1 }
         return
       }
+      require(occPos < occ.length, s"TMC13: octree needs more than ${occ.length} occupancy bytes")
       val occByte = occ(occPos) & 0xff; occPos += 1
       var child = 0
       while (child < 8) {
@@ -112,6 +114,7 @@ object Tmc13Like extends FrameWiseCodec {
       }
     }
     if (n > 0) walk(0L, depth)
+    require(occPos == occ.length, s"TMC13: octree read $occPos of ${occ.length} occupancy bytes")
     require(outPos == n, s"octree decoded $outPos of $n points")
     Frame(x, y, z)
   }

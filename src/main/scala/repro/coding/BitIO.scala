@@ -2,16 +2,16 @@ package repro.coding
 
 import java.util.Arrays
 
-/** MSB-first bit packing through a 64-bit accumulator, the encode side of
-  * the fixed-length and Huffman coders (DESIGN.md §3), and the 64-bit
-  * window their decoders read through. Values are written
+/** The bit primitives of the fixed-length and Huffman coders (DESIGN.md
+  * §3): one MSB-first packing loop through a 64-bit accumulator, and the
+  * 64-bit window their decoders read through. Values are written
   * most-significant-bit first so canonical Huffman codes compare correctly
   * during decode.
   *
   * The accumulator holds the pending bits in its low bits; a value that
   * does not fit completes the current 64-bit word, which is stored as 8
-  * big-endian bytes, and its remaining low bits start the next word. The
-  * bulk packers write into an exactly sized array, so the hot loops have no
+  * big-endian bytes, and its remaining low bits start the next word.
+  * [[pack]] writes into an exactly sized array, so its loop has no
   * per-value bounds check, `require` or per-byte loop.
   */
 private[coding] object BitPack {
@@ -55,49 +55,28 @@ private[coding] object BitPack {
     while (q < p + (bits + 7) / 8) { out(q) = (w >>> 56).toByte; w <<= 8; q += 1 }
   }
 
-  /** Pack the low `width` bits of every value of `a` into `out`, which
-    * must hold exactly `(a.length * width + 7) / 8` bytes. */
-  def packFixed(a: Array[Long], width: Int, out: Array[Byte]): Unit = {
-    if (width == 0) return
-    val mask = if (width == 64) -1L else (1L << width) - 1
+  /** The `bits` bits of `value(i)`, packed in its low `length(i)` bits
+    * (0..64, the value below 2^length) for i in 0 until n, one after
+    * another. The output is sized once from `bits`, their total. */
+  def pack(n: Int, bits: Long, length: Int => Int, value: Int => Long): Array[Byte] = {
+    val out  = new Array[Byte](((bits + 7) / 8).toInt)
     var acc  = 0L
-    var bits = 0
+    var held = 0
     var p    = 0
     var i    = 0
-    while (i < a.length) {
-      val v    = a(i) & mask
-      val free = 64 - bits
-      if (width < free) { acc = (acc << width) | v; bits += width }
+    while (i < n) {
+      val l    = length(i)
+      val v    = value(i)
+      val free = 64 - held
+      if (l < free) { acc = (acc << l) | v; held += l }
       else {
-        putWord(out, p, if (free == 64) v else (acc << free) | (v >>> (width - free)))
-        p += 8; bits = width - free; acc = v
+        putWord(out, p, if (free == 64) v else (acc << free) | (v >>> (l - free)))
+        p += 8; held = l - free; acc = v
       }
       i += 1
     }
-    if (bits > 0) putTail(out, p, acc, bits)
-  }
-
-  /** Pack symbol `ids(i)`'s codeword `codes(ids(i))` of `lengths(ids(i))`
-    * bits (1..58, codeword below 2^length) for every i into `out`, which
-    * must hold exactly the payload's bytes. */
-  def packCodes(ids: Array[Int], codes: Array[Long], lengths: Array[Int], out: Array[Byte]): Unit = {
-    var acc  = 0L
-    var bits = 0
-    var p    = 0
-    var i    = 0
-    while (i < ids.length) {
-      val id   = ids(i)
-      val v    = codes(id)
-      val l    = lengths(id)
-      val free = 64 - bits
-      if (l < free) { acc = (acc << l) | v; bits += l }
-      else {
-        putWord(out, p, (acc << free) | (v >>> (l - free)))
-        p += 8; bits = l - free; acc = v
-      }
-      i += 1
-    }
-    if (bits > 0) putTail(out, p, acc, bits)
+    if (held > 0) putTail(out, p, acc, held)
+    out
   }
 }
 

@@ -66,13 +66,21 @@ object ByteIO {
     writeSection(out, Dictionary.compress(body))
   }
 
-  /** Read a body written by [[writeBody]] holding exactly `count` sections. */
+  /** Read a body written by [[writeBody]] holding exactly `count` sections.
+    * Every frame format ends with its body, so `in` must end with it too. */
   def readBody(in: ByteArrayInputStream, count: Int): Array[Array[Byte]] = {
-    val body     = new ByteArrayInputStream(Dictionary.decompress(readSection(in)))
+    val stored = readSection(in)
+    requireEnd(in, "the frame body")
+    val body   = new ByteArrayInputStream(Dictionary.decompress(stored))
     val sections = Array.fill(count)(readSection(body))
-    require(body.available() == 0, s"frame body: ${body.available()} bytes after its $count sections")
+    requireEnd(body, s"the frame body's $count sections")
     sections
   }
+
+  /** Reject any byte of `in` left after `what`, the last thing its format
+    * holds. */
+  def requireEnd(in: ByteArrayInputStream, what: String): Unit =
+    require(in.available() == 0, s"${in.available()} bytes after $what")
 
   def writeDouble(out: ByteArrayOutputStream, v: Double): Unit = {
     val bits = java.lang.Double.doubleToLongBits(v)

@@ -6,17 +6,9 @@ package repro.coding
   */
 object FixedLength {
 
-  /** Bit width needed to store every value of `a` (0 for an all-zero array). */
-  def widthFor(a: Array[Long]): Int = {
-    var or = 0L
-    var i  = 0
-    while (i < a.length) { or |= a(i); i += 1 }
-    widthOfOr(or)
-  }
-
-  /** [[widthFor]] of values whose bitwise OR is `or`: the OR has the bit
-    * width of the largest value, and it is negative exactly when a value
-    * is (a zigzag code >= 2^63), which no width can store. */
+  /** Bit width needed to store values whose bitwise OR is `or`: the OR has
+    * the bit width of the largest value, and it is negative exactly when a
+    * value is (a zigzag code >= 2^63), which no width can store. */
   def widthOfOr(or: Long): Int = {
     require(or >= 0, "FixedLength requires non-negative input")
     Zigzag.bitWidth(or)
@@ -24,9 +16,8 @@ object FixedLength {
 
   /** Pack the low `width` bits of each value of `a`. */
   def encode(a: Array[Long], width: Int): Array[Byte] = {
-    val out = new Array[Byte](((a.length.toLong * width + 7) / 8).toInt)
-    BitPack.packFixed(a, width, out)
-    out
+    val mask = if (width == 64) -1L else (1L << width) - 1
+    BitPack.pack(a.length, a.length.toLong * width, _ => width, a(_) & mask)
   }
 
   /** Unpack `n` values of `width` bits each. The values must fit in

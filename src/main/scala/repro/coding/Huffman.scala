@@ -112,12 +112,9 @@ object Huffman {
       out
     }
 
-    /** The bit-packed codewords of the histogram's array. */
-    def encodePayload(h: Histogram): Array[Byte] = {
-      val out = new Array[Byte](((payloadBits(h) + 7) / 8).toInt)
-      BitPack.packCodes(h.ids, idCodes, idLengths, out)
-      out
-    }
+    /** The codewords of the histogram's array, one after another. */
+    def encodePayload(h: Histogram): Array[Byte] =
+      BitPack.pack(h.ids.length, payloadBits(h), i => idLengths(h.ids(i)), i => idCodes(h.ids(i)))
   }
 
   /** Build a canonical Huffman code from a histogram. Returns None when the
@@ -299,55 +296,35 @@ object Huffman {
       }
     }
 
-    /** Decode `m` symbols from `bytes`, zigzag-decoded. Each 64-bit
-      * [[BitPack.window]] of the stream decodes codes by table lookup while
-      * a whole table window of its bits is left, so the stream end is
-      * checked once per window. A code longer than the table window, and
-      * every code in the stream's last `tableBits` bits, takes the checked
-      * canonical walk. */
+    /** Decode `m` symbols from `bytes`, zigzag-decoded. */
     def decode(bytes: Array[Byte], m: Int): Array[Long] = {
-      require(m == 0 || n > 0, "corrupt Huffman stream")
-      val out    = new Array[Long](m)
-      val limit  = 8L * bytes.length
-      val tb     = tableBits
-      val tab    = table
-      val vs     = vals
-      var bitPos = 0L
-      var i      = 0
-      while (i < m) {
-        val avail = math.min(64L - (bitPos & 7), limit - bitPos).toInt
-        var w     = BitPack.window(bytes, bitPos)
-        var used  = 0
-        var e     = 1
-        while (i < m && used + tb <= avail && { e = tab((w >>> (64 - tb)).toInt); e != 0 }) {
-          out(i) = vs(e >>> 6)
-          w <<= e & 63
-          used += e & 63
-          i += 1
-        }
-        bitPos += used
-        if (i < m && (e == 0 || limit - bitPos < tb)) {
-          val s = slowSymbol(bytes, bitPos, limit)
-          out(i) = vs((s >>> 6).toInt)
-          bitPos += s & 63
-          i += 1
-        }
-      }
+      val out = new Array[Long](m)
+      val vs  = vals
+      decodeCodes(bytes, m, (i, k) => out(i) = vs(k))
       out
     }
 
     /** [[decode]] fused with the residual reconstruction of LCP-T: decodes
       * `prev.length` symbols and writes `prev(i) + step(symbol i)` with no
       * intermediate symbol array. `step` runs once per distinct symbol of
-      * the table, not once per value. The window loop and the canonical
-      * walk are [[decode]]'s. */
+      * the table, not once per value. */
     def decodeResiduals(bytes: Array[Byte], prev: Array[Double], step: Long => Double): Array[Double] = {
-      val m = prev.length
-      require(m == 0 || n > 0, "corrupt Huffman stream")
       val steps = new Array[Double](n)
-      var k = 0
-      while (k < n) { steps(k) = step(vals(k)); k += 1 }
-      val out    = new Array[Double](m)
+      var j = 0
+      while (j < n) { steps(j) = step(vals(j)); j += 1 }
+      val out = new Array[Double](prev.length)
+      decodeCodes(bytes, prev.length, (i, k) => out(i) = prev(i) + steps(k))
+      out
+    }
+
+    /** Decode `m` codes from `bytes`, calling `put(i, k)` with code i's
+      * canonical index k. Each 64-bit [[BitPack.window]] of the stream
+      * decodes codes by table lookup while a whole table window of its bits
+      * is left, so the stream end is checked once per window. A code longer
+      * than the table window, and every code in the stream's last
+      * `tableBits` bits, takes the checked canonical walk. */
+    private def decodeCodes(bytes: Array[Byte], m: Int, put: (Int, Int) => Unit): Unit = {
+      require(m == 0 || n > 0, "corrupt Huffman stream")
       val limit  = 8L * bytes.length
       val tb     = tableBits
       val tab    = table
@@ -359,7 +336,7 @@ object Huffman {
         var used  = 0
         var e     = 1
         while (i < m && used + tb <= avail && { e = tab((w >>> (64 - tb)).toInt); e != 0 }) {
-          out(i) = prev(i) + steps(e >>> 6)
+          put(i, e >>> 6)
           w <<= e & 63
           used += e & 63
           i += 1
@@ -367,12 +344,11 @@ object Huffman {
         bitPos += used
         if (i < m && (e == 0 || limit - bitPos < tb)) {
           val s = slowSymbol(bytes, bitPos, limit)
-          out(i) = prev(i) + steps((s >>> 6).toInt)
+          put(i, (s >>> 6).toInt)
           bitPos += s & 63
           i += 1
         }
       }
-      out
     }
 
     /** The code at `bitPos`, read bit by bit through the canonical tables

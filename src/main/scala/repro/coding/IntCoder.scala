@@ -117,26 +117,19 @@ object IntCoder {
     * fixed-length array is zigzag-decoded in place, and the delta prefix
     * sum runs last, in place. */
   def decode(in: ByteArrayInputStream, maxCount: Int = Int.MaxValue): Array[Long] = {
-    val flags = readFlags(in)
-    val delta = (flags & 1) != 0
-    val huff  = (flags & 2) != 0
-    // The count comes from the input: it is checked against the caller's
-    // bound and against the payload (a symbol takes at least one bit, a
-    // fixed-length value its width) before the output is allocated.
-    val n = ByteIO.readCount(in, maxCount, "IntCoder count")
-    if (n == 0) return Array.emptyLongArray
+    val s = read(in, maxCount)
     val z =
-      if (huff) { val (dec, payload) = huffmanPayload(in, n); dec.decode(payload, n) }
+      if (s.huffman != null) s.huffman.decode(s.payload, s.n)
       else {
-        val c = fixedCodes(in, n)
+        val c = FixedLength.decode(s.payload, s.n, s.width)
         var i = 0
-        while (i < n) { c(i) = Zigzag.decode(c(i)); i += 1 }
+        while (i < s.n) { c(i) = Zigzag.decode(c(i)); i += 1 }
         c
       }
-    if (delta) {
+    if (s.delta) {
       var prev = 0L
       var i    = 0
-      while (i < n) { prev += z(i); z(i) = prev; i += 1 }
+      while (i < s.n) { prev += z(i); z(i) = prev; i += 1 }
     }
     z
   }
@@ -148,38 +141,46 @@ object IntCoder {
     * evaluated once per distinct symbol; a fixed-length array is unpacked,
     * then reconstructed in one pass. */
   def decodeResiduals(in: ByteArrayInputStream, prev: Array[Double], step: Long => Double): Array[Double] = {
-    val flags = readFlags(in)
-    require((flags & 1) == 0, "IntCoder: a residual array is never delta coded")
-    val n = ByteIO.readCount(in, prev.length, "IntCoder residual count")
-    require(n == prev.length, s"IntCoder: $n residuals for ${prev.length} predictions")
-    if (n == 0) Array.emptyDoubleArray
-    else if ((flags & 2) != 0) { val (dec, payload) = huffmanPayload(in, n); dec.decodeResiduals(payload, prev, step) }
+    val s = read(in, prev.length)
+    require(!s.delta, "IntCoder: a residual array is never delta coded")
+    require(s.n == prev.length, s"IntCoder: ${s.n} residuals for ${prev.length} predictions")
+    if (s.huffman != null) s.huffman.decodeResiduals(s.payload, prev, step)
     else {
-      val c   = fixedCodes(in, n)
-      val out = new Array[Double](n)
+      val c   = FixedLength.decode(s.payload, s.n, s.width)
+      val out = new Array[Double](s.n)
       var i   = 0
-      while (i < n) { out(i) = prev(i) + step(Zigzag.decode(c(i))); i += 1 }
+      while (i < s.n) { out(i) = prev(i) + step(Zigzag.decode(c(i))); i += 1 }
       out
     }
   }
 
-  private def readFlags(in: ByteArrayInputStream): Int = {
+  /** One stored array: its delta flag, its count `n`, then the Huffman
+    * decoder (`null` for a fixed-length array) or the fixed `width`, and the
+    * payload. An empty array reads as a fixed-length one with no payload. */
+  private final class Stored(val delta: Boolean, val n: Int, val huffman: Huffman.Decoder, val width: Int,
+                             val payload: Array[Byte])
+
+  /** Read one array's stream, which must end with its payload. The count
+    * comes from the input: it is checked against `maxCount` and against the
+    * payload (a symbol takes at least one bit, a fixed-length value its
+    * width) before anything is sized by it. */
+  private def read(in: ByteArrayInputStream, maxCount: Int): Stored = {
     val flags = in.read()
     require(flags >= 0, "IntCoder: EOF")
-    flags
-  }
-
-  /** The table and payload of a Huffman array of `n` symbols. */
-  private def huffmanPayload(in: ByteArrayInputStream, n: Int): (Huffman.Decoder, Array[Byte]) = {
-    val dec     = new Huffman.Decoder(in)
-    val payload = ByteIO.readSection(in)
-    require(n <= 8L * payload.length, s"IntCoder: $n symbols in ${payload.length} Huffman bytes")
-    (dec, payload)
-  }
-
-  /** The `n` zigzag codes of a fixed-length array. */
-  private def fixedCodes(in: ByteArrayInputStream, n: Int): Array[Long] = {
-    val width = in.read()
-    FixedLength.decode(ByteIO.readSection(in), n, width)
+    val delta = (flags & 1) != 0
+    val n     = ByteIO.readCount(in, maxCount, "IntCoder count")
+    val s =
+      if (n == 0) new Stored(delta, 0, null, 0, Array.emptyByteArray)
+      else if ((flags & 2) != 0) {
+        val dec     = new Huffman.Decoder(in)
+        val payload = ByteIO.readSection(in)
+        require(n <= 8L * payload.length, s"IntCoder: $n symbols in ${payload.length} Huffman bytes")
+        new Stored(delta, n, dec, 0, payload)
+      } else {
+        val width = in.read()
+        new Stored(delta, n, null, width, ByteIO.readSection(in))
+      }
+    ByteIO.requireEnd(in, "the IntCoder array")
+    s
   }
 }

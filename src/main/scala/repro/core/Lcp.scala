@@ -114,6 +114,17 @@ object Lcp {
       }
     }
 
+    /** The archive that stores `frames(i)`, frame i's bytes, where the
+      * frame table places it. */
+    def fromFrames(eb: Double, anchorEbScale: Double, batchSize: Int, p: Int, temporal: IndexedSeq[Boolean],
+                   frames: IndexedSeq[Array[Byte]]): LcpArchive = {
+      require(frames.size == temporal.size, s"${frames.size} frames for ${temporal.size} S/T choices")
+      val table = frameTable(temporal, batchSize)
+      LcpArchive(eb, anchorEbScale, batchSize, p, temporal,
+        frames.indices.filter(table(_).inAnchor).map(frames),
+        frames.indices.grouped(batchSize).map(_.filterNot(table(_).inAnchor).map(frames)).toIndexedSeq)
+    }
+
     def fromBytes(bytes: Array[Byte]): LcpArchive = {
       val in = new ByteArrayInputStream(bytes)
       require(in.read() == 'L' && in.read() == 'C' && in.read() == 'P' && in.read() == '1',
@@ -130,7 +141,7 @@ object Lcp {
       // Every batch takes at least a byte, which bounds their count.
       val batches = IndexedSeq.fill(ByteIO.readCount(in, in.available().toLong, "archive batch count"))(
         ByteIO.readSections(in))
-      require(in.available() == 0, s"archive: ${in.available()} bytes after the last batch")
+      ByteIO.requireEnd(in, "the archive's last batch")
       LcpArchive(eb, scale, batchSize, p, temporal, anchors, batches)
     }
   }
@@ -185,10 +196,8 @@ object Lcp {
         else 1.0
     }
 
-    val fsm     = new LcpFsm
-    val anchors  = IndexedSeq.newBuilder[Array[Byte]]
-    val batches  = IndexedSeq.newBuilder[IndexedSeq[Array[Byte]]]
-    var batch    = IndexedSeq.newBuilder[Array[Byte]]
+    val fsm      = new LcpFsm
+    val coded    = IndexedSeq.newBuilder[Array[Byte]]
     val temporal = IndexedSeq.newBuilder[Boolean]
     val perms    = IndexedSeq.newBuilder[Array[Int]]
 
@@ -226,25 +235,18 @@ object Lcp {
       if (spatialWon) {
         val spatial = if (sTrial != null) sTrial else LcpS.compress(f, sEb, p)
         lastSSize = spatial.bytes.length.toLong
-        if (firstInBatch) {
-          anchors += spatial.bytes
-          anchorRecon = spatial.recon; anchorPerm = spatial.perm
-        } else batch += spatial.bytes
+        if (firstInBatch) { anchorRecon = spatial.recon; anchorPerm = spatial.perm }
+        coded += spatial.bytes
         prevRecon = spatial.recon; prevPerm = spatial.perm
         perms += spatial.perm
       } else {
-        batch += t.bytes
+        coded += t.bytes
         prevRecon = t.recon; prevPerm = basisPerm
         perms += basisPerm
       }
-
-      if ((i + 1) % cfg.batchSize == 0 || i == frames.size - 1) {
-        batches += batch.result()
-        batch = IndexedSeq.newBuilder[Array[Byte]]
-      }
     }
 
-    val archive = LcpArchive(cfg.eb, scale, cfg.batchSize, p, temporal.result(), anchors.result(), batches.result())
+    val archive = LcpArchive.fromFrames(cfg.eb, scale, cfg.batchSize, p, temporal.result(), coded.result())
     Result(archive, perms.result(), tTrials)
   }
 

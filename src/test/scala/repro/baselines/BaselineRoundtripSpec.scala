@@ -97,4 +97,69 @@ class BaselineRoundtripSpec extends AnyFunSuite {
       ByteIO.writeBody(out, Seq.fill(sections)(width0): _*)
       intercept[IllegalArgumentException](codec.decompressFrame(out.toByteArray))
     }
+
+  private val frameWise = Seq[FrameWiseCodec](Sz2Like, Sz3Like, ZfpLike, SperrLike, DracoLike, Tmc13Like)
+
+  for (codec <- frameWise)
+    test(s"${codec.name}: a frame with bytes after its body is rejected") {
+      val bytes = codec.compressFrame(TestFrames.bunny(300), 0.05)._1
+      assert(codec.decompressFrame(bytes).n == 300)
+      intercept[IllegalArgumentException](codec.decompressFrame(bytes ++ Array[Byte](0, 1, 2)))
+    }
+
+  for (codec <- frameWise :+ MdzLike)
+    test(s"${codec.name}: bytes after the last frame or batch are rejected") {
+      val payload = codec.compress(TestFrames.copper(200, 4), 0.05, 2).payload
+      assert(codec.decompress(payload).size == 4)
+      intercept[IllegalArgumentException](codec.decompress(payload :+ 0.toByte))
+    }
+
+  test("MDZ: a temporal frame with bytes after its body is rejected") {
+    val in      = new java.io.ByteArrayInputStream(MdzLike.compress(TestFrames.copper(200, 2), 0.05, 2).payload)
+    val batches = ByteIO.readCount(in, 1, "batches")
+    assert(batches == 1 && in.read() == 1, "one batch in temporal mode")
+    val sections = ByteIO.readSections(in)
+    val out      = new java.io.ByteArrayOutputStream()
+    Zigzag.writeVarLong(out, 1L)
+    out.write(1)
+    ByteIO.writeSections(out, sections.updated(1, sections(1) ++ Array[Byte](0, 1)))
+    intercept[IllegalArgumentException](MdzLike.decompress(out.toByteArray))
+  }
+
+  /** A TMC13 frame of `f` with its occupancy bytes and leaf counts (the
+    * IntCoder array) rewritten by `edit`; the header is kept. */
+  private def tmc13Edited(f: Frame)(edit: (Array[Byte], Array[Byte]) => (Array[Byte], Array[Byte])): Array[Byte] = {
+    val bytes  = Tmc13Like.compressFrame(f, 0.05)._1
+    val in     = new java.io.ByteArrayInputStream(bytes)
+    Zigzag.readVarLong(in)
+    in.skip(4 * 8 + 1) // eb, the three minima, the depth
+    val header = bytes.take(bytes.length - in.available())
+    val Array(occ, dups) = ByteIO.readBody(in, 2)
+    val (occ2, dups2) = edit(occ, dups)
+    val out = new java.io.ByteArrayOutputStream()
+    out.write(header)
+    ByteIO.writeBody(out, occ2, dups2)
+    out.toByteArray
+  }
+
+  test("TMC13: rewriting the octree unchanged gives back the same frame bytes") {
+    val f = TestFrames.bunny(300)
+    assert(tmc13Edited(f)((o, d) => (o, d)).sameElements(Tmc13Like.compressFrame(f, 0.05)._1))
+  }
+
+  test("TMC13: an occupancy section one byte short or one byte long is rejected") {
+    val f = TestFrames.bunny(300)
+    intercept[IllegalArgumentException](Tmc13Like.decompressFrame(tmc13Edited(f)((o, d) => (o.init, d))))
+    intercept[IllegalArgumentException](Tmc13Like.decompressFrame(tmc13Edited(f)((o, d) => (o :+ 0.toByte, d))))
+  }
+
+  test("TMC13: occupancy describing more leaves than there are leaf counts is rejected") {
+    val f = TestFrames.bunny(300)
+    // The last occupancy byte is a last-level node: every set bit is a leaf.
+    val bad = tmc13Edited(f) { (o, d) =>
+      assert(o.last != -1, "the last node has a free child")
+      (o.updated(o.length - 1, -1.toByte), d)
+    }
+    intercept[IllegalArgumentException](Tmc13Like.decompressFrame(bad))
+  }
 }

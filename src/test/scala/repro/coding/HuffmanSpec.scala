@@ -149,4 +149,18 @@ class HuffmanSpec extends AnyFunSuite with PropSupport {
     assertThrows[IllegalArgumentException](new Huffman.Decoder(table(5L -> 1, 3L -> 1)))
     assertThrows[IllegalArgumentException](new Huffman.Decoder(table(3L -> 1, 3L -> 1)))
   }
+
+  test("property: encodePayload equals BitWriter writing each codeword in turn") {
+    forAllG(Gen.nonEmptyListOf(Gen.frequency(8 -> Gen.choose(-4L, 4L), 1 -> Gen.choose(-1L << 40, 1L << 40)))) { xs =>
+      val a      = xs.toArray
+      val h      = Huffman.frequencies(a)
+      val code   = Huffman.build(h).get
+      val writer = new BitWriter()
+      a.foreach { s =>
+        val k = code.symbols.indexOf(s)
+        writer.writeBits(code.codes(k), code.lengths(k))
+      }
+      assert(code.encodePayload(h).sameElements(writer.toBytes))
+    }
+  }
 }

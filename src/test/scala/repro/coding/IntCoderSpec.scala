@@ -165,4 +165,19 @@ class IntCoderSpec extends AnyFunSuite with PropSupport {
     assert(IntCoder.decode(bytes(0, 100, 0, 0), maxCount = 100).length == 100)
     assertThrows[IllegalArgumentException](IntCoder.decode(bytes(0, 101, 0, 0), maxCount = 100))
   }
+
+  test("bytes after an array's payload are rejected") {
+    val rng = new java.util.Random(17)
+    val q   = Array.fill(300)(rng.nextInt(9).toLong - 4)
+    val prev = Array.fill(300)(0.0)
+    for (a <- Seq(Array.emptyLongArray, q); useHuffman <- Seq(true, false)) {
+      val coded = IntCoder.encodeForced(a, delta = false, useHuffman)
+      assert(IntCoder.decode(new ByteArrayInputStream(coded)).sameElements(a))
+      val padded = coded ++ Array[Byte](0, 1, 2)
+      assertThrows[IllegalArgumentException](IntCoder.decode(new ByteArrayInputStream(padded)))
+      val p = prev.take(a.length)
+      assert(IntCoder.decodeResiduals(new ByteArrayInputStream(coded), p, _.toDouble).length == a.length)
+      assertThrows[IllegalArgumentException](IntCoder.decodeResiduals(new ByteArrayInputStream(padded), p, _.toDouble))
+    }
+  }
 }

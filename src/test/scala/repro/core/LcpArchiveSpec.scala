@@ -197,4 +197,22 @@ class LcpArchiveSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](Lcp.decompressBatch(helium, -1))
     for (i <- Seq(-1, 12)) intercept[IllegalArgumentException](Lcp.decompressFrame(helium, i))
   }
+
+  test("bytes after a payload frame's body fail at decode naming the frame") {
+    val a = helium.copy(batches = helium.batches.map(_.map(_ ++ Array[Byte](0, 0))))
+    val e = intercept[IllegalArgumentException](Lcp.decompressAll(LcpArchive.fromBytes(a.toBytes)))
+    assert(e.getMessage.startsWith("LCP archive: frame 1 (batch 0, stored as LCP-T) does not decode: "), e.getMessage)
+    assert(e.getMessage.endsWith("2 bytes after the frame body"), e.getMessage)
+  }
+
+  test("fromFrames places frames given in frame order as compress does") {
+    for (a <- Seq(helium, twoAnchors, archive)) {
+      val frames = a.entries.indices.map { i =>
+        val e = a.entries(i)
+        if (e.inAnchor) a.anchors(e.slot) else a.batches(i / a.batchSize)(e.slot)
+      }
+      val placed = LcpArchive.fromFrames(a.eb, a.anchorEbScale, a.batchSize, a.p, a.temporal, frames)
+      assert(placed.toBytes.sameElements(a.toBytes), table(a))
+    }
+  }
 }

@@ -261,4 +261,10 @@ class LcpSSpec extends AnyFunSuite with PropSupport {
     assert(intercept[IllegalArgumentException](Lcp.decompressBatch(bad, 1)).getMessage.startsWith(want))
     assert(intercept[IllegalArgumentException](Lcp.decompressFrame(bad, 3)).getMessage.startsWith(want))
   }
+
+  test("a frame with bytes after its body is rejected") {
+    val bytes = LcpS.compress(TestFrames.helium(500, 1).head, 0.01, 16).bytes
+    assert(LcpS.decompress(bytes).n == 500)
+    assertThrows[IllegalArgumentException](LcpS.decompress(bytes ++ Array[Byte](0, 1, 2)))
+  }
 }

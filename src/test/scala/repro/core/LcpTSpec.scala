@@ -112,4 +112,12 @@ class LcpTSpec extends AnyFunSuite with PropSupport {
     ByteIO.writeBody(out, width0, width0, width0)
     assertThrows[IllegalArgumentException](LcpT.decompress(out.toByteArray, prev))
   }
+
+  test("a frame with bytes after its body is rejected") {
+    val frames = TestFrames.helium(500, 2)
+    val s      = LcpS.compress(frames(0), 0.01, 16)
+    val t      = LcpT.compress(frames(1).reorder(s.perm), s.recon, 0.01)
+    assert(LcpT.decompress(t.bytes, s.recon).n == 500)
+    assertThrows[IllegalArgumentException](LcpT.decompress(t.bytes ++ Array[Byte](0, 1, 2), s.recon))
+  }
 }
