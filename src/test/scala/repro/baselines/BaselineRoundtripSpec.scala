@@ -15,6 +15,8 @@ class BaselineRoundtripSpec extends AnyFunSuite {
   private val codecs: Seq[ParticleCodec] = Seq(
     Sz2Like, Sz3Like, MdzLike, ZfpLike, SperrLike, DracoLike, Tmc13Like, LcpCodec.full)
 
+  private val frameWise = Seq[FrameWiseCodec](Sz2Like, Sz3Like, SperrLike, ZfpLike, Tmc13Like, DracoLike)
+
   private def multiFrameInputs: Seq[(String, IndexedSeq[Frame])] = Seq(
     "Copper" -> TestFrames.copper(600, 5),
     "Helium" -> TestFrames.helium(600, 5),
@@ -72,7 +74,7 @@ class BaselineRoundtripSpec extends AnyFunSuite {
     varint(v) ++ in.readAllBytes()
   }
 
-  for (codec <- Seq[FrameWiseCodec](Sz2Like, Sz3Like, SperrLike, ZfpLike, Tmc13Like, DracoLike))
+  for (codec <- frameWise)
     test(s"${codec.name}: a header particle count of Int.MaxValue is rejected before allocating") {
       val bytes = codec.compressFrame(TestFrames.bunny(300), 0.05)._1
       assert(codec.decompressFrame(withLeadingVarint(bytes, 300)).n == 300)
@@ -97,8 +99,6 @@ class BaselineRoundtripSpec extends AnyFunSuite {
       ByteIO.writeBody(out, Seq.fill(sections)(width0): _*)
       intercept[IllegalArgumentException](codec.decompressFrame(out.toByteArray))
     }
-
-  private val frameWise = Seq[FrameWiseCodec](Sz2Like, Sz3Like, ZfpLike, SperrLike, DracoLike, Tmc13Like)
 
   for (codec <- frameWise)
     test(s"${codec.name}: a frame with bytes after its body is rejected") {

@@ -167,8 +167,8 @@ class IntCoderSpec extends AnyFunSuite with PropSupport {
   }
 
   test("bytes after an array's payload are rejected") {
-    val rng = new java.util.Random(17)
-    val q   = Array.fill(300)(rng.nextInt(9).toLong - 4)
+    val rng  = new java.util.Random(17)
+    val q    = Array.fill(300)(rng.nextInt(9).toLong - 4)
     val prev = Array.fill(300)(0.0)
     for (a <- Seq(Array.emptyLongArray, q); useHuffman <- Seq(true, false)) {
       val coded = IntCoder.encodeForced(a, delta = false, useHuffman)
