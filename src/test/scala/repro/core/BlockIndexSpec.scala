@@ -119,6 +119,26 @@ class BlockIndexSpec extends AnyFunSuite with PropSupport {
     }
   }
 
+  test("sortedIndicesBy equals a stable boxed sort at every key width, for equal keys, n = 0 and 1, and negative keys") {
+    val rng = new java.util.Random(19)
+    def check(keys: Array[Long]): Unit =
+      assert(BlockIndex.sortedIndicesBy(keys).sameElements(Array.range(0, keys.length).sortBy(keys(_))),
+        s"${keys.length} keys up to ${if (keys.isEmpty) 0 else keys.max}")
+    // Keys 1 to 62 bits wide: one, two (11 and 12 bits sit on a digit
+    // boundary), three, four and more digits.
+    for (bits <- Seq(1, 11, 12, 22, 33, 44, 51, 52, 62); n <- Seq(0, 1, 2, 3000)) {
+      check(Array.fill(n)(rng.nextLong() >>> (64 - bits)))
+      // Few distinct values of the same width: long runs of ties.
+      val few = Array.fill(5)(rng.nextLong() >>> (64 - bits))
+      check(Array.fill(n)(few(rng.nextInt(few.length))))
+    }
+    for (k <- Seq(0L, 1L, (1L << 40) + 3, Long.MaxValue, -7L)) check(Array.fill(3000)(k))
+    // Negative keys, and keys spanning the whole Long range.
+    check(Array.fill(3000)(rng.nextLong()))
+    check(Array.fill(3000)(rng.nextInt(9) - 4L))
+    check(Array.fill(3000)(Seq(Long.MinValue, -1L, 0L, Long.MaxValue)(rng.nextInt(4))))
+  }
+
   test("a block grid beyond MaxGridCells is rejected, and fittingP coarsens p until it fits") {
     val f  = Frame(Array(0.0, 1000.0), Array(0.0, 1000.0), Array(0.0, 1000.0))
     val qf = Quantizer.quantizeFrame(f, 1e-6)

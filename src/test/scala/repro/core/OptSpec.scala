@@ -14,9 +14,54 @@ class OptSpec extends AnyFunSuite {
     assert(BlockSizeOpt.sample(f).n == 1000)
   }
 
-  test("sample strides large frames down to the cap") {
-    val f = TestFrames.hacc(BlockSizeOpt.SampleSize * 2)
-    assert(BlockSizeOpt.sample(f).n == BlockSizeOpt.SampleSize)
+  /** The `SampleSize`-th smallest x in `Arrays.sort` order. */
+  private def sortedCut(x: Array[Double]): Double = {
+    val xs = x.clone()
+    java.util.Arrays.sort(xs)
+    xs(BlockSizeOpt.SampleSize - 1)
+  }
+
+  private def bits(a: Array[Double]) = a.map(java.lang.Double.doubleToRawLongBits).toSeq
+
+  test("sample cuts large frames to a slab of the cap, every particle at or below the cut, in input order") {
+    val f    = TestFrames.hacc(BlockSizeOpt.SampleSize * 2)
+    val s    = BlockSizeOpt.sample(f)
+    val cut  = sortedCut(f.x)
+    assert(s.n == BlockSizeOpt.SampleSize)
+    assert(s.x.forall(_ <= cut))
+    // The kept particles are a subsequence of the input.
+    var j = 0
+    for (i <- 0 until s.n) {
+      while (f.x(j) != s.x(i) || f.y(j) != s.y(i) || f.z(j) != s.z(i)) j += 1
+      j += 1
+    }
+  }
+
+  test("sample keeps the first SampleSize particles at or below the sorted cut, for ties, signed zeros and NaN") {
+    val m   = BlockSizeOpt.SampleSize
+    val rng = new java.util.Random(7)
+    def frameOf(x: Array[Double]) =
+      Frame(x, Array.tabulate(x.length)(_.toDouble), Array.tabulate(x.length)(i => -i.toDouble))
+    val nanBits = java.lang.Double.longBitsToDouble(0xfff8000000000001L)
+    val xs = Seq(
+      Array.fill(m + 1)(rng.nextDouble()),
+      Array.fill(m + 1)(rng.nextInt(3).toDouble),                       // duplicates at the cut
+      Array.fill(2 * m)(rng.nextInt(10).toDouble),
+      Array.fill(2 * m)(if (rng.nextBoolean()) -0.0 else 0.0),         // the cut is a signed zero
+      Array.fill(2 * m)(Seq(-0.0, 0.0, -1.0, 1.0)(rng.nextInt(4))),
+      Array.fill(m)(rng.nextGaussian()),                                 // n = SampleSize: kept whole
+      Array.fill(m + 5)(if (rng.nextInt(4) == 0) Double.NaN else rng.nextGaussian()),
+      Array.fill(m + 5)(if (rng.nextInt(4) == 0) nanBits else rng.nextGaussian()),
+      Array.fill(m + 5)(Seq(Double.NegativeInfinity, Double.PositiveInfinity, Double.NaN, 2.0)(rng.nextInt(4))),
+      Array.fill(2 * m)(Double.NaN))                                     // the cut is NaN: nothing kept
+    for (x <- xs) {
+      val f   = frameOf(x)
+      val exp =
+        if (f.n <= m) f
+        else { val cut = sortedCut(x); f.reorder(Array.range(0, f.n).filter(x(_) <= cut).take(m)) }
+      val got = BlockSizeOpt.sample(f)
+      assert(bits(got.x) == bits(exp.x) && bits(got.y) == bits(exp.y) && bits(got.z) == bits(exp.z))
+    }
   }
 
   test("best block size is a candidate minimizing the sampled size") {
