@@ -45,11 +45,12 @@ object MdzLike extends ParticleCodec {
   override def decompress(payload: Array[Byte]): IndexedSeq[Frame] = {
     val in = new ByteArrayInputStream(payload)
     // Every batch takes at least its mode byte.
-    val batches = IndexedSeq.fill(ByteIO.readCount(in, in.available().toLong, "MDZ batch count")) {
-      val temporalMode = in.read() == 1
-      val sections     = ByteIO.readSections(in)
-      require(sections.nonEmpty, "MDZ: empty batch")
-      (temporalMode, sections)
+    val batches = IndexedSeq.tabulate(ByteIO.readCount(in, in.available().toLong, "MDZ batch count")) { b =>
+      val mode     = in.read()
+      require(mode == 0 || mode == 1, s"MDZ batch $b: mode byte $mode is neither 0 (spatial) nor 1 (temporal)")
+      val sections = ByteIO.readSections(in)
+      require(sections.nonEmpty, s"MDZ batch $b: empty batch")
+      (mode == 1, sections)
     }
     ByteIO.requireEnd(in, "the last MDZ batch")
     Fork.map(batches) { case (temporalMode, sections) =>

@@ -1,6 +1,5 @@
 package repro.core
 
-import repro.coding.Zigzag
 import repro.core.Quantizer.QFrame
 
 /** Spatial block grid (§6.2.1, Eq. 6). Block side is `2·eb·p`, so a
@@ -74,15 +73,22 @@ object BlockIndex {
         Array.emptyLongArray, Array.emptyLongArray, Array.emptyLongArray,
         Array.emptyIntArray, p, 1L, 1L)
 
+    // p = 2^k (every sweep candidate, and every p fittingP raises from
+    // one) divides by a shift and a mask, which equal floorDiv and
+    // floorMod for every Long; any other p takes the general path.
+    val k = if ((p & (p - 1)) == 0) Integer.numberOfTrailingZeros(p) else -1
+    @inline def blk(q: Long): Long = if (k >= 0) q >> k else fdiv(q, p)
+    @inline def rel(q: Long): Long = if (k >= 0) q & (p - 1) else fmod(q, p)
+
     // floorDiv by p is monotone, so the largest block index is the block
     // index of the largest bin.
-    val bnx = fdiv(maxOf(qf.qx), p) + 1
-    val bny = fdiv(maxOf(qf.qy), p) + 1
-    require(fits(bnx, bny, fdiv(maxOf(qf.qz), p) + 1),
+    val bnx = blk(maxOf(qf.qx)) + 1
+    val bny = blk(maxOf(qf.qy)) + 1
+    require(fits(bnx, bny, blk(maxOf(qf.qz)) + 1),
       s"block grid at p = $p exceeds $MaxGridCells blocks (see fittingP)")
     val ids = new Array[Long](n)
     var i = 0
-    while (i < n) { ids(i) = fdiv(qf.qx(i), p) + bnx * (fdiv(qf.qy(i), p) + bny * fdiv(qf.qz(i), p)); i += 1 }
+    while (i < n) { ids(i) = blk(qf.qx(i)) + bnx * (blk(qf.qy(i)) + bny * blk(qf.qz(i))); i += 1 }
 
     val perm = sortedIndicesBy(ids)
 
@@ -103,42 +109,71 @@ object BlockIndex {
       val id = ids(j)
       if (id != prev) { b += 1; blockIds(b) = id; prev = id }
       counts(b) += 1
-      relX(i) = fmod(qf.qx(j), p); relY(i) = fmod(qf.qy(j), p); relZ(i) = fmod(qf.qz(j), p)
+      relX(i) = rel(qf.qx(j)); relY(i) = rel(qf.qy(j)); relZ(i) = rel(qf.qz(j))
       i += 1
     }
     Grouped(blockIds, counts, relX, relY, relZ, perm, p, bnx, bny)
   }
 
-  /** Indices 0..n-1 sorted ascending by key, ties in index order, through
-    * one packed primitive sort of (key, index) pairs. Keys too large (or
-    * negative) to pack beside the index are first replaced by the position
-    * binary search finds them at in a sorted copy: equal keys get equal
-    * positions, so the order is kept.
+  private final val DigitBits = 11
+  private final val DigitMask = (1 << DigitBits) - 1
+
+  /** Indices 0..n-1 sorted ascending by key, ties in index order: a stable
+    * LSD radix sort of the indices. It sorts each key's offset from the
+    * smallest key, read unsigned, which orders any `Long`s as the keys
+    * themselves, 11 bits a digit, one pass per digit of the largest
+    * offset's width. One read counts every digit, and a pass whose digit
+    * is the same for every key is skipped, so equal keys cost no pass.
+    * Each pass moves the offsets along with the indices, so it reads
+    * sequentially.
     */
   def sortedIndicesBy(keys: Array[Long]): Array[Int] = {
-    val n       = keys.length
-    val idxBits = math.max(1, Zigzag.bitWidth(n.toLong))
-    var minKey  = 0L
-    var maxKey  = 0L
-    var i = 0
+    val n = keys.length
+    if (n == 0) return Array.emptyIntArray
+    var minKey = keys(0)
+    var maxKey = keys(0)
+    var i = 1
     while (i < n) { if (keys(i) > maxKey) maxKey = keys(i); if (keys(i) < minKey) minKey = keys(i); i += 1 }
-    val packable = minKey >= 0 && Zigzag.bitWidth(maxKey) + idxBits <= 63
-    val ranked =
-      if (packable) keys
-      else {
-        val sorted = keys.clone()
-        java.util.Arrays.sort(sorted)
-        Array.tabulate(n)(k => java.util.Arrays.binarySearch(sorted, keys(k)).toLong)
+    val passes = (64 - java.lang.Long.numberOfLeadingZeros(maxKey - minKey) + DigitBits - 1) / DigitBits
+    val count  = new Array[Int](passes << DigitBits)
+    var srcK   = new Array[Long](n)
+    i = 0
+    while (i < n) {
+      val off = keys(i) - minKey
+      srcK(i) = off
+      var d = 0
+      while (d < passes) { count((d << DigitBits) + ((off >>> (d * DigitBits)) & DigitMask).toInt) += 1; d += 1 }
+      i += 1
+    }
+    var srcI = Array.range(0, n)
+    var dstK: Array[Long] = null
+    var dstI: Array[Int]  = null
+    var d = 0
+    while (d < passes) {
+      val base  = d << DigitBits
+      val shift = d * DigitBits
+      if (count(base + ((srcK(0) >>> shift) & DigitMask).toInt) < n) {
+        // Exclusive prefix sums: the first output slot of each digit.
+        var sum = 0
+        var b   = 0
+        while (b <= DigitMask) { val c = count(base + b); count(base + b) = sum; sum += c; b += 1 }
+        if (dstK == null) { dstK = new Array[Long](n); dstI = new Array[Int](n) }
+        i = 0
+        while (i < n) {
+          val off = srcK(i)
+          val at  = base + ((off >>> shift) & DigitMask).toInt
+          val pos = count(at)
+          count(at) = pos + 1
+          dstK(pos) = off
+          dstI(pos) = srcI(i)
+          i += 1
+        }
+        val tk = srcK; srcK = dstK; dstK = tk
+        val ti = srcI; srcI = dstI; dstI = ti
       }
-    val packed = new Array[Long](n)
-    i = 0
-    while (i < n) { packed(i) = (ranked(i) << idxBits) | i.toLong; i += 1 }
-    java.util.Arrays.sort(packed)
-    val out  = new Array[Int](n)
-    val mask = (1L << idxBits) - 1
-    i = 0
-    while (i < n) { out(i) = (packed(i) & mask).toInt; i += 1 }
-    out
+      d += 1
+    }
+    srcI
   }
 
   /** Rebuild the frame from grouped block data (decompression side): each

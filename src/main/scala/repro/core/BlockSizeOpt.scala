@@ -23,23 +23,58 @@ object BlockSizeOpt {
   /** Max sampled particles per candidate evaluation. */
   val SampleSize = 16384
 
-  /** Spatial-slab sample of `f` of at most [[SampleSize]] particles: all
-    * particles below the x-quantile. A strided subsample would *dilute*
-    * spatial density and bias the chosen block size upward; a slab keeps
-    * local density (and hence per-block occupancy) representative. */
+  /** Spatial-slab sample of `f` of at most [[SampleSize]] particles: the
+    * first [[SampleSize]] particles, in input order, at or below the
+    * [[sampleCut]]. A strided subsample would *dilute* spatial density and
+    * bias the chosen block size upward; a slab keeps local density (and
+    * hence per-block occupancy) representative. */
   def sample(f: Frame): Frame = {
     if (f.n <= SampleSize) return f
-    val xs = f.x.clone()
-    java.util.Arrays.sort(xs)
-    val cut = xs(SampleSize - 1)
-    val idx = Array.newBuilder[Int]
-    var i = 0
+    val cut  = sampleCut(f.x)
+    val idx  = new Array[Int](SampleSize)
+    var i    = 0
     var kept = 0
     while (i < f.n && kept < SampleSize) {
-      if (f.x(i) <= cut) { idx += i; kept += 1 }
+      if (f.x(i) <= cut) { idx(kept) = i; kept += 1 }
       i += 1
     }
-    f.reorder(idx.result())
+    f.reorder(if (kept == SampleSize) idx else java.util.Arrays.copyOf(idx, kept))
+  }
+
+  /** The [[SampleSize]]-th smallest of `x` (n > [[SampleSize]]) in
+    * `Arrays.sort` order: −0.0 before 0.0, NaN last. An O(n) radix
+    * selection over the doubles' sortable bit keys, 11 bits at a time from
+    * the top: each pass counts the digits of the keys left, keeps those in
+    * the digit that holds the wanted rank and moves the rank past the
+    * digits below it. A NaN comes back as the canonical NaN. */
+  private[core] def sampleCut(x: Array[Double]): Double = {
+    val keys = new Array[Long](x.length)
+    var i = 0
+    while (i < x.length) {
+      // Unsigned order of the keys is `java.lang.Double.compare` order.
+      val b = java.lang.Double.doubleToLongBits(x(i))
+      keys(i) = b ^ ((b >> 63) | Long.MinValue)
+      i += 1
+    }
+    val count = new Array[Int](1 << 11)
+    var len   = x.length
+    var rank  = SampleSize - 1
+    var shift = 64 - 11
+    while (shift >= 0) {
+      java.util.Arrays.fill(count, 0)
+      i = 0
+      while (i < len) { count(((keys(i) >>> shift) & 0x7ff).toInt) += 1; i += 1 }
+      var d = 0
+      while (rank >= count(d)) { rank -= count(d); d += 1 }
+      var kept = 0
+      i = 0
+      while (i < len) { if (((keys(i) >>> shift) & 0x7ff) == d) { keys(kept) = keys(i); kept += 1 }; i += 1 }
+      len = kept
+      shift = if (shift == 0) -1 else math.max(0, shift - 11)
+    }
+    // Every key left is the wanted one.
+    val k = keys(0)
+    java.lang.Double.longBitsToDouble(if (k < 0) k ^ Long.MinValue else ~k)
   }
 
   /** Pick the candidate minimizing the LCP-S compressed size on a sample

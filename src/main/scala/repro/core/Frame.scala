@@ -21,15 +21,41 @@ final case class Frame(x: Array[Double], y: Array[Double], z: Array[Double]) {
 
   /** Minimum per dimension (0 for an empty frame, matching Eq. 5's min(D)). */
   def mins: (Double, Double, Double) =
-    if (n == 0) (0.0, 0.0, 0.0) else (x.min, y.min, z.min)
+    if (n == 0) (0.0, 0.0, 0.0) else (Frame.min(x), Frame.min(y), Frame.min(z))
 
   /** Value range max-min over all three dims (for PSNR, Eq. 3). */
   def valueRange: Double =
     if (n == 0) 0.0
-    else math.max(x.max - x.min, math.max(y.max - y.min, z.max - z.min))
+    else math.max(Frame.span(x), math.max(Frame.span(y), Frame.span(z)))
 }
 
 object Frame {
   /** Empty frame (zero particles). */
   val empty: Frame = Frame(Array.emptyDoubleArray, Array.emptyDoubleArray, Array.emptyDoubleArray)
+
+  // The extrema order values by `java.lang.Double.compare` (−0.0 below 0.0,
+  // NaN above everything) and keep the first of equal values, as Scala's
+  // `min`/`max` on doubles do: the minima go into every codec's header.
+
+  /** Smallest value of a non-empty array. */
+  private def min(a: Array[Double]): Double = {
+    var m = a(0)
+    var i = 1
+    while (i < a.length) { if (java.lang.Double.compare(a(i), m) < 0) m = a(i); i += 1 }
+    m
+  }
+
+  /** Largest minus smallest value of a non-empty array. */
+  private def span(a: Array[Double]): Double = {
+    var lo = a(0)
+    var hi = a(0)
+    var i  = 1
+    while (i < a.length) {
+      val v = a(i)
+      if (java.lang.Double.compare(v, lo) < 0) lo = v
+      if (java.lang.Double.compare(v, hi) > 0) hi = v
+      i += 1
+    }
+    hi - lo
+  }
 }

@@ -50,6 +50,26 @@ class BaselineBehaviorSpec extends AnyFunSuite {
     }
   }
 
+  test("MDZ rejects a batch mode byte other than 0 or 1, naming the batch") {
+    val payload = MdzLike.compress(TestFrames.copper(200, 4), 0.05, 2).payload
+    // The payload is a batch count, then per batch a mode byte and its
+    // frames as a section list: find batch 1's mode byte.
+    val in = new java.io.ByteArrayInputStream(payload)
+    repro.coding.Zigzag.readVarLong(in)
+    in.read()
+    repro.coding.ByteIO.readSections(in)
+    val at = payload.length - in.available()
+    assert(payload(at) == 1, "batch 1 of coherent copper is temporal")
+    for (mode <- Seq(2, 255)) {
+      val bad = payload.clone()
+      bad(at) = mode.toByte
+      val e = intercept[IllegalArgumentException](MdzLike.decompress(bad))
+      assert(e.getMessage.contains("MDZ batch 1") && e.getMessage.contains(s"mode byte $mode"), e.getMessage)
+    }
+    // A flip from 1 to 0 still reads as a valid spatial batch; only a
+    // checksum over the payload can catch it.
+  }
+
   test("ZFP block coding is error bounded at odd lengths") {
     val f = TestFrames.lj(1003).head // not a multiple of 4
     val c = ZfpLike.compress(IndexedSeq(f), 0.01, 1)

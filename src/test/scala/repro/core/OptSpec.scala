@@ -1,9 +1,10 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestFrames
+import repro.{PropSupport, TestFrames}
 
-class OptSpec extends AnyFunSuite {
+class OptSpec extends AnyFunSuite with PropSupport {
 
   test("candidates are the 17 powers of two of §7.4.1") {
     assert(BlockSizeOpt.Candidates == (0 to 16).map(1 << _))
@@ -62,6 +63,21 @@ class OptSpec extends AnyFunSuite {
       val got = BlockSizeOpt.sample(f)
       assert(bits(got.x) == bits(exp.x) && bits(got.y) == bits(exp.y) && bits(got.z) == bits(exp.z))
     }
+  }
+
+  test("property: the selected sample cut equals the sorted cut, NaN canonical") {
+    val m     = BlockSizeOpt.SampleSize
+    val odd   = Seq(0.0, -0.0, Double.NaN, java.lang.Double.longBitsToDouble(0xfff8000000000001L),
+      Double.PositiveInfinity, Double.NegativeInfinity, Double.MinPositiveValue, -Double.MinPositiveValue)
+    val value = Gen.frequency(1 -> Gen.oneOf(odd), 3 -> Gen.choose(-5, 5).map(_.toDouble), 6 -> Gen.choose(-1e9, 1e9))
+    // The cut falls anywhere from the top (n = SampleSize + 1) to the
+    // lower third of the values.
+    val xs    = for { extra <- Gen.choose(1, 2 * m); v <- Gen.listOfN(m + extra, value) } yield v.toArray
+    checkProp(Prop.forAllNoShrink(xs) { x =>
+      val cut = BlockSizeOpt.sampleCut(x)
+      assert(java.lang.Double.doubleToLongBits(cut) == java.lang.Double.doubleToLongBits(sortedCut(x)))
+      true
+    }, minTests = 30)
   }
 
   test("best block size is a candidate minimizing the sampled size") {
