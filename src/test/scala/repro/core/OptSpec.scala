@@ -15,6 +15,13 @@ class OptSpec extends AnyFunSuite with PropSupport {
     assert(BlockSizeOpt.sample(f).n == 1000)
   }
 
+  // The sample is a slab below an x cut, not a stride; the name is kept
+  // because the count check still holds. The slab test below checks more.
+  test("sample strides large frames down to the cap") {
+    val f = TestFrames.hacc(BlockSizeOpt.SampleSize * 2)
+    assert(BlockSizeOpt.sample(f).n == BlockSizeOpt.SampleSize)
+  }
+
   /** The `SampleSize`-th smallest x in `Arrays.sort` order. */
   private def sortedCut(x: Array[Double]): Double = {
     val xs = x.clone()
