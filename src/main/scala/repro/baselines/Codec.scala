@@ -2,7 +2,7 @@ package repro.baselines
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
 import repro.coding.{ByteIO, IntCoder, Zigzag}
-import repro.core.{Fork, Frame}
+import repro.core.{Fork, Frame, Quantizer}
 
 /** Compression result: the serialized payload (all metadata included) plus
   * the per-frame input→stored correspondence for fidelity metrics
@@ -18,9 +18,13 @@ trait ParticleCodec {
   def name: String
 
   /** False for codecs that cannot honour an arbitrary absolute bound
-    * (Draco, §8.1.3) — they receive `eb` only as a quality hint. */
+    * (Draco, §8.1.3) — they receive `eb` only as a quality hint, which
+    * must still be finite and above 0. */
   def errorBounded: Boolean = true
 
+  /** Compress `frames` at error bound `eb`; an `eb` that is not finite
+    * and above 0 raises an `IllegalArgumentException` naming it
+    * ([[Quantizer.requireBound]]). */
   def compress(frames: IndexedSeq[Frame], eb: Double, batchSize: Int): Compressed
 
   def decompress(payload: Array[Byte]): IndexedSeq[Frame]
@@ -35,6 +39,7 @@ trait FrameWiseCodec extends ParticleCodec {
   def decompressFrame(bytes: Array[Byte]): Frame
 
   final override def compress(frames: IndexedSeq[Frame], eb: Double, batchSize: Int): Compressed = {
+    Quantizer.requireBound(eb, s"$name error bound")
     val results = Fork.map(frames)(compressFrame(_, eb))
     val out     = new ByteArrayOutputStream()
     ByteIO.writeSections(out, results.map(_._1))
@@ -73,7 +78,7 @@ trait SzFrameCodec extends FrameWiseCodec {
   final override def decompressFrame(bytes: Array[Byte]): Frame = {
     val in = new ByteArrayInputStream(bytes)
     val n  = ByteIO.readCount(in, Int.MaxValue, s"$name particle count")
-    val eb = ByteIO.readDouble(in)
+    val eb = Quantizer.requireBound(ByteIO.readDouble(in), s"$name error bound")
     val dims = Fork.map(ByteIO.readBody(in, 3).toSeq) { section =>
       val q = IntCoder.decode(new ByteArrayInputStream(section), n)
       // One index per value, so the decoded array bounds the header's count.

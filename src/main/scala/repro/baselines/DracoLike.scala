@@ -2,7 +2,7 @@ package repro.baselines
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
 import repro.coding.{ByteIO, IntCoder, Zigzag}
-import repro.core.{BlockIndex, Frame}
+import repro.core.{BlockIndex, Frame, Quantizer}
 
 /** Draco-style baseline: point-cloud sequential coding. Positions are
   * quantized to a user-selected number of bits over the bounding box (NOT
@@ -28,7 +28,7 @@ object DracoLike extends FrameWiseCodec {
   override def compressFrame(f: Frame, eb: Double): (Array[Byte], Array[Int]) = {
     val bits = bitsForEb(f, eb)
     val (mx, my, mz) = f.mins
-    val step = math.max(f.valueRange, 1e-300) / ((1L << bits) - 1).toDouble
+    val step = math.max(Quantizer.finite(f.valueRange, "Draco coordinate range"), 1e-300) / ((1L << bits) - 1).toDouble
 
     val codes = new Array[Long](f.n)
     var i = 0
@@ -56,8 +56,8 @@ object DracoLike extends FrameWiseCodec {
     val n    = ByteIO.readCount(in, Int.MaxValue, "Draco particle count")
     val bits = in.read()
     require(bits >= 1 && bits <= Morton.MaxBits, s"bad bit count $bits")
-    val mx = ByteIO.readDouble(in); val my = ByteIO.readDouble(in); val mz = ByteIO.readDouble(in)
-    val step  = ByteIO.readDouble(in)
+    val Seq(mx, my, mz) = Seq.fill(3)(Quantizer.finite(ByteIO.readDouble(in), "Draco minimum"))
+    val step  = Quantizer.requireBound(ByteIO.readDouble(in), "Draco step")
     val codes = IntCoder.decode(new ByteArrayInputStream(ByteIO.readBody(in, 1)(0)), n)
     require(codes.length == n, "length mismatch")
     val x = new Array[Double](n); val y = new Array[Double](n); val z = new Array[Double](n)

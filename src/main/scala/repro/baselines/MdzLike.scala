@@ -2,7 +2,7 @@ package repro.baselines
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
 import repro.coding.{ByteIO, Zigzag}
-import repro.core.{Fork, Frame, LcpT}
+import repro.core.{Fork, Frame, LcpT, Quantizer}
 
 /** MDZ-style baseline: molecular-dynamics compressor with *batch-level*
   * method selection — the paper's key contrast with LCP's per-frame FSM
@@ -22,6 +22,7 @@ object MdzLike extends ParticleCodec {
   override val name = "MDZ"
 
   override def compress(frames: IndexedSeq[Frame], eb: Double, batchSize: Int): Compressed = {
+    Quantizer.requireBound(eb, s"$name error bound")
     val coded = Fork.map(frames.grouped(batchSize).toSeq) { batch =>
       val head      = batch.head
       val headBytes = Sz2Like.compressFrame(head, eb)._1

@@ -56,7 +56,7 @@ object SperrLike extends FrameWiseCodec {
   override def decompressFrame(bytes: Array[Byte]): Frame = {
     val in = new ByteArrayInputStream(bytes)
     val n  = ByteIO.readCount(in, Int.MaxValue, "SPERR particle count")
-    val eb = ByteIO.readDouble(in)
+    val eb = Quantizer.requireBound(ByteIO.readDouble(in), "SPERR error bound")
     // One coefficient per particle, and at most one correction per particle.
     val sections = ByteIO.readBody(in, 9).map(s => IntCoder.decode(new ByteArrayInputStream(s), n))
     val dims = sections.grouped(3).map { case Array(q, corrIdx, corrQ) =>

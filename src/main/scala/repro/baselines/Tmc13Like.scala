@@ -14,14 +14,11 @@ object Tmc13Like extends FrameWiseCodec {
   override val name = "TMC13"
 
   override def compressFrame(f: Frame, eb: Double): (Array[Byte], Array[Int]) = {
-    val (mx, my, mz) = f.mins
-    val qx = Quantizer.quantizeArray(f.x, mx, eb)
-    val qy = Quantizer.quantizeArray(f.y, my, eb)
-    val qz = Quantizer.quantizeArray(f.z, mz, eb)
+    val qf = Quantizer.quantizeFrame(f, eb)
     var maxQ = 0L
     var i = 0
     while (i < f.n) {
-      maxQ = math.max(maxQ, math.max(qx(i), math.max(qy(i), qz(i))))
+      maxQ = math.max(maxQ, math.max(qf.qx(i), math.max(qf.qy(i), qf.qz(i))))
       i += 1
     }
     val depth = math.max(1, repro.coding.Zigzag.bitWidth(maxQ))
@@ -30,7 +27,7 @@ object Tmc13Like extends FrameWiseCodec {
 
     val codes = new Array[Long](f.n)
     i = 0
-    while (i < f.n) { codes(i) = Morton.encode(qx(i), qy(i), qz(i)); i += 1 }
+    while (i < f.n) { codes(i) = Morton.encode(qf.qx(i), qf.qy(i), qf.qz(i)); i += 1 }
     val perm   = BlockIndex.sortedIndicesBy(codes)
     val sorted = new Array[Long](f.n)
     i = 0
@@ -68,7 +65,7 @@ object Tmc13Like extends FrameWiseCodec {
     val out = new ByteArrayOutputStream(f.n + 64)
     Zigzag.writeVarLong(out, f.n.toLong)
     ByteIO.writeDouble(out, eb)
-    ByteIO.writeDouble(out, mx); ByteIO.writeDouble(out, my); ByteIO.writeDouble(out, mz)
+    ByteIO.writeDouble(out, qf.minX); ByteIO.writeDouble(out, qf.minY); ByteIO.writeDouble(out, qf.minZ)
     out.write(depth)
     ByteIO.writeBody(out, occ.toByteArray, IntCoder.encode(dups.toArray, delta = false))
     (out.toByteArray, perm)
@@ -77,8 +74,8 @@ object Tmc13Like extends FrameWiseCodec {
   override def decompressFrame(bytes: Array[Byte]): Frame = {
     val in = new ByteArrayInputStream(bytes)
     val n  = ByteIO.readCount(in, Int.MaxValue, "TMC13 particle count")
-    val eb = ByteIO.readDouble(in)
-    val mx = ByteIO.readDouble(in); val my = ByteIO.readDouble(in); val mz = ByteIO.readDouble(in)
+    val eb = Quantizer.requireBound(ByteIO.readDouble(in), "TMC13 error bound")
+    val Seq(mx, my, mz) = Seq.fill(3)(Quantizer.finite(ByteIO.readDouble(in), "TMC13 minimum"))
     val depth = in.read()
     require(depth >= 1 && depth <= Morton.MaxBits, s"TMC13: bad octree depth $depth")
     val Array(occ, dupBytes) = ByteIO.readBody(in, 2)

@@ -19,10 +19,9 @@ object ZfpLike extends FrameWiseCodec {
     val out = new ByteArrayOutputStream(f.n + 64)
     Zigzag.writeVarLong(out, f.n.toLong)
     ByteIO.writeDouble(out, eb)
-    val (mx, my, mz) = f.mins
-    ByteIO.writeDouble(out, mx); ByteIO.writeDouble(out, my); ByteIO.writeDouble(out, mz)
-    ByteIO.writeBody(out,
-      Seq((f.x, mx), (f.y, my), (f.z, mz)).map { case (dim, min) => encodeDim(Quantizer.quantizeArray(dim, min, eb)) }: _*)
+    val qf = Quantizer.quantizeFrame(f, eb)
+    ByteIO.writeDouble(out, qf.minX); ByteIO.writeDouble(out, qf.minY); ByteIO.writeDouble(out, qf.minZ)
+    ByteIO.writeBody(out, Seq(qf.qx, qf.qy, qf.qz).map(encodeDim): _*)
     (out.toByteArray, null)
   }
 
@@ -72,8 +71,8 @@ object ZfpLike extends FrameWiseCodec {
   override def decompressFrame(bytes: Array[Byte]): Frame = {
     val in = new ByteArrayInputStream(bytes)
     val n  = ByteIO.readCount(in, Int.MaxValue, "ZFP particle count")
-    val eb = ByteIO.readDouble(in)
-    val mins = Array(ByteIO.readDouble(in), ByteIO.readDouble(in), ByteIO.readDouble(in))
+    val eb = Quantizer.requireBound(ByteIO.readDouble(in), "ZFP error bound")
+    val mins = Array.fill(3)(Quantizer.finite(ByteIO.readDouble(in), "ZFP minimum"))
     val dims = ByteIO.readBody(in, 3).zip(mins).map { case (section, min) =>
       Quantizer.dequantizeArray(decodeDim(section, n), min, eb)
     }

@@ -24,10 +24,12 @@ object BlockIndex {
                            relX: Array[Long], relY: Array[Long], relZ: Array[Long],
                            perm: Array[Int], p: Int, bnx: Long, bny: Long)
 
-  /** Euclidean floor-div for possibly negative bins (bins are >= 0 after
-    * Eq. 5 quantization against the min, but keep this total for safety). */
-  @inline private def fdiv(a: Long, b: Long): Long = Math.floorDiv(a, b)
-  @inline private def fmod(a: Long, b: Long): Long = Math.floorMod(a, b)
+  /** k for a block side of p = 2^k bins; every encoder and decoder entry
+    * that takes a p rejects any other p here. */
+  def blockBits(p: Int): Int = {
+    require(p >= 1 && (p & (p - 1)) == 0, s"block size parameter p must be a power of two >= 1: $p")
+    Integer.numberOfTrailingZeros(p)
+  }
 
   /** Largest number of blocks a grid may have: linear block ids stay below
     * it, so they and their zigzag-coded deltas fit in a Long. */
@@ -47,48 +49,40 @@ object BlockIndex {
     m
   }
 
-  /** The smallest `p·2^k` whose block grid over `qf` fits [[MaxGridCells]].
-    * At tiny eb and wide extents a small p (the sweep's p = 1) overflows
-    * the linear block id; a coarser grid codes the same bins. There is no
-    * such p only when the bins themselves are out of range, i.e. eb is
-    * below the coordinates' floating-point resolution. */
+  /** The smallest power of two from p up whose block grid over `qf` fits
+    * [[MaxGridCells]]. At tiny eb and wide extents a small p (the sweep's
+    * p = 1) overflows the linear block id; a coarser grid codes the same
+    * bins. There is no such p only when the bins themselves are out of
+    * range, i.e. eb is below the coordinates' floating-point resolution. */
   def fittingP(qf: QFrame, p: Int): Int = {
-    require(p >= 1, s"block size parameter p must be >= 1: $p")
+    var k = blockBits(p)
     val (mx, my, mz) = (maxOf(qf.qx), maxOf(qf.qy), maxOf(qf.qz))
-    var q = p
-    while (!fits(fdiv(mx, q) + 1, fdiv(my, q) + 1, fdiv(mz, q) + 1)) {
-      require(q <= (Int.MaxValue >> 1),
-        s"no block size fits the grid of ${qf.n} particles at eb ${qf.eb}: bins up to ($mx, $my, $mz)")
-      q <<= 1
+    while (!fits((mx >> k) + 1, (my >> k) + 1, (mz >> k) + 1)) {
+      require(k < 30, s"no block size fits the grid of ${qf.n} particles at eb ${qf.eb}: bins up to ($mx, $my, $mz)")
+      k += 1
     }
-    q
+    1 << k
   }
 
-  /** Group a quantized frame into blocks of `p` bins per side. */
+  /** Group a quantized frame into blocks of `p` = 2^k bins per side. */
   def group(qf: QFrame, p: Int): Grouped = {
-    require(p >= 1, s"block size parameter p must be >= 1: $p")
-    val n = qf.n
+    val k    = blockBits(p)
+    val mask = p - 1L
+    val n    = qf.n
     if (n == 0)
       return Grouped(Array.emptyLongArray, Array.emptyLongArray,
         Array.emptyLongArray, Array.emptyLongArray, Array.emptyLongArray,
         Array.emptyIntArray, p, 1L, 1L)
 
-    // p = 2^k (every sweep candidate, and every p fittingP raises from
-    // one) divides by a shift and a mask, which equal floorDiv and
-    // floorMod for every Long; any other p takes the general path.
-    val k = if ((p & (p - 1)) == 0) Integer.numberOfTrailingZeros(p) else -1
-    @inline def blk(q: Long): Long = if (k >= 0) q >> k else fdiv(q, p)
-    @inline def rel(q: Long): Long = if (k >= 0) q & (p - 1) else fmod(q, p)
-
-    // floorDiv by p is monotone, so the largest block index is the block
-    // index of the largest bin.
-    val bnx = blk(maxOf(qf.qx)) + 1
-    val bny = blk(maxOf(qf.qy)) + 1
-    require(fits(bnx, bny, blk(maxOf(qf.qz)) + 1),
+    // The shift is monotone, so the largest block index is the block index
+    // of the largest bin.
+    val bnx = (maxOf(qf.qx) >> k) + 1
+    val bny = (maxOf(qf.qy) >> k) + 1
+    require(fits(bnx, bny, (maxOf(qf.qz) >> k) + 1),
       s"block grid at p = $p exceeds $MaxGridCells blocks (see fittingP)")
     val ids = new Array[Long](n)
     var i = 0
-    while (i < n) { ids(i) = blk(qf.qx(i)) + bnx * (blk(qf.qy(i)) + bny * blk(qf.qz(i))); i += 1 }
+    while (i < n) { ids(i) = (qf.qx(i) >> k) + bnx * ((qf.qy(i) >> k) + bny * (qf.qz(i) >> k)); i += 1 }
 
     val perm = sortedIndicesBy(ids)
 
@@ -109,7 +103,7 @@ object BlockIndex {
       val id = ids(j)
       if (id != prev) { b += 1; blockIds(b) = id; prev = id }
       counts(b) += 1
-      relX(i) = rel(qf.qx(j)); relY(i) = rel(qf.qy(j)); relZ(i) = rel(qf.qz(j))
+      relX(i) = qf.qx(j) & mask; relY(i) = qf.qy(j) & mask; relZ(i) = qf.qz(j) & mask
       i += 1
     }
     Grouped(blockIds, counts, relX, relY, relZ, perm, p, bnx, bny)
@@ -179,9 +173,10 @@ object BlockIndex {
   /** Rebuild the frame from grouped block data (decompression side): each
     * particle's bin, `block · p + relative position`, dequantized by Eq. 5
     * against the dimension's minimum in the same pass. The grid and the
-    * counts come from the input: p and the extents at least 1, with at most
-    * [[MaxGridCells]] blocks in a layer, and one count per block id, each at
-    * least 1 (no empty block is stored), summing to the particle count.
+    * counts come from the input: p a power of two, the extents at least 1,
+    * with at most [[MaxGridCells]] blocks in a layer, and one count per
+    * block id, each at least 1 (no empty block is stored), summing to the
+    * particle count.
     * They are checked before any coordinate is written. Each block id must
     * be at least 0 and each relative position in [0, p), or the point would
     * land outside its block; these are checked as each point is written. */
@@ -189,8 +184,9 @@ object BlockIndex {
               relX: Array[Long], relY: Array[Long], relZ: Array[Long],
               p: Int, bnx: Long, bny: Long,
               minX: Double, minY: Double, minZ: Double, eb: Double): Frame = {
-    require(p >= 1 && fits(bnx, bny, 1), s"block grid of $bnx x $bny blocks at p = $p: " +
-      s"p and both extents must be >= 1, with at most $MaxGridCells blocks")
+    blockBits(p)
+    require(fits(bnx, bny, 1), s"block grid of $bnx x $bny blocks at p = $p: " +
+      s"both extents must be >= 1, with at most $MaxGridCells blocks")
     val n = relX.length
     require(relY.length == n && relZ.length == n, s"relative positions: ${relX.length}, ${relY.length}, ${relZ.length}")
     require(counts.length == blockIds.length, s"${counts.length} block counts for ${blockIds.length} blocks")
@@ -209,10 +205,10 @@ object BlockIndex {
     while (b < blockIds.length) {
       val id  = blockIds(b)
       require(id >= 0, s"block $b has id $id, below 0")
-      val bz  = fdiv(id, bnx * bny)
-      val rem = id - bz * bnx * bny
-      val by  = fdiv(rem, bnx)
-      val bx  = rem - by * bnx
+      val bz  = id / (bnx * bny)
+      val rem = id % (bnx * bny)
+      val by  = rem / bnx
+      val bx  = rem % bnx
       var c = 0L
       while (c < counts(b)) {
         val rx = relX(pos); val ry = relY(pos); val rz = relZ(pos)

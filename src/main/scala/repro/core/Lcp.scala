@@ -23,19 +23,26 @@ object Lcp {
   /** Always scale by the given factor (bench support for Fig. 7). */
   final case class Forced(factor: Double) extends EbScaleMode
 
+  /** `f`, an anchor error-bound scale factor: finite and >= 1, since §7.4.2
+    * only tightens anchors and a factor below 1 would loosen them past eb. */
+  private def requireScale(f: Double): Double = {
+    require(f >= 1 && f < Double.PositiveInfinity, s"anchor eb scale factor must be finite and >= 1, got $f")
+    f
+  }
+
   /** Compression parameters. `blockSizeP = None` triggers the §7.4.1
-    * dynamic block-size optimization on the first frame. */
+    * dynamic block-size optimization on the first frame; a given p must be
+    * a power of two. */
   final case class LcpConfig(eb: Double,
                              batchSize: Int = 16,
                              blockSizeP: Option[Int] = None,
                              ebScaleMode: EbScaleMode = Auto,
                              disableTemporal: Boolean = false) {
-    require(eb > 0, "error bound must be positive")
+    Quantizer.requireBound(eb, "error bound")
     require(batchSize >= 1, "batch size must be >= 1")
+    blockSizeP.foreach(BlockIndex.blockBits)
     ebScaleMode match {
-      // §7.4.2 only tightens anchors: a factor below 1 would loosen them past eb.
-      case Forced(f) => require(f >= 1 && f < Double.PositiveInfinity,
-        s"anchor eb scale factor must be finite and >= 1, got $f")
+      case Forced(f) => requireScale(f)
       case _ =>
     }
   }
@@ -49,12 +56,16 @@ object Lcp {
   /** The compressed multi-frame container (§7.3's two output arrays plus
     * metadata). Self-contained: [[toBytes]]/[[fromBytes]] round-trip it.
     * It stores each frame's S/T choice and derives the frame table from them;
-    * construction checks every list size against that table, so a decode
-    * only follows slots and references that exist. */
+    * construction checks eb, the anchor scale and p as [[LcpConfig]] does,
+    * and every list size against that table, so a decode only follows
+    * slots and references that exist. */
   final case class LcpArchive(eb: Double, anchorEbScale: Double, batchSize: Int, p: Int,
                               temporal: IndexedSeq[Boolean],
                               anchors: IndexedSeq[Array[Byte]],
                               batches: IndexedSeq[IndexedSeq[Array[Byte]]]) {
+    Quantizer.requireBound(eb, "archive error bound")
+    requireScale(anchorEbScale)
+    BlockIndex.blockBits(p)
     /** Every frame's anchor or payload slot and anchor reference. */
     val entries: IndexedSeq[FrameEntry] = LcpArchive.frameTable(temporal, batchSize)
     /** `anchorFrames(k)` is the frame stored as anchor k. */

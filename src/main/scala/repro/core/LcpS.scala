@@ -25,8 +25,9 @@ object LcpS {
     */
   final case class SResult(bytes: Array[Byte], perm: Array[Int], recon: Frame)
 
-  /** Compress `f` at absolute error bound `eb` with block parameter `p`
-    * (raised to [[BlockIndex.fittingP]] when the grid would overflow). */
+  /** Compress `f` at absolute error bound `eb` with block parameter `p`, a
+    * power of two (raised to [[BlockIndex.fittingP]] when the grid would
+    * overflow). */
   def compress(f: Frame, eb: Double, p: Int): SResult = {
     val qf         = Quantizer.quantizeFrame(f, eb)
     val (bytes, g) = encode(qf, p)
@@ -62,9 +63,9 @@ object LcpS {
   def decompress(bytes: Array[Byte]): Frame = {
     val in  = new ByteArrayInputStream(bytes)
     val n   = ByteIO.readCount(in, Int.MaxValue, "LCP-S particle count")
-    val eb  = ByteIO.readDouble(in)
+    val eb  = Quantizer.requireBound(ByteIO.readDouble(in), "LCP-S error bound")
     val p   = ByteIO.readCount(in, Int.MaxValue, "LCP-S block size")
-    val mx  = ByteIO.readDouble(in); val my = ByteIO.readDouble(in); val mz = ByteIO.readDouble(in)
+    val Seq(mx, my, mz) = Seq.fill(3)(Quantizer.finite(ByteIO.readDouble(in), "LCP-S minimum"))
     val bnx = Zigzag.readVarLong(in)
     val bny = Zigzag.readVarLong(in)
     // Every block holds at least one particle, so no array has more than n

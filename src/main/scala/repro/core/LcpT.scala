@@ -35,7 +35,7 @@ object LcpT {
     require(cur.n == prevRecon.n,
       s"temporal compression requires equal particle counts: ${cur.n} vs ${prevRecon.n}")
     require(perm.length == cur.n, s"alignment perm has ${perm.length} entries for ${cur.n} particles")
-    require(eb > 0, s"error bound must be positive: $eb")
+    Quantizer.requireBound(eb, "error bound")
     val n    = cur.n
     val dims = Fork.map(Seq((cur.x, prevRecon.x), (cur.y, prevRecon.y), (cur.z, prevRecon.z))) {
       case (c, prev) =>
@@ -65,7 +65,7 @@ object LcpT {
     val n  = prevRecon.n
     val stored = Zigzag.readVarLong(in)
     require(stored == n, s"frame length $stored does not match previous frame $n")
-    val eb   = ByteIO.readDouble(in)
+    val eb   = Quantizer.requireBound(ByteIO.readDouble(in), "LCP-T error bound")
     val step = (q: Long) => Quantizer.residualStep(q, eb)
     val dims = Fork.map(ByteIO.readBody(in, 3).toSeq.zip(Seq(prevRecon.x, prevRecon.y, prevRecon.z))) {
       case (section, prev) => IntCoder.decodeResiduals(new ByteArrayInputStream(section), prev, step)

@@ -59,15 +59,22 @@ object Quantizer {
   @inline def residualStep(q: Long, eb: Double): Double = 2.0 * eb * q
 
   /** `v`, which must be finite: no bin holds NaN or ±Inf, and a non-finite
-    * minimum would shift every bin of its dimension. */
-  @inline def finite(v: Double): Double = {
-    if (!java.lang.Double.isFinite(v)) throw new IllegalArgumentException(s"non-finite coordinate $v")
+    * minimum would shift every bin of its dimension. The error names `what`. */
+  @inline def finite(v: Double, what: String = "coordinate"): Double = {
+    if (!java.lang.Double.isFinite(v)) throw new IllegalArgumentException(s"non-finite $what $v")
     v
+  }
+
+  /** `eb`, which must be finite and above 0 to be an error bound; the error
+    * names `what`. Every encoder and decoder checks its eb with this. */
+  def requireBound(eb: Double, what: String): Double = {
+    require(eb > 0 && eb < Double.PositiveInfinity, s"$what must be finite and > 0, got $eb")
+    eb
   }
 
   /** Quantize a whole dimension array against `min`; every value must be
     * finite. */
-  def quantizeArray(a: Array[Double], min: Double, eb: Double): Array[Long] = {
+  private def quantizeArray(a: Array[Double], min: Double, eb: Double): Array[Long] = {
     val out = new Array[Long](a.length)
     var i = 0
     while (i < a.length) { out(i) = quantize(finite(a(i)), min, eb); i += 1 }
@@ -90,7 +97,7 @@ object Quantizer {
 
   /** Quantize all three dims of `f` at error bound `eb`. */
   def quantizeFrame(f: Frame, eb: Double): QFrame = {
-    require(eb > 0, s"error bound must be positive: $eb")
+    requireBound(eb, "error bound")
     val (mx, my, mz) = f.mins
     QFrame(
       quantizeArray(f.x, mx, eb), quantizeArray(f.y, my, eb), quantizeArray(f.z, mz, eb),

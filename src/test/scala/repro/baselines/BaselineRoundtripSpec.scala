@@ -1,7 +1,7 @@
 package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestFrames
+import repro.{BadHeaders, TestFrames}
 import repro.coding.{ByteIO, Zigzag}
 import repro.core.Frame
 import repro.metrics.Metrics
@@ -113,6 +113,70 @@ class BaselineRoundtripSpec extends AnyFunSuite {
       assert(codec.decompress(payload).size == 4)
       intercept[IllegalArgumentException](codec.decompress(payload :+ 0.toByte))
     }
+
+  for (codec <- codecs)
+    test(s"${codec.name}: an error bound of 0, -1, NaN or +Inf is rejected naming the bound") {
+      for (eb <- BadHeaders.Ebs) {
+        val e = withClue(s"eb = $eb")(intercept[IllegalArgumentException](codec.compress(TestFrames.copper(200, 2), eb, 2)))
+        assert(e.getMessage.contains(s"error bound must be finite and > 0, got $eb"), e.getMessage)
+      }
+    }
+
+  /** A frame of `codec` at eb 0.05 and the offset of its header eb, which
+    * follows the particle count. */
+  private def ebHeader(codec: FrameWiseCodec): (Array[Byte], Int) = {
+    val bytes = codec.compressFrame(TestFrames.bunny(300), 0.05)._1
+    (bytes, BadHeaders.afterVarint(bytes))
+  }
+
+  for (codec <- Seq[FrameWiseCodec](Sz2Like, Sz3Like, SperrLike, ZfpLike, Tmc13Like))
+    test(s"${codec.name}: a header eb that is not finite and above 0 is rejected naming it") {
+      val (bytes, at) = ebHeader(codec)
+      assert(BadHeaders.withDoubleAt(bytes, at, 0.05).sameElements(bytes))
+      for (eb <- BadHeaders.HeaderEbs) {
+        val e = intercept[IllegalArgumentException](codec.decompressFrame(BadHeaders.withDoubleAt(bytes, at, eb)))
+        assert(e.getMessage.contains(s"${codec.name} error bound must be finite and > 0, got $eb"), e.getMessage)
+      }
+    }
+
+  /** `bytes` with each of its three header minima, which start at `at`, in
+    * turn replaced by each non-finite value; each must be rejected by
+    * `decode` naming the minimum. The minima are the frame's own. */
+  private def rejectsBadMins(name: String, bytes: Array[Byte], at: Int, decode: Array[Byte] => Frame): Unit = {
+    val (mx, my, mz) = TestFrames.bunny(300).mins
+    for ((min, d) <- Seq(mx, my, mz).zipWithIndex)
+      assert(BadHeaders.withDoubleAt(bytes, at + 8 * d, min).sameElements(bytes), s"minimum $d")
+    for (d <- 0 until 3; min <- BadHeaders.Mins) {
+      val e = intercept[IllegalArgumentException](decode(BadHeaders.withDoubleAt(bytes, at + 8 * d, min)))
+      assert(e.getMessage == s"non-finite $name minimum $min", e.getMessage)
+    }
+  }
+
+  for (codec <- Seq[FrameWiseCodec](ZfpLike, Tmc13Like))
+    test(s"${codec.name}: a non-finite header minimum is rejected naming it") {
+      val (bytes, at) = ebHeader(codec)
+      rejectsBadMins(codec.name, bytes, at + 8, codec.decompressFrame)
+    }
+
+  test("Draco: a non-finite header minimum, or a step that is not finite and above 0, is rejected naming it") {
+    val bytes = DracoLike.compressFrame(TestFrames.bunny(300), 0.05)._1
+    val at    = BadHeaders.afterVarint(bytes) + 1 // the minima follow the bit count
+    rejectsBadMins("Draco", bytes, at, DracoLike.decompressFrame)
+    for (step <- BadHeaders.HeaderEbs) {
+      val e = intercept[IllegalArgumentException](DracoLike.decompressFrame(BadHeaders.withDoubleAt(bytes, at + 24, step)))
+      assert(e.getMessage.contains(s"Draco step must be finite and > 0, got $step"), e.getMessage)
+    }
+  }
+
+  test("Draco: a NaN or infinite coordinate is rejected at compress, not written as a step its decoder rejects") {
+    val f = TestFrames.bunny(300)
+    for (v <- BadHeaders.Mins) {
+      val x = f.x.clone()
+      x(5) = v
+      val e = intercept[IllegalArgumentException](DracoLike.compress(IndexedSeq(Frame(x, f.y, f.z)), 0.05, 1))
+      assert(e.getMessage.startsWith("non-finite Draco coordinate range"), e.getMessage)
+    }
+  }
 
   test("MDZ: a temporal frame with bytes after its body is rejected") {
     val in      = new java.io.ByteArrayInputStream(MdzLike.compress(TestFrames.copper(200, 2), 0.05, 2).payload)

@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
-import repro.{PropSupport, TestFrames}
+import repro.{BadHeaders, PropSupport, TestFrames}
 
 class BlockIndexSpec extends AnyFunSuite with PropSupport {
 
@@ -87,7 +87,7 @@ class BlockIndexSpec extends AnyFunSuite with PropSupport {
     assert(g.counts(0) == 300)
   }
 
-  test("sortedIndicesBy matches boxed sort on packed fast path") {
+  test("sortedIndicesBy matches a boxed sort on 38-bit keys") {
     val rng  = new java.util.Random(5)
     val keys = Array.fill(5000)(rng.nextLong() & ((1L << 38) - 1))
     val got  = BlockIndex.sortedIndicesBy(keys)
@@ -95,13 +95,13 @@ class BlockIndexSpec extends AnyFunSuite with PropSupport {
     assert(got.map(keys(_)).sameElements(exp.map(keys(_))))
   }
 
-  test("sortedIndicesBy falls back for huge keys") {
+  test("sortedIndicesBy orders keys 2^44 and 2^45 above small ones") {
     val keys = Array(1L << 45, 5L, 1L << 44, 0L)
     val got  = BlockIndex.sortedIndicesBy(keys)
     assert(got.sameElements(Array(3, 1, 2, 0)))
   }
 
-  test("sort is stable on ties (packed path keeps original order)") {
+  test("sortedIndicesBy is stable on ties (equal keys keep their input order)") {
     val keys = Array(7L, 7L, 7L, 1L)
     val got  = BlockIndex.sortedIndicesBy(keys)
     assert(got.sameElements(Array(3, 0, 1, 2)))
@@ -149,6 +149,19 @@ class BlockIndexSpec extends AnyFunSuite with PropSupport {
     assert(g.blockIds.forall(id => id >= 0 && id < BlockIndex.MaxGridCells))
     assert(BlockIndex.fittingP(qf, p) == p)
     assert(BlockIndex.fittingP(qf, p / 2) == p)
+  }
+
+  test("group, fittingP and ungroup reject a block size p that is not a power of two") {
+    val qf = Quantizer.quantizeFrame(TestFrames.lj(300).head, 0.02)
+    // At p = 1 every relative position is 0, inside [0, p) for any p >= 1.
+    val g = BlockIndex.group(qf, 1)
+    for (p <- BadHeaders.Ps ++ Seq(0, -4)) withClue(s"p = $p") {
+      intercept[IllegalArgumentException](BlockIndex.group(qf, p))
+      intercept[IllegalArgumentException](BlockIndex.fittingP(qf, p))
+      val e = intercept[IllegalArgumentException](BlockIndex.ungroup(g.blockIds, g.counts, g.relX, g.relY, g.relZ,
+        p, g.bnx, g.bny, qf.minX, qf.minY, qf.minZ, qf.eb))
+      assert(e.getMessage.contains("power of two"), e.getMessage)
+    }
   }
 
   test("group emits one (id, count) per run of equal block ids") {

@@ -2,7 +2,7 @@ package repro.core
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestFrames
+import repro.{BadHeaders, TestFrames}
 import repro.coding.{ByteIO, Zigzag}
 import repro.core.Lcp._
 
@@ -72,6 +72,34 @@ class LcpArchiveSpec extends AnyFunSuite {
   test("a batch size below 1 or beyond an Int is rejected") {
     for (size <- Seq(0L, -1L, 1L << 32))
       intercept[IllegalArgumentException](LcpArchive.fromBytes(withHeaderVarint(archive.toBytes, 0, size)))
+  }
+
+  test("an archive header eb that is not finite and above 0 is rejected, also by copy") {
+    val bytes = archive.toBytes
+    assert(BadHeaders.withDoubleAt(bytes, 4, archive.eb).sameElements(bytes))
+    for (eb <- BadHeaders.HeaderEbs) withClue(s"eb = $eb") {
+      val e = intercept[IllegalArgumentException](LcpArchive.fromBytes(BadHeaders.withDoubleAt(bytes, 4, eb)))
+      assert(e.getMessage.contains(s"archive error bound must be finite and > 0, got $eb"), e.getMessage)
+      intercept[IllegalArgumentException](archive.copy(eb = eb))
+    }
+  }
+
+  test("an archive anchor eb scale below 1 or not finite is rejected, also by copy") {
+    val bytes = archive.toBytes
+    assert(BadHeaders.withDoubleAt(bytes, 12, archive.anchorEbScale).sameElements(bytes))
+    for (scale <- Seq(0.5, 0.0, -1.0, Double.NaN, Double.PositiveInfinity)) withClue(s"scale = $scale") {
+      val e = intercept[IllegalArgumentException](LcpArchive.fromBytes(BadHeaders.withDoubleAt(bytes, 12, scale)))
+      assert(e.getMessage.contains(s"anchor eb scale factor must be finite and >= 1, got $scale"), e.getMessage)
+      intercept[IllegalArgumentException](archive.copy(anchorEbScale = scale))
+    }
+  }
+
+  test("an archive block size p that is not a power of two is rejected, also by copy") {
+    for (p <- BadHeaders.Ps :+ 0) withClue(s"p = $p") {
+      val e = intercept[IllegalArgumentException](LcpArchive.fromBytes(withHeaderVarint(archive.toBytes, 1, p.toLong)))
+      assert(e.getMessage.contains("power of two"), e.getMessage)
+      intercept[IllegalArgumentException](archive.copy(p = p))
+    }
   }
 
   // Real archives whose S/T choices or lists are rewritten: the rewrite keeps

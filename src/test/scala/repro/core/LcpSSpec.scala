@@ -3,7 +3,7 @@ package repro.core
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
-import repro.{PropSupport, TestFrames}
+import repro.{BadHeaders, PropSupport, TestFrames}
 import repro.coding.{ByteIO, IntCoder, Zigzag}
 import repro.metrics.Metrics
 
@@ -260,6 +260,79 @@ class LcpSSpec extends AnyFunSuite with PropSupport {
     assert(intercept[IllegalArgumentException](Lcp.decompressAll(bad)).getMessage.startsWith(want))
     assert(intercept[IllegalArgumentException](Lcp.decompressBatch(bad, 1)).getMessage.startsWith(want))
     assert(intercept[IllegalArgumentException](Lcp.decompressFrame(bad, 3)).getMessage.startsWith(want))
+  }
+
+  test("LcpS.compress rejects a block size p that is not a power of two, or an error bound of 0, -1, NaN or +Inf") {
+    val f = TestFrames.helium(200, 1).head
+    for (p <- BadHeaders.Ps) withClue(s"p = $p")(intercept[IllegalArgumentException](LcpS.compress(f, 0.01, p)))
+    for (eb <- BadHeaders.Ebs) withClue(s"eb = $eb")(intercept[IllegalArgumentException](LcpS.compress(f, eb, 8)))
+  }
+
+  /** An LCP-S frame at p = 1, where every relative position is 0: a header
+    * p other than 1 still holds every one of them in [0, p). */
+  private lazy val p1Frame = LcpS.compress(TestFrames.helium(500, 1).head, 0.01, 1).bytes
+
+  test("an LCP-S frame header p of 3, 6 or 100 is rejected") {
+    assert(headerP(p1Frame) == 1)
+    assert(LcpS.decompress(withGrid(p1Frame)((_, bnx, bny) => (2, bnx, bny))).n == 500)
+    for (p <- BadHeaders.Ps) {
+      val e = intercept[IllegalArgumentException](LcpS.decompress(withGrid(p1Frame)((_, bnx, bny) => (p, bnx, bny))))
+      assert(e.getMessage.contains("power of two"), e.getMessage)
+    }
+  }
+
+  /** LCP-S or LCP-T frame `bytes` with its header eb, which follows the
+    * particle count in both, replaced by `eb`. */
+  private def withEb(bytes: Array[Byte], eb: Double): Array[Byte] =
+    BadHeaders.withDoubleAt(bytes, BadHeaders.afterVarint(bytes), eb)
+
+  /** The offset of minimum `d` (0 = x) in the header of LCP-S frame `bytes`. */
+  private def minAt(bytes: Array[Byte], d: Int): Int = BadHeaders.afterVarint(bytes, BadHeaders.afterVarint(bytes) + 8) + 8 * d
+
+  private def withMin(bytes: Array[Byte], d: Int, min: Double): Array[Byte] = BadHeaders.withDoubleAt(bytes, minAt(bytes, d), min)
+
+  test("an LCP-S frame header eb that is not finite and above 0, or a non-finite minimum, is rejected naming it") {
+    assert(withEb(countedFrame, 0.01).sameElements(countedFrame))
+    for (eb <- BadHeaders.HeaderEbs) {
+      val e = intercept[IllegalArgumentException](LcpS.decompress(withEb(countedFrame, eb)))
+      assert(e.getMessage.contains(s"LCP-S error bound must be finite and > 0, got $eb"), e.getMessage)
+    }
+    val (mx, my, mz) = TestFrames.helium(2000, 1).head.mins
+    for ((min, k) <- Seq(mx, my, mz).zipWithIndex)
+      assert(withMin(countedFrame, k, min).sameElements(countedFrame), s"minimum $k")
+    for (k <- 0 until 3; min <- BadHeaders.Mins) {
+      val e = intercept[IllegalArgumentException](LcpS.decompress(withMin(countedFrame, k, min)))
+      assert(e.getMessage == s"non-finite LCP-S minimum $min", e.getMessage)
+    }
+  }
+
+  test("a bad header eb, minimum or p in an archive's LCP-S or LCP-T frame fails at decode naming the frame") {
+    // Frames S T | T T and, at p = 1 with LCP-T off, S S | S S; frames 0 and
+    // 2 are anchors.
+    val hybrid  = Lcp.compress(TestFrames.helium(500, 4), Lcp.LcpConfig(0.01, batchSize = 2)).archive
+    val spatial = Lcp.compress(TestFrames.helium(500, 4),
+      Lcp.LcpConfig(0.01, batchSize = 2, blockSizeP = Some(1), disableTemporal = true)).archive
+    assert(hybrid.temporal == Seq(false, true, true, true) && spatial.anchorFrames == Seq(0, 2))
+    val edits = Seq[(String, Lcp.LcpArchive, Int, Array[Byte] => Array[Byte], String)](
+      ("LCP-S eb NaN", spatial, 0, withEb(_, Double.NaN), "LCP-S error bound"),
+      ("LCP-S eb -0.01", spatial, 1, withEb(_, -0.01), "LCP-S error bound"),
+      ("LCP-S minimum +Inf", spatial, 3, withMin(_, 1, Double.PositiveInfinity), "LCP-S minimum"),
+      ("LCP-S p = 3", spatial, 2, withGrid(_)((_, bnx, bny) => (3, bnx, bny)), "power of two"),
+      ("LCP-T eb NaN", hybrid, 1, withEb(_, Double.NaN), "LCP-T error bound"),
+      ("LCP-T eb +Inf", hybrid, 3, withEb(_, Double.PositiveInfinity), "LCP-T error bound"))
+    for ((what, a, k, edit, names) <- edits) withClue(what) {
+      val e   = a.entries(k)
+      val b   = k / a.batchSize
+      val bad =
+        if (e.inAnchor) a.copy(anchors = a.anchors.updated(e.slot, edit(a.anchors(e.slot))))
+        else a.copy(batches = a.batches.updated(b, a.batches(b).updated(e.slot, edit(a.batches(b)(e.slot)))))
+      val method = if (e.temporal) "T" else "S"
+      val err = intercept[IllegalArgumentException](Lcp.decompressAll(bad))
+      assert(err.getMessage.startsWith(s"LCP archive: frame $k (batch $b, stored as LCP-$method) does not decode: ") &&
+        err.getMessage.contains(names), err.getMessage)
+      assert(intercept[IllegalArgumentException](Lcp.decompressBatch(bad, b)).getMessage == err.getMessage)
+      assert(intercept[IllegalArgumentException](Lcp.decompressFrame(bad, k)).getMessage == err.getMessage)
+    }
   }
 
   test("a frame with bytes after its body is rejected") {

@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
-import repro.{PropSupport, TestFrames}
+import repro.{BadHeaders, PropSupport, TestFrames}
 import repro.metrics.Metrics
 import repro.core.Lcp._
 
@@ -310,6 +310,21 @@ class LcpSpec extends AnyFunSuite with PropSupport {
       val e = intercept[IllegalArgumentException](LcpConfig(0.01, ebScaleMode = Forced(factor)))
       assert(e.getMessage.contains(s"got $factor"), e.getMessage)
     }
+
+  test("LcpConfig rejects an error bound of 0, -1, NaN or +Inf, naming it") {
+    for (eb <- BadHeaders.Ebs) {
+      val e = intercept[IllegalArgumentException](LcpConfig(eb))
+      assert(e.getMessage.contains(s"error bound must be finite and > 0, got $eb"), e.getMessage)
+    }
+  }
+
+  test("LcpConfig rejects a block size p that is not a power of two, and takes every candidate") {
+    for (p <- BadHeaders.Ps :+ 0) {
+      val e = intercept[IllegalArgumentException](LcpConfig(0.01, blockSizeP = Some(p)))
+      assert(e.getMessage.contains("power of two"), e.getMessage)
+    }
+    BlockSizeOpt.Candidates.foreach(p => LcpConfig(0.01, blockSizeP = Some(p)))
+  }
 
   test("Fig 7's forced anchor eb scale factors 1 to 20 are accepted and keep the bound") {
     val frames = TestFrames.helium(400, 8)

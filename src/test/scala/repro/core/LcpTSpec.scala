@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
-import repro.{PropSupport, TestFrames}
+import repro.{BadHeaders, PropSupport, TestFrames}
 import repro.coding.{ByteIO, Zigzag}
 import repro.metrics.Metrics
 
@@ -111,6 +111,23 @@ class LcpTSpec extends AnyFunSuite with PropSupport {
     ByteIO.writeDouble(out, 0.01)
     ByteIO.writeBody(out, width0, width0, width0)
     assertThrows[IllegalArgumentException](LcpT.decompress(out.toByteArray, prev))
+  }
+
+  test("LcpT.compress rejects an error bound of 0, -1, NaN or +Inf") {
+    val frames = TestFrames.helium(200, 2)
+    for (eb <- BadHeaders.Ebs) withClue(s"eb = $eb")(intercept[IllegalArgumentException](LcpT.compress(frames(1), frames(0), eb)))
+  }
+
+  test("an LCP-T frame header eb that is not finite and above 0 is rejected naming it") {
+    val frames = TestFrames.helium(500, 2)
+    val s      = LcpS.compress(frames(0), 0.01, 16)
+    val bytes  = LcpT.compress(frames(1).reorder(s.perm), s.recon, 0.01).bytes
+    val at     = BadHeaders.afterVarint(bytes)
+    assert(BadHeaders.withDoubleAt(bytes, at, 0.01).sameElements(bytes))
+    for (eb <- BadHeaders.HeaderEbs) {
+      val e = intercept[IllegalArgumentException](LcpT.decompress(BadHeaders.withDoubleAt(bytes, at, eb), s.recon))
+      assert(e.getMessage.contains(s"LCP-T error bound must be finite and > 0, got $eb"), e.getMessage)
+    }
   }
 
   test("a frame with bytes after its body is rejected") {

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.{PropSupport, TestFrames}
+import repro.{BadHeaders, PropSupport, TestFrames}
 import repro.core.Quantizer.QFrame
 import repro.metrics.Metrics
 
@@ -61,6 +61,15 @@ class QuantizerSpec extends AnyFunSuite with PropSupport {
 
   test("zero eb rejected") {
     intercept[IllegalArgumentException](Quantizer.quantizeFrame(TestFrames.bunny(10), 0.0))
+  }
+
+  test("requireBound rejects a bound that is not finite and above 0, naming it, and quantizeFrame applies it") {
+    for (eb <- BadHeaders.Ebs :+ Double.NegativeInfinity) {
+      val e = intercept[IllegalArgumentException](Quantizer.requireBound(eb, "test bound"))
+      assert(e.getMessage.contains(s"test bound must be finite and > 0, got $eb"), e.getMessage)
+      withClue(s"eb = $eb")(intercept[IllegalArgumentException](Quantizer.quantizeFrame(TestFrames.bunny(10), eb)))
+    }
+    for (eb <- Seq(Double.MinPositiveValue, 1e-2, Double.MaxValue)) assert(Quantizer.requireBound(eb, "test bound") == eb)
   }
 
   test("empty frame quantizes to empty") {
