@@ -1,8 +1,8 @@
 package repro.baselines
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
-import repro.coding.{ByteIO, IntCoder, Zigzag}
-import repro.core.{Fork, Frame, Quantizer}
+import repro.coding.{ByteIO, IntCoder}
+import repro.core.{Fork, Frame, LcpT, Quantizer}
 
 /** Compression result: the serialized payload (all metadata included) plus
   * the per-frame input→stored correspondence for fidelity metrics
@@ -54,36 +54,36 @@ trait FrameWiseCodec extends ParticleCodec {
   }
 }
 
-/** Frame-wise codec with the SZ frame layout: the particle count, the
-  * error bound, then a body of three sections, one `IntCoder` array of
-  * residual bin indices per coordinate (no delta). A subtype supplies only
-  * how one coordinate array maps to its indices and back, and the three
-  * coordinates are coded concurrently ([[Fork]]). Order-preserving.
+/** Frame-wise codec with LCP-T's frame layout ([[LcpT.writeFrame]]):
+  * [[arraysPerDim]] `IntCoder` arrays per coordinate, the first holding one
+  * index per particle. A subtype supplies only how one coordinate array
+  * maps to its arrays and back, and the three coordinates are coded
+  * concurrently ([[Fork]]). Order-preserving.
   */
 trait SzFrameCodec extends FrameWiseCodec {
-  /** One residual bin index per value of `v`. */
-  protected def encodeDim(v: Array[Double], eb: Double): Array[Long]
+  protected def arraysPerDim: Int = 1
 
-  /** The values [[encodeDim]] reconstructs from its indices `q`. */
-  protected def decodeDim(q: Array[Long], eb: Double): Array[Double]
+  /** The coded arrays of `v`, whose values are all finite. */
+  protected def encodeDim(v: Array[Double], eb: Double): Seq[Array[Byte]]
+
+  /** The values [[encodeDim]] reconstructs from its decoded arrays. */
+  protected def decodeDim(arrays: Seq[Array[Long]], eb: Double): Array[Double]
 
   final override def compressFrame(f: Frame, eb: Double): (Array[Byte], Array[Int]) = {
-    val out = new ByteArrayOutputStream(f.n + 64)
-    Zigzag.writeVarLong(out, f.n.toLong)
-    ByteIO.writeDouble(out, eb)
-    ByteIO.writeBody(out, Fork.map(Seq(f.x, f.y, f.z))(dim => IntCoder.encode(encodeDim(dim, eb), delta = false)): _*)
-    (out.toByteArray, null)
+    val dims = Fork.map(Seq(f.x, f.y, f.z)) { v =>
+      v.foreach(Quantizer.finite(_))
+      encodeDim(v, eb)
+    }
+    (LcpT.writeFrame(f.n, eb, dims.flatten), null)
   }
 
   final override def decompressFrame(bytes: Array[Byte]): Frame = {
-    val in = new ByteArrayInputStream(bytes)
-    val n  = ByteIO.readCount(in, Int.MaxValue, s"$name particle count")
-    val eb = Quantizer.requireBound(ByteIO.readDouble(in), s"$name error bound")
-    val dims = Fork.map(ByteIO.readBody(in, 3).toSeq) { section =>
-      val q = IntCoder.decode(new ByteArrayInputStream(section), n)
-      // One index per value, so the decoded array bounds the header's count.
-      require(q.length == n, s"$name: ${q.length} indices for $n particles")
-      decodeDim(q, eb)
+    val (n, eb, sections) = LcpT.readFrame(bytes, 3 * arraysPerDim, name)
+    val dims = Fork.map(sections.toSeq.grouped(arraysPerDim).toSeq) { dim =>
+      val arrays = dim.map(s => IntCoder.decode(new ByteArrayInputStream(s), n))
+      // The first array bounds the header's count.
+      require(arrays.head.length == n, s"$name: ${arrays.head.length} indices for $n particles")
+      decodeDim(arrays, eb)
     }
     Frame(dims(0), dims(1), dims(2))
   }

@@ -1,8 +1,7 @@
 package repro.baselines
 
-import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
-import repro.coding.{ByteIO, IntCoder, Zigzag}
-import repro.core.{Frame, Quantizer}
+import repro.coding.IntCoder
+import repro.core.Quantizer
 
 /** SPERR-style baseline: multi-level orthonormal Haar wavelet transform on
   * each coordinate array, uniform coefficient quantization, then — like
@@ -11,20 +10,13 @@ import repro.core.{Frame, Quantizer}
   * corrections. The transform + double reconstruction make it the slowest
   * codec here, matching its position in Figs. 16–18. Order-preserving.
   */
-object SperrLike extends FrameWiseCodec {
+object SperrLike extends SzFrameCodec {
   override val name = "SPERR"
 
-  override def compressFrame(f: Frame, eb: Double): (Array[Byte], Array[Int]) = {
-    val out = new ByteArrayOutputStream(f.n + 64)
-    Zigzag.writeVarLong(out, f.n.toLong)
-    ByteIO.writeDouble(out, eb)
-    ByteIO.writeBody(out, Seq(f.x, f.y, f.z).flatMap(encodeDim(_, eb)): _*)
-    (out.toByteArray, null)
-  }
+  /** Coefficient indices, correction positions and correction indices. */
+  override protected def arraysPerDim = 3
 
-  /** The dimension's three sections: coefficient indices, correction
-    * positions and correction indices. */
-  private def encodeDim(v: Array[Double], eb: Double): Seq[Array[Byte]] = {
+  override protected def encodeDim(v: Array[Double], eb: Double): Seq[Array[Byte]] = {
     val n = v.length
     val coeffs = v.clone()
     forwardHaar(coeffs)
@@ -53,30 +45,22 @@ object SperrLike extends FrameWiseCodec {
       IntCoder.encode(corrQ.toArray, delta = false))
   }
 
-  override def decompressFrame(bytes: Array[Byte]): Frame = {
-    val in = new ByteArrayInputStream(bytes)
-    val n  = ByteIO.readCount(in, Int.MaxValue, "SPERR particle count")
-    val eb = Quantizer.requireBound(ByteIO.readDouble(in), "SPERR error bound")
-    // One coefficient per particle, and at most one correction per particle.
-    val sections = ByteIO.readBody(in, 9).map(s => IntCoder.decode(new ByteArrayInputStream(s), n))
-    val dims = sections.grouped(3).map { case Array(q, corrIdx, corrQ) =>
-      // One coefficient per value, so the decoded array bounds the header's count.
-      require(q.length == n, s"SPERR: ${q.length} coefficients for $n particles")
-      require(corrQ.length == corrIdx.length, "SPERR: correction arrays disagree")
-      val rec = new Array[Double](n)
-      var i = 0
-      while (i < n) { rec(i) = q(i) * eb; i += 1 }
-      inverseHaar(rec)
-      i = 0
-      while (i < corrIdx.length) {
-        require(corrIdx(i) >= 0 && corrIdx(i) < n, s"SPERR: correction position ${corrIdx(i)} outside $n particles")
-        val j = corrIdx(i).toInt
-        rec(j) = Quantizer.reconResidual(rec(j), corrQ(i), eb)
-        i += 1
-      }
-      rec
-    }.toIndexedSeq
-    Frame(dims(0), dims(1), dims(2))
+  override protected def decodeDim(arrays: Seq[Array[Long]], eb: Double): Array[Double] = {
+    val Seq(q, corrIdx, corrQ) = arrays
+    val n = q.length
+    require(corrQ.length == corrIdx.length, "SPERR: correction arrays disagree")
+    val rec = new Array[Double](n)
+    var i = 0
+    while (i < n) { rec(i) = q(i) * eb; i += 1 }
+    inverseHaar(rec)
+    i = 0
+    while (i < corrIdx.length) {
+      require(corrIdx(i) >= 0 && corrIdx(i) < n, s"SPERR: correction position ${corrIdx(i)} outside $n particles")
+      val j = corrIdx(i).toInt
+      rec(j) = Quantizer.reconResidual(rec(j), corrQ(i), eb)
+      i += 1
+    }
+    rec
   }
 
   private val Sqrt2 = math.sqrt(2.0)

@@ -1,5 +1,6 @@
 package repro.baselines
 
+import repro.coding.IntCoder
 import repro.core.Quantizer
 
 /** SZ2-style baseline: 1-D Lorenzo prediction (previous reconstructed
@@ -13,7 +14,7 @@ import repro.core.Quantizer
 object Sz2Like extends SzFrameCodec {
   override val name = "SZ2"
 
-  override protected def encodeDim(v: Array[Double], eb: Double): Array[Long] = {
+  override protected def encodeDim(v: Array[Double], eb: Double): Seq[Array[Byte]] = {
     val q = new Array[Long](v.length)
     var pred = 0.0
     var i = 0
@@ -22,10 +23,11 @@ object Sz2Like extends SzFrameCodec {
       pred = Quantizer.reconResidual(pred, q(i), eb)
       i += 1
     }
-    q
+    Seq(IntCoder.encode(q, delta = false))
   }
 
-  override protected def decodeDim(q: Array[Long], eb: Double): Array[Double] = {
+  override protected def decodeDim(arrays: Seq[Array[Long]], eb: Double): Array[Double] = {
+    val q = arrays.head
     val out = new Array[Double](q.length)
     var pred = 0.0
     var i = 0

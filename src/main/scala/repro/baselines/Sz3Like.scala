@@ -1,5 +1,6 @@
 package repro.baselines
 
+import repro.coding.IntCoder
 import repro.core.Quantizer
 
 /** SZ3-style baseline: multi-level interpolation prediction along the
@@ -13,7 +14,7 @@ import repro.core.Quantizer
 object Sz3Like extends SzFrameCodec {
   override val name = "SZ3"
 
-  override protected def encodeDim(v: Array[Double], eb: Double): Array[Long] = {
+  override protected def encodeDim(v: Array[Double], eb: Double): Seq[Array[Byte]] = {
     val q   = new Array[Long](v.length)
     var pos = 0
     interpolate(v.length, { (i, pred) =>
@@ -22,10 +23,11 @@ object Sz3Like extends SzFrameCodec {
       pos += 1
       Quantizer.reconResidual(pred, k, eb)
     })
-    q
+    Seq(IntCoder.encode(q, delta = false))
   }
 
-  override protected def decodeDim(q: Array[Long], eb: Double): Array[Double] = {
+  override protected def decodeDim(arrays: Seq[Array[Long]], eb: Double): Array[Double] = {
+    val q = arrays.head
     var pos = 0
     interpolate(q.length, { (_, pred) =>
       val r = Quantizer.reconResidual(pred, q(pos), eb)

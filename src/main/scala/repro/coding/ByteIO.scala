@@ -17,16 +17,12 @@ object ByteIO {
     * input, so it is checked against the bytes remaining before anything is
     * allocated. The stream is in memory, so `available()` is exactly that
     * count; every reader here that bounds a length by it takes a
-    * `ByteArrayInputStream` for that reason. */
+    * `ByteArrayInputStream` for that reason. The bound is taken before the
+    * length's own varint is read, so a length up to that varint's size too
+    * long passes it and fails the read. */
   def readSection(in: ByteArrayInputStream): Array[Byte] = {
-    val n   = readCount(in, in.available().toLong, "section length")
-    val buf = new Array[Byte](n)
-    var off = 0
-    while (off < n) {
-      val r = in.read(buf, off, n - off)
-      require(r > 0, "section: unexpected end of stream")
-      off += r
-    }
+    val buf = new Array[Byte](readCount(in, in.available().toLong, "section length"))
+    require(in.readNBytes(buf, 0, buf.length) == buf.length, "section: unexpected end of stream")
     buf
   }
 

@@ -7,7 +7,7 @@ import java.util.concurrent.RecursiveAction
   * and the §7.4.2 trial arms. On decode: an archive's anchors, then its
   * batches (§7.3), LCP-T's three residual sections and LCP-S's five
   * sections (§6.2). The baselines fork their frames (frame-wise codecs),
-  * SZ's three dimensions and MDZ's batches, both ways, and the bench
+  * SZ2, SZ3 and SPERR's three dimensions and MDZ's batches, both ways, and the bench
   * sweeps fork their cells. (The paper's codec is parallel per block and
   * per frame.)
   *

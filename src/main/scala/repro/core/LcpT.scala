@@ -51,25 +51,37 @@ object LcpT {
         // off and the Huffman-vs-fixed pick runs on the raw residual array.
         (IntCoder.encode(q, delta = false), r)
     }
-    val out = new ByteArrayOutputStream(n + 64)
-    Zigzag.writeVarLong(out, n.toLong)
-    ByteIO.writeDouble(out, eb)
-    ByteIO.writeBody(out, dims.map(_._1): _*)
-    TResult(out.toByteArray, Frame(dims(0)._2, dims(1)._2, dims(2)._2))
+    TResult(writeFrame(n, eb, dims.map(_._1)), Frame(dims(0)._2, dims(1)._2, dims(2)._2))
   }
 
   /** Decompress a frame written by [[compress]] given the same `prevRecon`.
     * The three residual sections decode concurrently ([[Fork]]). */
   def decompress(bytes: Array[Byte], prevRecon: Frame): Frame = {
-    val in = new ByteArrayInputStream(bytes)
-    val n  = prevRecon.n
-    val stored = Zigzag.readVarLong(in)
-    require(stored == n, s"frame length $stored does not match previous frame $n")
-    val eb   = Quantizer.requireBound(ByteIO.readDouble(in), "LCP-T error bound")
+    val (n, eb, sections) = readFrame(bytes, 3, "LCP-T")
+    require(n == prevRecon.n, s"frame length $n does not match previous frame ${prevRecon.n}")
     val step = (q: Long) => Quantizer.residualStep(q, eb)
-    val dims = Fork.map(ByteIO.readBody(in, 3).toSeq.zip(Seq(prevRecon.x, prevRecon.y, prevRecon.z))) {
+    val dims = Fork.map(sections.toSeq.zip(Seq(prevRecon.x, prevRecon.y, prevRecon.z))) {
       case (section, prev) => IntCoder.decodeResiduals(new ByteArrayInputStream(section), prev, step)
     }
     Frame(dims(0), dims(1), dims(2))
+  }
+
+  /** The residual frame layout of LCP-T, SZ2, SZ3 and SPERR: the particle
+    * count `n`, the error bound, then a body of the coded `arrays`. */
+  def writeFrame(n: Int, eb: Double, arrays: Seq[Array[Byte]]): Array[Byte] = {
+    val out = new ByteArrayOutputStream(n + 64)
+    Zigzag.writeVarLong(out, n.toLong)
+    ByteIO.writeDouble(out, eb)
+    ByteIO.writeBody(out, arrays: _*)
+    out.toByteArray
+  }
+
+  /** The particle count, error bound and `arrays` coded arrays of a frame
+    * written by [[writeFrame]]; errors name `what`. */
+  def readFrame(bytes: Array[Byte], arrays: Int, what: String): (Int, Double, Array[Array[Byte]]) = {
+    val in = new ByteArrayInputStream(bytes)
+    val n  = ByteIO.readCount(in, Int.MaxValue, s"$what particle count")
+    val eb = Quantizer.requireBound(ByteIO.readDouble(in), s"$what error bound")
+    (n, eb, ByteIO.readBody(in, arrays))
   }
 }

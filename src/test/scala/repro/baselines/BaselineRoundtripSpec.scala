@@ -178,6 +178,19 @@ class BaselineRoundtripSpec extends AnyFunSuite {
     }
   }
 
+  for (codec <- Seq[ParticleCodec](Sz2Like, Sz3Like, SperrLike, MdzLike);
+       (label, v) <- Seq("NaN" -> Double.NaN, "+Inf" -> Double.PositiveInfinity, "-Inf" -> Double.NegativeInfinity))
+    test(s"${codec.name}: a $label coordinate is rejected at compress, in a batch head or a later frame") {
+      val frames = TestFrames.copper(200, 2)
+      for (k <- frames.indices; dim <- 0 until 3) {
+        val dims = Array(frames(k).x, frames(k).y, frames(k).z)
+        dims(dim) = dims(dim).updated(5, v)
+        val bad = frames.updated(k, Frame(dims(0), dims(1), dims(2)))
+        val e   = withClue(s"frame $k, dimension $dim")(intercept[IllegalArgumentException](codec.compress(bad, 0.05, 2)))
+        assert(e.getMessage == s"non-finite coordinate $v", e.getMessage)
+      }
+    }
+
   test("MDZ: a temporal frame with bytes after its body is rejected") {
     val in      = new java.io.ByteArrayInputStream(MdzLike.compress(TestFrames.copper(200, 2), 0.05, 2).payload)
     val batches = ByteIO.readCount(in, 1, "batches")
