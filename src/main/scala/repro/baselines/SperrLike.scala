@@ -7,8 +7,8 @@ import repro.core.Quantizer
   * each coordinate array, uniform coefficient quantization, then — like
   * SPERR — a *correction pass*: the compressor reconstructs its own output,
   * finds samples whose error exceeds the bound, and stores sparse outlier
-  * corrections. The transform + double reconstruction make it the slowest
-  * codec here, matching its position in Figs. 16–18. Order-preserving.
+  * corrections. The transform + double reconstruction make it the paper's
+  * slowest codec in Figs. 16–18. Order-preserving.
   */
 object SperrLike extends SzFrameCodec {
   override val name = "SPERR"

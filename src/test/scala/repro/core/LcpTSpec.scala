@@ -113,25 +113,26 @@ class LcpTSpec extends AnyFunSuite with PropSupport {
     assertThrows[IllegalArgumentException](LcpT.decompress(out.toByteArray, prev))
   }
 
-  test("a frame decoded against a basis of another particle count is rejected") {
+  /** A Helium LCP-T frame of 500 particles and the basis it decodes against. */
+  private lazy val (heliumT, heliumBasis) = {
     val frames = TestFrames.helium(500, 2)
     val s      = LcpS.compress(frames(0), 0.01, 16)
-    val bytes  = LcpT.compress(frames(1).reorder(s.perm), s.recon, 0.01).bytes
-    assert(LcpT.decompress(bytes, s.recon).n == 500)
+    (LcpT.compress(frames(1).reorder(s.perm), s.recon, 0.01).bytes, s.recon)
+  }
+
+  test("a frame decoded against a basis of another particle count is rejected") {
+    assert(LcpT.decompress(heliumT, heliumBasis).n == 500)
     for (basis <- Frame.empty +: Seq(499, 501).map(TestFrames.helium(_, 1).head)) {
-      val e = withClue(s"basis of ${basis.n}")(intercept[IllegalArgumentException](LcpT.decompress(bytes, basis)))
+      val e = withClue(s"basis of ${basis.n}")(intercept[IllegalArgumentException](LcpT.decompress(heliumT, basis)))
       assert(e.getMessage.endsWith(s"frame length 500 does not match previous frame ${basis.n}"), e.getMessage)
     }
   }
 
   test("a stored particle count of 2^32 + n is rejected, not read as n") {
-    val frames = TestFrames.helium(500, 2)
-    val s      = LcpS.compress(frames(0), 0.01, 16)
-    val bytes  = LcpT.compress(frames(1).reorder(s.perm), s.recon, 0.01).bytes
-    val count  = new java.io.ByteArrayOutputStream()
+    val count = new java.io.ByteArrayOutputStream()
     Zigzag.writeVarLong(count, (1L << 32) + 500)
-    val bad = count.toByteArray ++ bytes.drop(BadHeaders.afterVarint(bytes))
-    intercept[IllegalArgumentException](LcpT.decompress(bad, s.recon))
+    val bad = count.toByteArray ++ heliumT.drop(BadHeaders.afterVarint(heliumT))
+    intercept[IllegalArgumentException](LcpT.decompress(bad, heliumBasis))
   }
 
   test("LcpT.compress rejects an error bound of 0, -1, NaN or +Inf") {
