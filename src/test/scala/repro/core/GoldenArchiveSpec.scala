@@ -26,6 +26,10 @@ class GoldenArchiveSpec extends AnyFunSuite {
       assert(got == c.archiveDigest, s"ARCHIVE ${c.name} -> $got")
     }
 
+  test("every LCP golden archive starts with an LCP-S frame: frame 0 has no temporal basis") {
+    for (c <- LcpGoldenCells.all) assert(Lcp.compress(c.frames(), c.cfg).methods.head == 'S', c.name)
+  }
+
   test("LCP golden archives compressed from several threads at once keep their digests") {
     val cells = LcpGoldenCells.all
     val digests = new java.util.concurrent.ConcurrentLinkedQueue[(String, String)]

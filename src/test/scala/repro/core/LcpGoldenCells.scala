@@ -25,6 +25,13 @@ object LcpGoldenCells {
     "45dd7c181597a014557acef4fede0bca69a6772f2e4f7e160f2a229b0b1ff6d8",
     "99924e67b010c973426a20451e600140ce37b6a696bc22a4c40cdaf629fd2e59")
 
+  /** Copper at eb 0.1: LCP-T wins each of its 7 trials by less than the
+    * Zstd worst case of its body, so each comparison needs the packed frame. */
+  val packedTWins: Cell = Cell("copper 800x8, eb 0.1, batch 4, LCP-T wins by its packed size",
+    () => TestFrames.copper(800, 8), LcpConfig(0.1, batchSize = 4),
+    "6399a783456dd04825bafdf72d66d70b9b8b265cebe92c4a5450015f44d61756",
+    "5f40495fea97a40a3baa9c560d7061e3c488338344b7896f3348ecfc153d5a14")
+
   val all: Seq[Cell] = Seq(
     Cell("copper 800x8, eb 0.02, batch 4",
       () => TestFrames.copper(800, 8), LcpConfig(0.02, batchSize = 4),
@@ -54,5 +61,5 @@ object LcpGoldenCells {
       () => TestFrames.helium(600, 5), LcpConfig(0.01, batchSize = 2, blockSizeP = Some(1)),
       "c49738bd15e776f31c0842915f58226711ab9f22c73b1e7e152a8282a1a66897",
       "578026504524d6160978b9f14da543e6ba0e9efec6be34347738da1d03cce2e5"),
-    twoAnchors, twoAnchorsScaled)
+    packedTWins, twoAnchors, twoAnchorsScaled)
 }
