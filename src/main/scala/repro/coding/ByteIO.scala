@@ -8,6 +8,22 @@ import java.io.{ByteArrayInputStream, ByteArrayOutputStream, InputStream}
   */
 object ByteIO {
 
+  /** An output stream into one array of exactly `size` bytes, which
+    * [[bytes]] returns, uncopied, once it is full. */
+  final class ExactOutput(size: Int) extends ByteArrayOutputStream(size) {
+    def bytes: Array[Byte] = {
+      require(count == size, s"$count bytes written for $size")
+      buf
+    }
+  }
+
+  /** The bytes [[writeSection]] writes for a section of `length` bytes. */
+  def sectionSize(length: Long): Long = Zigzag.varLongLen(length) + length
+
+  /** The bytes [[writeSections]] writes for `sections`. */
+  def sectionListSize(sections: Seq[Array[Byte]]): Long =
+    sections.foldLeft(Zigzag.varLongLen(sections.size.toLong).toLong)((sum, s) => sum + sectionSize(s.length))
+
   def writeSection(out: ByteArrayOutputStream, bytes: Array[Byte]): Unit = {
     Zigzag.writeVarLong(out, bytes.length.toLong)
     out.write(bytes)
@@ -49,8 +65,7 @@ object ByteIO {
     * after another as sections, Zstd-compressed once as a whole, and the
     * result written to `out` as one section. */
   def writeBody(out: ByteArrayOutputStream, sections: Array[Byte]*): Unit = {
-    var size = 0L
-    sections.foreach(s => size += Zigzag.varLongLen(s.length.toLong) + s.length)
+    val size = sections.foldLeft(0L)((sum, s) => sum + sectionSize(s.length))
     require(size <= Int.MaxValue, s"frame body of $size bytes")
     val body = new Array[Byte](size.toInt)
     var pos  = 0
@@ -61,6 +76,10 @@ object ByteIO {
     }
     writeSection(out, Dictionary.compress(body))
   }
+
+  /** The most bytes [[writeBody]] writes for sections of these sizes. */
+  def maxBodySize(sizes: Seq[Long]): Long =
+    sectionSize(Dictionary.maxCompressedSize(sizes.foldLeft(0L)((sum, s) => sum + sectionSize(s))))
 
   /** Read a body written by [[writeBody]] holding exactly `count` sections.
     * Every frame format ends with its body, so `in` must end with it too. */

@@ -16,6 +16,11 @@ object Dictionary {
     out.toByteArray
   }
 
+  /** The most bytes [[compress]] returns for `size` input bytes: the size
+    * prefix, then Zstd's worst case, `Zstd.compressBound`, by which zstd-jni
+    * sizes its output buffer. */
+  def maxCompressedSize(size: Long): Long = Zigzag.varLongLen(size) + Zstd.compressBound(size)
+
   /** Inverse of [[compress]]. The size prefix comes from the input, so it
     * must agree with the content size the Zstd frame declares before the
     * output is allocated. The frame is decoded in place, with no copy of

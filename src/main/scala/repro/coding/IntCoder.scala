@@ -98,12 +98,25 @@ object IntCoder {
     out
   }
 
-  /** Encode `a`, picking the smaller of Huffman and fixed-length (fixed
-    * on a tie). */
-  def encode(a: Array[Long], delta: Boolean = true): Array[Byte] = {
-    val p = prepare(a, delta)
-    emit(p, delta, buildCode(p).filter { case (c, h) => huffmanSize(c, h, p.n) < p.fixedSize })
+  /** One array's chosen method and its exact encoded size, computed before
+    * a bit is packed; [[pack]] writes the bytes [[encode]] writes. */
+  final class Plan private[IntCoder] (p: Prepared, delta: Boolean,
+                                      huffman: Option[(Huffman.Code, Huffman.Histogram)], val size: Long) {
+    def pack(): Array[Byte] = emit(p, delta, huffman)
   }
+
+  /** Plan `a`'s encoding, picking the smaller of Huffman and fixed-length
+    * (fixed on a tie). */
+  def plan(a: Array[Long], delta: Boolean = true): Plan = {
+    val p = prepare(a, delta)
+    buildCode(p).map { case (c, h) => (c, h, huffmanSize(c, h, p.n)) }.filter(_._3 < p.fixedSize) match {
+      case Some((c, h, size)) => new Plan(p, delta, Some((c, h)), size)
+      case None               => new Plan(p, delta, None, p.fixedSize)
+    }
+  }
+
+  /** Encode `a` as [[plan]] chooses. */
+  def encode(a: Array[Long], delta: Boolean = true): Array[Byte] = plan(a, delta).pack()
 
   /** Encode with an explicit method choice (tests check [[encode]]'s choice with it). */
   def encodeForced(a: Array[Long], delta: Boolean, useHuffman: Boolean): Array[Byte] = {

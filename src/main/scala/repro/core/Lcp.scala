@@ -1,6 +1,6 @@
 package repro.core
 
-import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
+import java.io.ByteArrayInputStream
 import repro.coding.{ByteIO, Zigzag}
 
 /** LCP — the dynamic multi-frame hybrid compressor (§7, Algorithm 1).
@@ -83,25 +83,33 @@ object Lcp {
     def batchFrames(b: Int): Range = b * batchSize until math.min(numFrames.toLong, (b + 1L) * batchSize).toInt
 
     /** Total compressed size including every piece of metadata (the paper
-      * counts all metadata — §8.1.3, MDZ note). */
-    def compressedSizeBytes: Long = toBytes.length.toLong
+      * counts all metadata — §8.1.3, MDZ note): the length of [[toBytes]],
+      * summed from the fields and section lengths. */
+    def compressedSizeBytes: Long =
+      4L + 8 + 8 + Zigzag.varLongLen(batchSize.toLong) + Zigzag.varLongLen(p.toLong) +
+        ByteIO.sectionSize(numFrames.toLong) + ByteIO.sectionListSize(anchors) +
+        Zigzag.varLongLen(batches.size.toLong) + batches.map(ByteIO.sectionListSize).sum
 
     /** Header, the S/T choices (one byte per frame: 0 = LCP-S, 1 = LCP-T),
-      * the anchor list, the batch count and each batch's list. The choices
-      * imply every count, but until a checksum covers the archive, the stored
-      * counts are what catch an edited batch size or a flipped head choice. */
+      * the anchor list, the batch count and each batch's list, written into
+      * one array of [[compressedSizeBytes]]. The choices imply every count,
+      * but until a checksum covers the archive, the stored counts are what
+      * catch an edited batch size or a flipped head choice. */
     def toBytes: Array[Byte] = {
-      val out = new ByteArrayOutputStream(1024)
+      val size = compressedSizeBytes
+      require(size <= Int.MaxValue, s"archive of $size bytes")
+      val out = new ByteIO.ExactOutput(size.toInt)
       out.write('L'); out.write('C'); out.write('P'); out.write('1')
       ByteIO.writeDouble(out, eb)
       ByteIO.writeDouble(out, anchorEbScale)
       Zigzag.writeVarLong(out, batchSize.toLong)
       Zigzag.writeVarLong(out, p.toLong)
-      ByteIO.writeSection(out, temporal.map(t => (if (t) 1 else 0).toByte).toArray)
+      Zigzag.writeVarLong(out, numFrames.toLong)
+      temporal.foreach(t => out.write(if (t) 1 else 0))
       ByteIO.writeSections(out, anchors)
       Zigzag.writeVarLong(out, batches.size.toLong)
       batches.foreach(ByteIO.writeSections(out, _))
-      out.toByteArray
+      out.bytes
     }
   }
 
@@ -208,12 +216,17 @@ object Lcp {
     }
 
     val fsm      = new LcpFsm
-    val coded    = IndexedSeq.newBuilder[Array[Byte]]
+    val coded    = new Array[Array[Byte]](frames.size)
     val temporal = IndexedSeq.newBuilder[Boolean]
     val perms    = IndexedSeq.newBuilder[Array[Int]]
+    // LCP-T frames committed before packing, oldest first, with their
+    // packing and Zstd running on the pool; at most one batch of them.
+    val packing  = new java.util.ArrayDeque[(Int, Fork.Started[Array[Byte]])]
 
     // Codec state: previous frame's reconstruction + permutation, the last
     // anchor's ditto, the last actual LCP-S size (the FSM's S estimate).
+    // Frame 0 has no basis, so it is spatial and sets the estimate before
+    // any comparison.
     var prevRecon: Frame       = null
     var prevPerm: Array[Int]   = null
     var anchorRecon: Frame     = null
@@ -231,33 +244,38 @@ object Lcp {
       // Anchor frames (first-in-batch spatial) may use the scaled bound.
       val sEb = if (firstInBatch) cfg.eb / scale else cfg.eb
 
-      // LCP-FSM step (§7.2): LCP-T runs only when the FSM asks to compare.
-      // A comparison estimates LCP-S's size from the last actual LCP-S frame
-      // (measured once if there is none yet), so otherwise LCP-S runs only
-      // when it is the method chosen.
+      // LCP-FSM step (§7.2): LCP-T runs only when the FSM asks to compare,
+      // against the LCP-S estimate; LCP-S runs only when it is chosen. When
+      // LCP-T's size bound is below the estimate, LCP-T wins whatever Zstd
+      // makes of its body, so the frame is committed unpacked and packed on
+      // the pool; otherwise it is packed here and its actual size compared.
       val compare = canTemporal && fsm.nextAction() == LcpFsm.Compare
-      val t = if (compare) { tTrials += 1; LcpT.compress(f, basisPerm, basisRecon, cfg.eb) } else null
-      val sTrial = if (!compare || lastSSize < 0) LcpS.compress(f, sEb, p) else null
-      val spatialWon =
-        !compare || (if (sTrial != null) sTrial.bytes.length.toLong else lastSSize) <= t.bytes.length
+      val t       = if (compare) { tTrials += 1; LcpT.trial(f, basisPerm, basisRecon, cfg.eb) } else null
+      val early   = compare && t.maxBytes < lastSSize
+      val tBytes  = if (compare && !early) t.pack() else null
+      val spatialWon = !compare || (!early && lastSSize <= tBytes.length)
       fsm.observe(compare, spatialWon)
       temporal += !spatialWon
 
       if (spatialWon) {
-        val spatial = if (sTrial != null) sTrial else LcpS.compress(f, sEb, p)
+        val spatial = LcpS.compress(f, sEb, p)
         lastSSize = spatial.bytes.length.toLong
         if (firstInBatch) { anchorRecon = spatial.recon; anchorPerm = spatial.perm }
-        coded += spatial.bytes
+        coded(i) = spatial.bytes
         prevRecon = spatial.recon; prevPerm = spatial.perm
         perms += spatial.perm
       } else {
-        coded += t.bytes
+        if (early) {
+          packing.add(i -> Fork.start(t)(_.packHere()))
+          while (packing.size > cfg.batchSize) { val (j, packed) = packing.poll(); coded(j) = packed.join() }
+        } else coded(i) = tBytes
         prevRecon = t.recon; prevPerm = basisPerm
         perms += basisPerm
       }
     }
+    packing.forEach { case (j, packed) => coded(j) = packed.join() }
 
-    val archive = LcpArchive.fromFrames(cfg.eb, scale, cfg.batchSize, p, temporal.result(), coded.result())
+    val archive = LcpArchive.fromFrames(cfg.eb, scale, cfg.batchSize, p, temporal.result(), coded.toIndexedSeq)
     Result(archive, perms.result(), tTrials)
   }
 

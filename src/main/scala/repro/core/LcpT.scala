@@ -29,9 +29,29 @@ object LcpT {
     compress(aligned, Array.range(0, aligned.n), prevRecon, eb)
 
   /** [[compress]] of `cur.reorder(perm)`, reading `cur(perm(i))` in place of
-    * the aligned frame. The three dimensions are quantized, reconstructed
-    * and coded concurrently ([[Fork]]). */
+    * the aligned frame: the [[trial]], packed. */
   def compress(cur: Frame, perm: Array[Int], prevRecon: Frame, eb: Double): TResult = {
+    val t = trial(cur, perm, prevRecon, eb)
+    TResult(t.pack(), t.recon)
+  }
+
+  /** One frame's chain step, taken before any bit is packed: `recon`, the
+    * next frame's prediction basis, and `maxBytes`, an upper bound on the
+    * frame's size, exact up to what Zstd makes of the body. */
+  final class Trial private[LcpT] (n: Int, eb: Double, plans: Seq[IntCoder.Plan], val recon: Frame) {
+    val maxBytes: Long = Zigzag.varLongLen(n.toLong) + 8L + ByteIO.maxBodySize(plans.map(_.size))
+
+    /** The frame, its three arrays packed concurrently ([[Fork]]). */
+    def pack(): Array[Byte] = writeFrame(n, eb, Fork.map(plans)(_.pack()))
+
+    /** The frame, packed on the calling thread alone: for a pool task, whose
+      * forks would queue behind the chain's own. */
+    def packHere(): Array[Byte] = writeFrame(n, eb, plans.map(_.pack()))
+  }
+
+  /** The chain step of [[compress]]: the three dimensions are quantized,
+    * reconstructed and planned concurrently ([[Fork]]). */
+  def trial(cur: Frame, perm: Array[Int], prevRecon: Frame, eb: Double): Trial = {
     require(cur.n == prevRecon.n,
       s"temporal compression requires equal particle counts: ${cur.n} vs ${prevRecon.n}")
     require(perm.length == cur.n, s"alignment perm has ${perm.length} entries for ${cur.n} particles")
@@ -49,9 +69,9 @@ object LcpT {
         }
         // Diffs are already small and centred on zero; the delta stage stays
         // off and the Huffman-vs-fixed pick runs on the raw residual array.
-        (IntCoder.encode(q, delta = false), r)
+        (IntCoder.plan(q, delta = false), r)
     }
-    TResult(writeFrame(n, eb, dims.map(_._1)), Frame(dims(0)._2, dims(1)._2, dims(2)._2))
+    new Trial(n, eb, dims.map(_._1), Frame(dims(0)._2, dims(1)._2, dims(2)._2))
   }
 
   /** Decompress a frame written by [[compress]] given the same `prevRecon`.

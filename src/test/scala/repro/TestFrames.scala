@@ -2,6 +2,7 @@ package repro
 
 import org.scalacheck.Gen
 import repro.core.Frame
+import repro.core.Lcp.LcpConfig
 import repro.data.Particles
 
 /** Shared small inputs for unit tests (SF-like scale: a few thousand
@@ -51,4 +52,21 @@ object TestFrames {
   }
 
   val ebGen: Gen[Double] = Gen.oneOf(1e-1, 1e-2, 1e-3, 0.5, 2.0)
+
+  /** Two frames on an extreme grid (tiny eb, wide extents, p = 1 or swept):
+    * up to 30 particles, the second frame a small shift of the first. */
+  val extremeGridGen: Gen[(IndexedSeq[Frame], LcpConfig)] = for {
+    n      <- Gen.choose(1, 30)
+    extent <- Gen.oneOf(1.0, 1e3, 1e4)
+    shift  <- Gen.oneOf(-5e3, 0.0, 42.0)
+    eb     <- Gen.oneOf(1e-6, 1e-7, 1e-8)
+    p      <- Gen.oneOf(Option(1), None)
+    seed   <- Gen.choose(0L, 1000000L)
+  } yield {
+    val rng = new java.util.Random(seed)
+    def dim() = Array.fill(n)(shift + rng.nextDouble() * extent)
+    val f0 = Frame(dim(), dim(), dim())
+    val f1 = Frame(f0.x.map(_ + 1e-3), f0.y.clone(), f0.z.map(_ - 2e-3))
+    (IndexedSeq(f0, f1), LcpConfig(eb, batchSize = 2, blockSizeP = p))
+  }
 }

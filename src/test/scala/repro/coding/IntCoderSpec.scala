@@ -50,6 +50,26 @@ class IntCoderSpec extends AnyFunSuite with PropSupport {
     assert(IntCoder.encode(mono).length < IntCoder.encode(rand).length / 4)
   }
 
+  test("property: a plan's size is its packed length and the smaller method cost, fixed on a tie") {
+    val arrays = for {
+      n     <- Gen.choose(0, 3000)
+      bits  <- Gen.choose(0, 40)
+      seed  <- Gen.choose(0L, 1000000L)
+      delta <- Gen.oneOf(true, false)
+    } yield {
+      val rng = new java.util.Random(seed)
+      (Array.fill(n)(if (bits == 0) 0L else (rng.nextGaussian() * (1L << bits)).toLong), delta)
+    }
+    forAllG(arrays) { case (a, delta) =>
+      val plan   = IntCoder.plan(a, delta)
+      val packed = plan.pack()
+      val (fixed, huffman) = IntCoder.methodCosts(a, delta)
+      assert(plan.size == packed.length)
+      assert(plan.size == huffman.filter(_ < fixed).getOrElse(fixed))
+      assert(packed.sameElements(IntCoder.encode(a, delta)))
+    }
+  }
+
   test("methodCosts: huffman wins on skewed data") {
     val a = Array.fill(5000)(0L) ++ Array.tabulate(50)(_.toLong * 1000)
     val (fixed, huff) = IntCoder.methodCosts(a, delta = false)

@@ -31,6 +31,17 @@ class ForkSpec extends AnyFunSuite {
     assert(done.get == 3)
   }
 
+  test("a started task's result comes back at join") {
+    val started = (0 until 8).map(i => Fork.start(i)(i => i * i))
+    assert(started.map(_.join()) == (0 until 8).map(i => i * i))
+  }
+
+  test("a started task's failure is rethrown at join as the same exception") {
+    val error   = new IllegalArgumentException("started task")
+    val started = Fork.start(0)(_ => throw error)
+    assert(intercept[IllegalArgumentException](started.join()) eq error)
+  }
+
   test("nested forks, on the calling thread and on pool threads, complete") {
     val got  = Fork.map(0 until 8)(i => Fork.map(0 until 8)(j => Fork.map(0 until 4)(k => i + j + k).sum).sum)
     val want = (0 until 8).map(i => (0 until 8).map(j => (0 until 4).map(k => i + j + k).sum).sum)

@@ -58,6 +58,37 @@ class GoldenArchiveSpec extends AnyFunSuite {
     assert(scaled.anchorEbScale == EbScale.Factor)
   }
 
+  /** Per LCP-T frame of cell `c`, whether its trial's `maxBytes` fell below
+    * the size of the last LCP-S frame before it, so that `Lcp.compress`
+    * committed it before packing; each trial, rebuilt from the decoded basis
+    * and the cell's perms, must pack to the stored frame. */
+  private def committedUnpacked(c: LcpGoldenCells.Cell): IndexedSeq[Boolean] = {
+    val frames = c.frames()
+    val r      = Lcp.compress(frames, c.cfg)
+    val a      = r.archive
+    val dec    = Lcp.decompressAll(a)
+    def stored(i: Int) = {
+      val e = a.entries(i)
+      if (e.inAnchor) a.anchors(e.slot) else a.batches(i / a.batchSize)(e.slot)
+    }
+    var lastS = -1L
+    frames.indices.flatMap { i =>
+      val e = a.entries(i)
+      if (!e.temporal) { lastS = stored(i).length; None }
+      else {
+        val basis = if (i % a.batchSize == 0) dec(a.anchorFrames(e.anchorRef)) else dec(i - 1)
+        val t     = LcpT.trial(frames(i), r.perms(i), basis, c.cfg.eb)
+        assert(t.pack().sameElements(stored(i)), s"${c.name}: frame $i")
+        Some(t.maxBytes < lastS)
+      }
+    }
+  }
+
+  test("the packed-size golden cell compares each LCP-T trial on its packed frame; the Copper eb 0.02 cell on its bound") {
+    assert(committedUnpacked(LcpGoldenCells.packedTWins) == Seq.fill(7)(false))
+    assert(committedUnpacked(LcpGoldenCells.all.head) == Seq.fill(7)(true))
+  }
+
   private lazy val baselineFrames = TestFrames.copper(800, 8)
 
   for ((codec, digest) <- Seq[(ParticleCodec, String)](

@@ -37,6 +37,15 @@ class LcpArchiveSpec extends AnyFunSuite {
     out.toByteArray
   }
 
+  test("compressedSizeBytes is the length of toBytes: golden cells, one frame, empty frames, batch size 1") {
+    val archives = LcpGoldenCells.all.map(c => Lcp.compress(c.frames(), c.cfg).archive) ++ Seq(
+      Lcp.compress(IndexedSeq(TestFrames.bunny(300)), LcpConfig(0.01)).archive,
+      Lcp.compress(IndexedSeq(Frame.empty, Frame.empty, Frame.empty), LcpConfig(0.01, batchSize = 2)).archive,
+      Lcp.compress(TestFrames.helium(300, 5), LcpConfig(0.01, batchSize = 1)).archive,
+      empty)
+    for (a <- archives) assert(a.compressedSizeBytes == a.toBytes.length)
+  }
+
   test("rewriting a header varint to its own value keeps the archive") {
     val bytes = archive.toBytes
     (0 to 2).foreach { k =>

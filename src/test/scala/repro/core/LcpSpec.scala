@@ -1,6 +1,5 @@
 package repro.core
 
-import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{BadHeaders, PropSupport, TestFrames}
 import repro.metrics.Metrics
@@ -238,21 +237,7 @@ class LcpSpec extends AnyFunSuite with PropSupport {
   }
 
   test("property: extreme grids (tiny eb, wide extents, p = 1) keep the per-particle bound") {
-    val gen = for {
-      n      <- Gen.choose(1, 30)
-      extent <- Gen.oneOf(1.0, 1e3, 1e4)
-      shift  <- Gen.oneOf(-5e3, 0.0, 42.0)
-      eb     <- Gen.oneOf(1e-6, 1e-7, 1e-8)
-      p      <- Gen.oneOf(Option(1), None)
-      seed   <- Gen.choose(0L, 1000000L)
-    } yield {
-      val rng = new java.util.Random(seed)
-      def dim() = Array.fill(n)(shift + rng.nextDouble() * extent)
-      val f0 = Frame(dim(), dim(), dim())
-      val f1 = Frame(f0.x.map(_ + 1e-3), f0.y.clone(), f0.z.map(_ - 2e-3))
-      (IndexedSeq(f0, f1), LcpConfig(eb, batchSize = 2, blockSizeP = p))
-    }
-    forAllG(gen) { case (frames, cfg) =>
+    forAllG(TestFrames.extremeGridGen) { case (frames, cfg) =>
       checkRoundedBound(frames, Lcp.compress(frames, cfg), cfg.eb)
       val s = LcpS.compress(frames.head, cfg.eb, 1)
       checkRoundedBound(frames.head, LcpS.decompress(s.bytes), s.perm, cfg.eb)

@@ -78,6 +78,33 @@ class LcpTSpec extends AnyFunSuite with PropSupport {
     }
   }
 
+  /** One LCP-T chain over `frames`: frame 0 by LCP-S at block size `p`,
+    * then every later frame a trial against its predecessor's
+    * reconstruction. Each trial's `maxBytes` bounds its packed frame, and
+    * both packings write the bytes of `compress`. */
+  private def checkTrialBounds(frames: IndexedSeq[Frame], eb: Double, p: Int): Unit = {
+    val s = LcpS.compress(frames.head, eb, p)
+    frames.tail.foldLeft(s.recon) { (basis, f) =>
+      val t      = LcpT.trial(f, s.perm, basis, eb)
+      val packed = t.pack()
+      assert(t.maxBytes >= packed.length, s"eb $eb: bound ${t.maxBytes} below the packed ${packed.length} B")
+      assert(t.packHere().sameElements(packed))
+      assert(LcpT.compress(f, s.perm, basis, eb).bytes.sameElements(packed))
+      t.recon
+    }
+  }
+
+  test("a trial's maxBytes bounds its packed frame: four generators at eb 1e-1, 1e-2 and 1e-3") {
+    for (frames <- Seq(TestFrames.copper(1000, 6), TestFrames.helium(1000, 6), TestFrames.lj(1000, 6),
+                       TestFrames.yiip(1000, 6));
+         eb <- Seq(1e-1, 1e-2, 1e-3))
+      checkTrialBounds(frames, eb, 8)
+  }
+
+  test("property: a trial's maxBytes bounds its packed frame on extreme grids") {
+    forAllG(TestFrames.extremeGridGen) { case (frames, cfg) => checkTrialBounds(frames, cfg.eb, 1) }
+  }
+
   test("length mismatch rejected") {
     val a = TestFrames.bunny(100)
     val b = TestFrames.bunny(101)
