@@ -45,7 +45,7 @@ object LcpT {
     def pack(): Array[Byte] = writeFrame(n, eb, Fork.map(plans)(_.pack()))
 
     /** The frame, packed on the calling thread alone: for a pool task, whose
-      * forks would queue behind the chain's own. */
+      * forks would compete with the chain's own for the pool's threads. */
     def packHere(): Array[Byte] = writeFrame(n, eb, plans.map(_.pack()))
   }
 
