@@ -12,7 +12,7 @@ import repro.benchlib.SparkPipeline
   */
 object SparkPipelineJob {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("lcp-pipeline")
       .getOrCreate()

@@ -2,7 +2,7 @@ package repro.baselines
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
 import repro.coding.{ByteIO, IntCoder, Zigzag}
-import repro.core.{BlockIndex, Frame, Quantizer}
+import repro.core.{Frame, Quantizer}
 
 /** Draco-style baseline: point-cloud sequential coding. Positions are
   * quantized to a user-selected number of bits over the bounding box (NOT
@@ -30,22 +30,14 @@ object DracoLike extends FrameWiseCodec {
     val (mx, my, mz) = f.mins
     val step = math.max(Quantizer.finite(f.valueRange, "Draco coordinate range"), 1e-300) / ((1L << bits) - 1).toDouble
 
-    val codes = new Array[Long](f.n)
-    var i = 0
-    while (i < f.n) {
-      codes(i) = Morton.encode(
-        Math.round((f.x(i) - mx) / step), Math.round((f.y(i) - my) / step), Math.round((f.z(i) - mz) / step))
-      i += 1
+    val (perm, sorted) = Morton.sort(f.n) { i =>
+      Morton.encode(Math.round((f.x(i) - mx) / step), Math.round((f.y(i) - my) / step), Math.round((f.z(i) - mz) / step))
     }
-    val perm   = BlockIndex.sortedIndicesBy(codes)
-    val sorted = new Array[Long](f.n)
-    i = 0
-    while (i < f.n) { sorted(i) = codes(perm(i)); i += 1 }
 
     val out = new ByteArrayOutputStream(f.n + 64)
     Zigzag.writeVarLong(out, f.n.toLong)
     out.write(bits)
-    ByteIO.writeDouble(out, mx); ByteIO.writeDouble(out, my); ByteIO.writeDouble(out, mz)
+    Quantizer.writeMins(out, mx, my, mz)
     ByteIO.writeDouble(out, step)
     ByteIO.writeBody(out, IntCoder.encode(sorted, delta = true))
     (out.toByteArray, perm)
@@ -56,7 +48,7 @@ object DracoLike extends FrameWiseCodec {
     val n    = ByteIO.readCount(in, Int.MaxValue, "Draco particle count")
     val bits = in.read()
     require(bits >= 1 && bits <= Morton.MaxBits, s"bad bit count $bits")
-    val Seq(mx, my, mz) = Seq.fill(3)(Quantizer.finite(ByteIO.readDouble(in), "Draco minimum"))
+    val (mx, my, mz) = Quantizer.readMins(in, "Draco")
     val step  = Quantizer.requireBound(ByteIO.readDouble(in), "Draco step")
     val codes = IntCoder.decode(new ByteArrayInputStream(ByteIO.readBody(in, 1)(0)), n)
     require(codes.length == n, "length mismatch")

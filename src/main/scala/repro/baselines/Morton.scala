@@ -1,5 +1,7 @@
 package repro.baselines
 
+import repro.core.BlockIndex
+
 /** 3-D Morton (Z-order) codes, up to 21 bits per dimension (63-bit code).
   * Shared by the point-cloud baselines (Draco-style sequential coding,
   * TMC13-style octree traversal order).
@@ -33,6 +35,14 @@ object Morton {
     require(x >= 0 && y >= 0 && z >= 0 && x < (1L << MaxBits) && y < (1L << MaxBits) && z < (1L << MaxBits),
       s"coordinate out of Morton range: ($x, $y, $z)")
     spread(x) | (spread(y) << 1) | (spread(z) << 2)
+  }
+
+  /** The codes `code(0)`, …, `code(n - 1)` of `n` points, stably sorted:
+    * the perm (the point at each sorted slot) and the sorted codes. */
+  def sort(n: Int)(code: Int => Long): (Array[Int], Array[Long]) = {
+    val codes = Array.tabulate(n)(code)
+    val perm  = BlockIndex.sortedIndicesBy(codes)
+    (perm, perm.map(codes(_)))
   }
 
   /** Inverse of [[encode]]. */

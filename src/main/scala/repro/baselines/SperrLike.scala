@@ -25,11 +25,7 @@ object SperrLike extends SzFrameCodec {
     val q = new Array[Long](n)
     var i = 0
     while (i < n) { q(i) = Math.round(coeffs(i) / eb); i += 1 }
-    // Reconstruct in-compressor to locate bound violations.
-    val rec = new Array[Double](n)
-    i = 0
-    while (i < n) { rec(i) = q(i) * eb; i += 1 }
-    inverseHaar(rec)
+    val rec = reconstruct(q, eb)
     val corrIdx = scala.collection.mutable.ArrayBuffer.empty[Long]
     val corrQ   = scala.collection.mutable.ArrayBuffer.empty[Long]
     i = 0
@@ -49,17 +45,24 @@ object SperrLike extends SzFrameCodec {
     val Seq(q, corrIdx, corrQ) = arrays
     val n = q.length
     require(corrQ.length == corrIdx.length, "SPERR: correction arrays disagree")
-    val rec = new Array[Double](n)
+    val rec = reconstruct(q, eb)
     var i = 0
-    while (i < n) { rec(i) = q(i) * eb; i += 1 }
-    inverseHaar(rec)
-    i = 0
     while (i < corrIdx.length) {
       require(corrIdx(i) >= 0 && corrIdx(i) < n, s"SPERR: correction position ${corrIdx(i)} outside $n particles")
       val j = corrIdx(i).toInt
       rec(j) = Quantizer.reconResidual(rec(j), corrQ(i), eb)
       i += 1
     }
+    rec
+  }
+
+  /** `q` dequantized at step `eb` and inverse-transformed: the decoder's
+    * rebuild before corrections, on which the encoder checks its bound. */
+  private def reconstruct(q: Array[Long], eb: Double): Array[Double] = {
+    val rec = new Array[Double](q.length)
+    var i = 0
+    while (i < q.length) { rec(i) = q(i) * eb; i += 1 }
+    inverseHaar(rec)
     rec
   }
 

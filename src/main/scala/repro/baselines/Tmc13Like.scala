@@ -2,7 +2,7 @@ package repro.baselines
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
 import repro.coding.{ByteIO, IntCoder, Zigzag}
-import repro.core.{BlockIndex, Frame, Quantizer}
+import repro.core.{Frame, Quantizer}
 
 /** TMC13-style baseline (MPEG G-PCC): octree geometry coding. Positions are
   * quantized on the error-bound grid, Morton-ordered, and the occupied
@@ -25,13 +25,7 @@ object Tmc13Like extends FrameWiseCodec {
     require(depth <= Morton.MaxBits,
       s"TMC13 grid needs $depth bits/dim (> ${Morton.MaxBits}); raise the error bound")
 
-    val codes = new Array[Long](f.n)
-    i = 0
-    while (i < f.n) { codes(i) = Morton.encode(qf.qx(i), qf.qy(i), qf.qz(i)); i += 1 }
-    val perm   = BlockIndex.sortedIndicesBy(codes)
-    val sorted = new Array[Long](f.n)
-    i = 0
-    while (i < f.n) { sorted(i) = codes(perm(i)); i += 1 }
+    val (perm, sorted) = Morton.sort(f.n)(i => Morton.encode(qf.qx(i), qf.qy(i), qf.qz(i)))
 
     val occ  = new ByteArrayOutputStream(f.n / 2 + 16)
     val dups = scala.collection.mutable.ArrayBuffer.empty[Long]
@@ -65,7 +59,7 @@ object Tmc13Like extends FrameWiseCodec {
     val out = new ByteArrayOutputStream(f.n + 64)
     Zigzag.writeVarLong(out, f.n.toLong)
     ByteIO.writeDouble(out, eb)
-    ByteIO.writeDouble(out, qf.minX); ByteIO.writeDouble(out, qf.minY); ByteIO.writeDouble(out, qf.minZ)
+    Quantizer.writeMins(out, qf.minX, qf.minY, qf.minZ)
     out.write(depth)
     ByteIO.writeBody(out, occ.toByteArray, IntCoder.encode(dups.toArray, delta = false))
     (out.toByteArray, perm)
@@ -75,7 +69,7 @@ object Tmc13Like extends FrameWiseCodec {
     val in = new ByteArrayInputStream(bytes)
     val n  = ByteIO.readCount(in, Int.MaxValue, "TMC13 particle count")
     val eb = Quantizer.requireBound(ByteIO.readDouble(in), "TMC13 error bound")
-    val Seq(mx, my, mz) = Seq.fill(3)(Quantizer.finite(ByteIO.readDouble(in), "TMC13 minimum"))
+    val (mx, my, mz) = Quantizer.readMins(in, "TMC13")
     val depth = in.read()
     require(depth >= 1 && depth <= Morton.MaxBits, s"TMC13: bad octree depth $depth")
     val Array(occ, dupBytes) = ByteIO.readBody(in, 2)

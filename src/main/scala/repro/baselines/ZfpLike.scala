@@ -20,7 +20,7 @@ object ZfpLike extends FrameWiseCodec {
     Zigzag.writeVarLong(out, f.n.toLong)
     ByteIO.writeDouble(out, eb)
     val qf = Quantizer.quantizeFrame(f, eb)
-    ByteIO.writeDouble(out, qf.minX); ByteIO.writeDouble(out, qf.minY); ByteIO.writeDouble(out, qf.minZ)
+    Quantizer.writeMins(out, qf.minX, qf.minY, qf.minZ)
     ByteIO.writeBody(out, Seq(qf.qx, qf.qy, qf.qz).map(encodeDim): _*)
     (out.toByteArray, null)
   }
@@ -72,8 +72,8 @@ object ZfpLike extends FrameWiseCodec {
     val in = new ByteArrayInputStream(bytes)
     val n  = ByteIO.readCount(in, Int.MaxValue, "ZFP particle count")
     val eb = Quantizer.requireBound(ByteIO.readDouble(in), "ZFP error bound")
-    val mins = Array.fill(3)(Quantizer.finite(ByteIO.readDouble(in), "ZFP minimum"))
-    val dims = ByteIO.readBody(in, 3).zip(mins).map { case (section, min) =>
+    val (mx, my, mz) = Quantizer.readMins(in, "ZFP")
+    val dims = ByteIO.readBody(in, 3).zip(Seq(mx, my, mz)).map { case (section, min) =>
       Quantizer.dequantizeArray(decodeDim(section, n), min, eb)
     }
     Frame(dims(0), dims(1), dims(2))

@@ -33,8 +33,6 @@ object IntCoder {
     def n: Int = z.length
 
     def width: Int = FixedLength.widthOfOr(or)
-
-    def fixedSize: Long = encodedSize(n, 1, (width.toLong * n + 7) / 8)
   }
 
   /** Exactly the bytes [[emit]] writes for `n` codes with a head (the
@@ -68,17 +66,6 @@ object IntCoder {
     if (p.n == 0) None
     else Huffman.histogram(p.z, p.or, MaxHuffmanAlphabet).flatMap(h => Huffman.build(h).map(_ -> h))
 
-  private def huffmanSize(code: Huffman.Code, h: Huffman.Histogram, n: Int): Long =
-    encodedSize(n, code.tableBytes, (code.payloadBits(h) + 7) / 8)
-
-  /** Exact encoded size in bytes of each method, used for selection and by
-    * the Table 3 bench: (fixedBytes, huffmanBytes); huffman is None when
-    * the alphabet is too large or code lengths degenerate. */
-  def methodCosts(a: Array[Long], delta: Boolean): (Long, Option[Long]) = {
-    val p = prepare(a, delta)
-    (p.fixedSize, buildCode(p).map { case (c, h) => huffmanSize(c, h, p.n) })
-  }
-
   /** flags, the count varint, the method's head (the Huffman table or the
     * width byte), then the payload as a section. */
   private def emit(p: Prepared, delta: Boolean, huffman: Option[(Huffman.Code, Huffman.Histogram)]): Array[Byte] = {
@@ -98,21 +85,23 @@ object IntCoder {
     out
   }
 
-  /** One array's chosen method and its exact encoded size, computed before
-    * a bit is packed; [[pack]] writes the bytes [[encode]] writes. */
-  final class Plan private[IntCoder] (p: Prepared, delta: Boolean,
-                                      huffman: Option[(Huffman.Code, Huffman.Histogram)], val size: Long) {
+  /** One array's exact encoded size under each method, computed before a
+    * bit is packed (`huffmanSize` is None past the alphabet limit or for
+    * degenerate code lengths), and `size`, the smaller, whose method [[pack]]
+    * writes (fixed on a tie). A code left unused is not kept. */
+  final class Plan private[IntCoder] (p: Prepared, delta: Boolean, code: Option[(Huffman.Code, Huffman.Histogram)]) {
+    val huffmanSize: Option[Long] = code.map { case (c, h) => encodedSize(p.n, c.tableBytes, (c.payloadBits(h) + 7) / 8) }
+    val fixedSize: Long           = encodedSize(p.n, 1, (p.width.toLong * p.n + 7) / 8)
+    val size: Long                = huffmanSize.filter(_ < fixedSize).getOrElse(fixedSize)
+    private val huffman           = if (size < fixedSize) code else None
+
     def pack(): Array[Byte] = emit(p, delta, huffman)
   }
 
-  /** Plan `a`'s encoding, picking the smaller of Huffman and fixed-length
-    * (fixed on a tie). */
+  /** Plan `a`'s encoding under both methods. */
   def plan(a: Array[Long], delta: Boolean = true): Plan = {
     val p = prepare(a, delta)
-    buildCode(p).map { case (c, h) => (c, h, huffmanSize(c, h, p.n)) }.filter(_._3 < p.fixedSize) match {
-      case Some((c, h, size)) => new Plan(p, delta, Some((c, h)), size)
-      case None               => new Plan(p, delta, None, p.fixedSize)
-    }
+    new Plan(p, delta, buildCode(p))
   }
 
   /** Encode `a` as [[plan]] chooses. */

@@ -41,21 +41,25 @@ object LcpS {
     * its block grouping, without the reconstruction: the §7.4.1 sweep
     * scores every candidate p through this and needs only the size. */
   private[core] def encode(qf: QFrame, p: Int): (Array[Byte], BlockIndex.Grouped) = {
-    val grouped = BlockIndex.group(qf, BlockIndex.fittingP(qf, p))
+    val (grouped, plans) = plan(qf, p)
 
     val out = new ByteArrayOutputStream(qf.n + 96)
     Zigzag.writeVarLong(out, qf.n.toLong)
     ByteIO.writeDouble(out, qf.eb)
     Zigzag.writeVarLong(out, grouped.p.toLong)
-    ByteIO.writeDouble(out, qf.minX); ByteIO.writeDouble(out, qf.minY); ByteIO.writeDouble(out, qf.minZ)
+    Quantizer.writeMins(out, qf.minX, qf.minY, qf.minZ)
     Zigzag.writeVarLong(out, grouped.bnx)
     Zigzag.writeVarLong(out, grouped.bny)
-    // §6.2.2 coding chain; the frame body runs Zstd once over the five
-    // sections.
-    ByteIO.writeBody(out,
-      IntCoder.encode(grouped.blockIds), IntCoder.encode(grouped.counts),
-      IntCoder.encode(grouped.relX), IntCoder.encode(grouped.relY), IntCoder.encode(grouped.relZ))
+    // The frame body runs Zstd once over the five sections.
+    ByteIO.writeBody(out, plans.map(_.pack()): _*)
     (out.toByteArray, grouped)
+  }
+
+  /** `qf` grouped at [[BlockIndex.fittingP]], and the plans of its five
+    * arrays, which [[encode]] packs and [[sectionCosts]] reads. */
+  private def plan(qf: QFrame, p: Int): (BlockIndex.Grouped, Seq[IntCoder.Plan]) = {
+    val g = BlockIndex.group(qf, BlockIndex.fittingP(qf, p))
+    (g, Seq(g.blockIds, g.counts, g.relX, g.relY, g.relZ).map(IntCoder.plan(_)))
   }
 
   /** Decompress a frame written by [[compress]] (returned in block order).
@@ -65,7 +69,7 @@ object LcpS {
     val n   = ByteIO.readCount(in, Int.MaxValue, "LCP-S particle count")
     val eb  = Quantizer.requireBound(ByteIO.readDouble(in), "LCP-S error bound")
     val p   = ByteIO.readCount(in, Int.MaxValue, "LCP-S block size")
-    val Seq(mx, my, mz) = Seq.fill(3)(Quantizer.finite(ByteIO.readDouble(in), "LCP-S minimum"))
+    val (mx, my, mz) = Quantizer.readMins(in, "LCP-S")
     val bnx = Zigzag.readVarLong(in)
     val bny = Zigzag.readVarLong(in)
     // Every block holds at least one particle, so no array has more than n
@@ -76,22 +80,18 @@ object LcpS {
     BlockIndex.ungroup(blockIds, counts, relX, relY, relZ, p, bnx, bny, mx, my, mz, eb)
   }
 
-  /** Per-section encoded sizes (block ids, counts, rel pos) under both
-    * §6.2.2 coding choices — the Table 3 / Figure 5 measurement hook.
-    * Sizes are pre-Zstd, as in the paper's table.
-    */
-  final case class SectionCosts(blockIdFixed: Long, blockIdHuffman: Option[Long],
-                                countFixed: Long, countHuffman: Option[Long],
-                                relPosFixed: Long, relPosHuffman: Option[Long])
+  /** The fixed-length and Huffman sizes of the plans [[compress]] packs for
+    * its five arrays (block ids, counts, relX, relY, relZ), pre-Zstd as in
+    * the paper's Table 3; the relative positions sum their three arrays. */
+  final case class SectionCosts(fixed: Seq[Long], huffman: Seq[Option[Long]]) {
+    def blockIdFixed: Long           = fixed(0)
+    def blockIdHuffman: Option[Long] = huffman(0)
+    def relPosFixed: Long            = fixed.drop(2).sum
+    def relPosHuffman: Option[Long]  = huffman.drop(2).reduce((a, b) => for (x <- a; y <- b) yield x + y)
+  }
 
   def sectionCosts(f: Frame, eb: Double, p: Int): SectionCosts = {
-    val qf       = Quantizer.quantizeFrame(f, eb)
-    val grouped  = BlockIndex.group(qf, BlockIndex.fittingP(qf, p))
-    val (bf, bh) = IntCoder.methodCosts(grouped.blockIds, delta = true)
-    val (cf, ch) = IntCoder.methodCosts(grouped.counts, delta = true)
-    val rels = Seq(grouped.relX, grouped.relY, grouped.relZ).map(IntCoder.methodCosts(_, delta = true))
-    val rf = rels.map(_._1).sum
-    val rh = if (rels.forall(_._2.isDefined)) Some(rels.flatMap(_._2).sum) else None
-    SectionCosts(bf, bh, cf, ch, rf, rh)
+    val plans = plan(Quantizer.quantizeFrame(f, eb), p)._2
+    SectionCosts(plans.map(_.fixedSize), plans.map(_.huffmanSize))
   }
 }

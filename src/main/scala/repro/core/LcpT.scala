@@ -25,13 +25,8 @@ object LcpT {
 
   /** Compress `aligned` at bound `eb`, predicting from `prevRecon`. Every
     * coordinate of `aligned` must be finite. */
-  def compress(aligned: Frame, prevRecon: Frame, eb: Double): TResult =
-    compress(aligned, Array.range(0, aligned.n), prevRecon, eb)
-
-  /** [[compress]] of `cur.reorder(perm)`, reading `cur(perm(i))` in place of
-    * the aligned frame: the [[trial]], packed. */
-  def compress(cur: Frame, perm: Array[Int], prevRecon: Frame, eb: Double): TResult = {
-    val t = trial(cur, perm, prevRecon, eb)
+  def compress(aligned: Frame, prevRecon: Frame, eb: Double): TResult = {
+    val t = trial(aligned, Array.range(0, aligned.n), prevRecon, eb)
     TResult(t.pack(), t.recon)
   }
 

@@ -1,5 +1,8 @@
 package repro.core
 
+import java.io.{ByteArrayOutputStream, InputStream}
+import repro.coding.ByteIO
+
 /** Error-bound-aware quantization (§6.1, Eq. 5):
   *
   *   q(d)  = floor((d - min) / (2·eb))
@@ -63,6 +66,16 @@ object Quantizer {
   @inline def finite(v: Double, what: String = "coordinate"): Double = {
     if (!java.lang.Double.isFinite(v)) throw new IllegalArgumentException(s"non-finite $what $v")
     v
+  }
+
+  /** Write a frame header's three minima, for [[readMins]]. */
+  def writeMins(out: ByteArrayOutputStream, mx: Double, my: Double, mz: Double): Unit =
+    Seq(mx, my, mz).foreach(ByteIO.writeDouble(out, _))
+
+  /** The three minima [[writeMins]] wrote, each checked [[finite]]. */
+  def readMins(in: InputStream, codec: String): (Double, Double, Double) = {
+    def min() = finite(ByteIO.readDouble(in), s"$codec minimum")
+    (min(), min(), min())
   }
 
   /** `eb`, which must be finite and above 0 to be an error bound; the error

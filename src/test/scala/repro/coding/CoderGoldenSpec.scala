@@ -8,8 +8,8 @@ import repro.baselines.{DracoLike, ParticleCodec, Tmc13Like, ZfpLike}
 /** Byte-identity gate for the §6.2.2 coding chain itself. The archive
   * cells of `GoldenArchiveSpec` stay far below the alphabet limit and never
   * reach wide fixed widths, so this spec pins the SHA-256 of `IntCoder`
-  * output (automatic choice and both forced methods, plus `methodCosts`,
-  * the exact encoded sizes) on fixed arrays that hit every branch of the
+  * output (automatic choice and both forced methods, plus the plan's
+  * `(fixedSize, huffmanSize)`, the exact encoded sizes) on fixed arrays that hit every branch of the
   * encoder: empty and singleton arrays, one symbol, width 0, tie-heavy
   * histograms whose Huffman code depends on how weight ties are broken
   * (in first-occurrence order), exactly 4096 and 4097 distinct
@@ -31,7 +31,7 @@ class CoderGoldenSpec extends AnyFunSuite {
 
   private def cell(a: Array[Long], delta: Boolean): String = {
     val costs =
-      try IntCoder.methodCosts(a, delta).toString
+      try { val plan = IntCoder.plan(a, delta); (plan.fixedSize, plan.huffmanSize).toString }
       catch { case e: IllegalArgumentException => s"IAE(${e.getMessage})" }
     Seq(
       "auto="  + outcome(IntCoder.encode(a, delta)),

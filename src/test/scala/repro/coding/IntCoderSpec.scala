@@ -63,26 +63,25 @@ class IntCoderSpec extends AnyFunSuite with PropSupport {
     forAllG(arrays) { case (a, delta) =>
       val plan   = IntCoder.plan(a, delta)
       val packed = plan.pack()
-      val (fixed, huffman) = IntCoder.methodCosts(a, delta)
       assert(plan.size == packed.length)
-      assert(plan.size == huffman.filter(_ < fixed).getOrElse(fixed))
+      assert(plan.size == plan.huffmanSize.filter(_ < plan.fixedSize).getOrElse(plan.fixedSize))
       assert(packed.sameElements(IntCoder.encode(a, delta)))
     }
   }
 
-  test("methodCosts: huffman wins on skewed data") {
-    val a = Array.fill(5000)(0L) ++ Array.tabulate(50)(_.toLong * 1000)
-    val (fixed, huff) = IntCoder.methodCosts(a, delta = false)
-    assert(huff.isDefined && huff.get < fixed)
+  test("plan: huffman wins on skewed data") {
+    val a    = Array.fill(5000)(0L) ++ Array.tabulate(50)(_.toLong * 1000)
+    val plan = IntCoder.plan(a, delta = false)
+    assert(plan.huffmanSize.exists(_ < plan.fixedSize))
   }
 
-  test("methodCosts: fixed wins on dense uniform data") {
+  test("plan: fixed wins on dense uniform data") {
     // Uniform over a power-of-two alphabet: Huffman cannot beat fixed width
     // and pays its table; paper Table 3 shows this regime on Copper.
     val rng = new java.util.Random(7)
     val a = Array.fill(4096)((rng.nextInt(256)).toLong)
-    val (fixed, huff) = IntCoder.methodCosts(a, delta = false)
-    assert(fixed <= huff.getOrElse(Long.MaxValue) + 300) // within table overhead
+    val plan = IntCoder.plan(a, delta = false)
+    assert(plan.fixedSize <= plan.huffmanSize.getOrElse(Long.MaxValue) + 300) // within table overhead
   }
 
   test("encodeForced both methods roundtrip identically") {
@@ -122,17 +121,17 @@ class IntCoderSpec extends AnyFunSuite with PropSupport {
       List.tabulate(k + extra)(i => if (i < k) i * 7919L else rng.nextInt(16).toLong)
     }).map(_.toArray)
 
-  test("property: encode picks what methodCosts says, and matches encodeForced of that choice") {
+  test("property: encode picks the smaller of plan's sizes, and matches encodeForced of that choice") {
     val arrays = Gen.frequency(1 -> Gen.const(Array.emptyLongArray), 9 -> codedArrays)
     forAllG2(arrays, Gen.oneOf(true, false)) { (a, delta) =>
-      val (fixed, huff) = IntCoder.methodCosts(a, delta)
-      val useHuffman    = huff.exists(_ < fixed)
-      val enc           = IntCoder.encode(a, delta)
+      val plan       = IntCoder.plan(a, delta)
+      val useHuffman = plan.huffmanSize.exists(_ < plan.fixedSize)
+      val enc        = IntCoder.encode(a, delta)
       assert(((enc(0) & 2) != 0) == useHuffman)
       assert(enc.sameElements(IntCoder.encodeForced(a, delta, useHuffman)))
       // The costs are the encoded sizes, empty arrays included.
-      assert(IntCoder.encodeForced(a, delta, useHuffman = false).length == fixed)
-      huff.foreach(h => assert(IntCoder.encodeForced(a, delta, useHuffman = true).length == h))
+      assert(IntCoder.encodeForced(a, delta, useHuffman = false).length == plan.fixedSize)
+      plan.huffmanSize.foreach(h => assert(IntCoder.encodeForced(a, delta, useHuffman = true).length == h))
     }
   }
 
@@ -140,7 +139,7 @@ class IntCoderSpec extends AnyFunSuite with PropSupport {
     val a = Array(Long.MinValue, 0L, 5L)
     for (delta <- Seq(false, true)) {
       intercept[IllegalArgumentException](IntCoder.encode(a, delta))
-      intercept[IllegalArgumentException](IntCoder.methodCosts(a, delta))
+      intercept[IllegalArgumentException](IntCoder.plan(a, delta))
       intercept[IllegalArgumentException](IntCoder.encodeForced(a, delta, useHuffman = false))
     }
   }
@@ -180,7 +179,7 @@ class IntCoderSpec extends AnyFunSuite with PropSupport {
 
   test("a count above the caller's bound is rejected before allocating") {
     // flags = fixed, count 2^31 - 1, width 0, an empty payload.
-    val width0 = Array(0, 0xff, 0xff, 0xff, 0xff, 0x07, 0, 0)
+    val width0 = Seq(0, 0xff, 0xff, 0xff, 0xff, 0x07, 0, 0)
     assertThrows[IllegalArgumentException](IntCoder.decode(bytes(width0: _*), maxCount = 100))
     assert(IntCoder.decode(bytes(0, 100, 0, 0), maxCount = 100).length == 100)
     assertThrows[IllegalArgumentException](IntCoder.decode(bytes(0, 101, 0, 0), maxCount = 100))

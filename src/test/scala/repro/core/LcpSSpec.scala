@@ -108,7 +108,22 @@ class LcpSSpec extends AnyFunSuite with PropSupport {
   test("sectionCosts reports positive sizes and relPos dominated by block count tradeoff") {
     val f = TestFrames.helium(2000).head
     val c = LcpS.sectionCosts(f, 1e-2, 64)
-    assert(c.blockIdFixed > 0 && c.countFixed > 0 && c.relPosFixed > 0)
+    assert(c.fixed.size == 5 && c.fixed.forall(_ > 0))
+  }
+
+  test("Table 3 reports the sizes of the arrays LCP-S stores: Helium, Copper and 3DEP at eb 1e-1, 1e-2, 1e-3") {
+    val frames = Seq("Helium" -> TestFrames.helium(3000, 1).head, "Copper" -> TestFrames.copper(3000, 1).head,
+      "3DEP" -> TestFrames.threeDep())
+    for ((name, f) <- frames; eb <- Seq(1e-1, 1e-2, 1e-3)) {
+      val costs  = LcpS.sectionCosts(f, eb, 64)
+      val stored = split(LcpS.compress(f, eb, 64).bytes)._2
+      for (k <- 0 until 5) withClue(s"$name eb $eb section $k: ") {
+        val (fixed, huffman) = (costs.fixed(k), costs.huffman(k))
+        // Bit 1 of an IntCoder array's flags byte marks Huffman coding.
+        assert(((stored(k)(0) & 2) != 0) == huffman.exists(_ < fixed))
+        assert(stored(k).length == huffman.fold(fixed)(math.min(_, fixed)))
+      }
+    }
   }
 
   test("duplicate particles survive") {
@@ -128,17 +143,22 @@ class LcpSSpec extends AnyFunSuite with PropSupport {
     }
   }
 
-  /** The LCP-S frame `bytes` written again with its body section `k`
-    * (0 = block ids, 1 = block counts, 2–4 = relative x, y, z) replaced by
-    * `edit` of its values; the header and the other sections stay as they
-    * are. */
-  private def withSection(bytes: Array[Byte], k: Int)(edit: Array[Long] => Array[Long]): Array[Byte] = {
+  /** The header bytes of LCP-S frame `bytes` and its five body sections
+    * (0 = block ids, 1 = block counts, 2–4 = relative x, y, z). */
+  private def split(bytes: Array[Byte]): (Array[Byte], Array[Array[Byte]]) = {
     val in = new ByteArrayInputStream(bytes)
     Zigzag.readVarLong(in); ByteIO.readDouble(in); Zigzag.readVarLong(in)
     (0 until 3).foreach(_ => ByteIO.readDouble(in))
     Zigzag.readVarLong(in); Zigzag.readVarLong(in)
-    val header   = bytes.take(bytes.length - in.available())
-    val sections = ByteIO.readBody(in, 5)
+    val header = bytes.take(bytes.length - in.available())
+    (header, ByteIO.readBody(in, 5))
+  }
+
+  /** The LCP-S frame `bytes` written again with its body section `k`
+    * replaced by `edit` of its values; the header and the other sections
+    * stay as they are. */
+  private def withSection(bytes: Array[Byte], k: Int)(edit: Array[Long] => Array[Long]): Array[Byte] = {
+    val (header, sections) = split(bytes)
     sections(k) = IntCoder.encode(edit(IntCoder.decode(new ByteArrayInputStream(sections(k)))))
     val out = new ByteArrayOutputStream()
     out.write(header)
