@@ -5,15 +5,15 @@ import java.security.MessageDigest
 import org.scalatest.funsuite.AnyFunSuite
 import scala.jdk.CollectionConverters._
 import repro.TestFrames
-import repro.baselines.{MdzLike, ParticleCodec, SperrLike, Sz2Like, Sz3Like}
+import repro.baselines.{DracoLike, MdzLike, ParticleCodec, SperrLike, Sz2Like, Sz3Like, Tmc13Like, ZfpLike}
 import repro.coding.{ByteIO, Zigzag}
 import repro.data.Particles
 
 /** Byte-identity gate: pins the SHA-256 of the serialized archive for the
   * golden (dataset, eb, batch, option) cells of `LcpGoldenCells`, plus the payload
-  * digests of the prediction-based baselines. A refactor that must not
-  * change the format keeps every digest; a deliberate format change updates
-  * them in the same change and records the compression-ratio effect.
+  * digests of the baselines. A refactor that must not change the format
+  * keeps every digest; a deliberate format change updates them in the same
+  * change and records the compression-ratio effect.
   */
 class GoldenArchiveSpec extends AnyFunSuite {
 
@@ -95,9 +95,13 @@ class GoldenArchiveSpec extends AnyFunSuite {
          Sz2Like   -> "b69d29117d44bfbdd2eb3c035341ac14705897ed8da5a62d99f5625fa5a011de",
          Sz3Like   -> "eaf39329f1f58522bc5d6d8b0264e69d37cd0b66ee603416466c242d78a7c4ec",
          MdzLike   -> "4a2d8d2e3c6dc867fa787f0d8e1dbf348d010cd37946bee2a609fb553a50c283",
-         SperrLike -> "801f243be113b312a857302b33f88b06223de970c46099452d15bfc01e962ee8")) {
+         SperrLike -> "801f243be113b312a857302b33f88b06223de970c46099452d15bfc01e962ee8",
+         ZfpLike   -> "c48473d12ba21e6f8e4b1bab567dc7d887078d9d52e83b1a15f2f7842ddddd3b",
+         Tmc13Like -> "4aaa78628fd70f29434f62048e3e22fa9d80ea5990ea811240007d47ae5da5f0",
+         DracoLike -> "1ba99111240edd25205962671f6ca4ced320681ec4b4f5406305019a46a41487")) {
     test(s"${codec.name} golden payload: copper 800x8, eb 0.02, batch 4") {
-      assert(sha256(codec.compress(baselineFrames, 0.02, 4).payload) == digest)
+      val got = sha256(codec.compress(baselineFrames, 0.02, 4).payload)
+      assert(got == digest, s"GOLDEN ${codec.name} -> $got")
     }
   }
 
