@@ -2,6 +2,8 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.benchlib._
+import repro.coding.IntCoder
+import repro.core.{BlockIndex, Quantizer}
 
 /** Table 3: Huffman vs fixed-length per LCP-S section. The paper's point is
   * that the winner varies by dataset and bound, so LCP must pick per array
@@ -29,11 +31,13 @@ class Table3CodingBench extends AnyFunSuite {
       f = BenchData.single(name)
       eb <- Seq(1e-1, 1e-3)
     } {
-      val grouped = repro.core.BlockIndex.group(repro.core.Quantizer.quantizeFrame(f, eb), 64)
-      val auto  = repro.coding.IntCoder.encode(grouped.blockIds).length
-      val fixed = repro.coding.IntCoder.encodeForced(grouped.blockIds, delta = true, useHuffman = false).length
-      val huff  = repro.coding.IntCoder.encodeForced(grouped.blockIds, delta = true, useHuffman = true).length
-      assert(auto <= math.min(fixed, huff) + 8, s"$name eb=$eb: auto $auto vs fixed $fixed / huff $huff")
+      // Grouped at the p LCP-S itself uses for a requested 64.
+      val qf      = Quantizer.quantizeFrame(f, eb)
+      val grouped = BlockIndex.group(qf, BlockIndex.fittingP(qf, 64))
+      val auto  = IntCoder.encode(grouped.blockIds).length
+      val fixed = IntCoder.encodeForced(grouped.blockIds, delta = true, useHuffman = false).length
+      val huff  = IntCoder.encodeForced(grouped.blockIds, delta = true, useHuffman = true).length
+      assert(auto == math.min(fixed, huff), s"$name eb=$eb: auto $auto vs fixed $fixed / huff $huff")
     }
   }
 }

@@ -2,7 +2,7 @@ package repro.baselines
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
 import repro.coding.{ByteIO, IntCoder}
-import repro.core.{Fork, Frame, LcpT, Quantizer}
+import repro.core.{Fork, Frame, Quantizer}
 
 /** Compression result: the serialized payload (all metadata included) plus
   * the per-frame input→stored correspondence for fidelity metrics
@@ -54,7 +54,7 @@ trait FrameWiseCodec extends ParticleCodec {
   }
 }
 
-/** Frame-wise codec with LCP-T's frame layout ([[LcpT.writeFrame]]):
+/** Frame-wise codec with LCP-T's frame layout ([[Quantizer.writeFrame]], no fields):
   * [[arraysPerDim]] `IntCoder` arrays per coordinate, the first holding one
   * index per particle. A subtype supplies only how one coordinate array
   * maps to its arrays and back, and the three coordinates are coded
@@ -74,11 +74,11 @@ trait SzFrameCodec extends FrameWiseCodec {
       v.foreach(Quantizer.finite(_))
       encodeDim(v, eb)
     }
-    (LcpT.writeFrame(f.n, eb, dims.flatten), null)
+    (Quantizer.writeFrame(f.n, eb, dims.flatten)(_ => ()), null)
   }
 
   final override def decompressFrame(bytes: Array[Byte]): Frame = {
-    val (n, eb, sections) = LcpT.readFrame(bytes, 3 * arraysPerDim, name)
+    val (n, eb, _, sections) = Quantizer.readFrame(bytes, 3 * arraysPerDim, name)(_ => ())
     val dims = Fork.map(sections.toSeq.grouped(arraysPerDim).toSeq) { dim =>
       val arrays = dim.map(s => IntCoder.decode(new ByteArrayInputStream(s), n))
       // The first array bounds the header's count.

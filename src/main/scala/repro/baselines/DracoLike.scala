@@ -34,6 +34,8 @@ object DracoLike extends FrameWiseCodec {
       Morton.encode(Math.round((f.x(i) - mx) / step), Math.round((f.y(i) - my) / step), Math.round((f.z(i) - mz) / step))
     }
 
+    // Not Quantizer.writeFrame's frame, whose eb follows the count: Draco's
+    // step follows its minima and is a grid spacing, not an error bound.
     val out = new ByteArrayOutputStream(f.n + 64)
     Zigzag.writeVarLong(out, f.n.toLong)
     out.write(bits)

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
-import repro.coding.{ByteIO, IntCoder, Zigzag}
+import repro.coding.IntCoder
 import repro.core.{Frame, Quantizer}
 
 /** TMC13-style baseline (MPEG G-PCC): octree geometry coding. Positions are
@@ -56,23 +56,20 @@ object Tmc13Like extends FrameWiseCodec {
     }
     if (f.n > 0) emit(0, f.n, depth)
 
-    val out = new ByteArrayOutputStream(f.n + 64)
-    Zigzag.writeVarLong(out, f.n.toLong)
-    ByteIO.writeDouble(out, eb)
-    Quantizer.writeMins(out, qf.minX, qf.minY, qf.minZ)
-    out.write(depth)
-    ByteIO.writeBody(out, occ.toByteArray, IntCoder.encode(dups.toArray, delta = false))
-    (out.toByteArray, perm)
+    val bytes = Quantizer.writeFrame(f.n, eb, Seq(occ.toByteArray, IntCoder.encode(dups.toArray, delta = false))) { out =>
+      Quantizer.writeMins(out, qf.minX, qf.minY, qf.minZ)
+      out.write(depth)
+    }
+    (bytes, perm)
   }
 
   override def decompressFrame(bytes: Array[Byte]): Frame = {
-    val in = new ByteArrayInputStream(bytes)
-    val n  = ByteIO.readCount(in, Int.MaxValue, "TMC13 particle count")
-    val eb = Quantizer.requireBound(ByteIO.readDouble(in), "TMC13 error bound")
-    val (mx, my, mz) = Quantizer.readMins(in, "TMC13")
-    val depth = in.read()
-    require(depth >= 1 && depth <= Morton.MaxBits, s"TMC13: bad octree depth $depth")
-    val Array(occ, dupBytes) = ByteIO.readBody(in, 2)
+    val (n, eb, ((mx, my, mz), depth), Array(occ, dupBytes)) = Quantizer.readFrame(bytes, 2, "TMC13") { in =>
+      val mins  = Quantizer.readMins(in, "TMC13")
+      val depth = in.read()
+      require(depth >= 1 && depth <= Morton.MaxBits, s"TMC13: bad octree depth $depth")
+      (mins, depth)
+    }
     // No leaf is empty, so there are at most n of them.
     val dups = IntCoder.decode(new ByteArrayInputStream(dupBytes), n)
     // Every point sits in one leaf, so the leaf counts bound the header's count.

@@ -1,7 +1,6 @@
 package repro.baselines
 
-import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
-import repro.coding.{BitReader, BitWriter, ByteIO, Zigzag}
+import repro.coding.{BitReader, BitWriter, Zigzag}
 import repro.core.{Frame, Quantizer}
 
 /** ZFP-style baseline: fixed-point block transform coding. Each coordinate
@@ -16,13 +15,9 @@ object ZfpLike extends FrameWiseCodec {
   private val BlockLen = 4
 
   override def compressFrame(f: Frame, eb: Double): (Array[Byte], Array[Int]) = {
-    val out = new ByteArrayOutputStream(f.n + 64)
-    Zigzag.writeVarLong(out, f.n.toLong)
-    ByteIO.writeDouble(out, eb)
     val qf = Quantizer.quantizeFrame(f, eb)
-    Quantizer.writeMins(out, qf.minX, qf.minY, qf.minZ)
-    ByteIO.writeBody(out, Seq(qf.qx, qf.qy, qf.qz).map(encodeDim): _*)
-    (out.toByteArray, null)
+    (Quantizer.writeFrame(f.n, eb, Seq(qf.qx, qf.qy, qf.qz).map(encodeDim))(
+      Quantizer.writeMins(_, qf.minX, qf.minY, qf.minZ)), null)
   }
 
   /** Per block of 4: a 6-bit width, then 4 values at that width. Within a
@@ -69,11 +64,8 @@ object ZfpLike extends FrameWiseCodec {
   }
 
   override def decompressFrame(bytes: Array[Byte]): Frame = {
-    val in = new ByteArrayInputStream(bytes)
-    val n  = ByteIO.readCount(in, Int.MaxValue, "ZFP particle count")
-    val eb = Quantizer.requireBound(ByteIO.readDouble(in), "ZFP error bound")
-    val (mx, my, mz) = Quantizer.readMins(in, "ZFP")
-    val dims = ByteIO.readBody(in, 3).zip(Seq(mx, my, mz)).map { case (section, min) =>
+    val (n, eb, (mx, my, mz), sections) = Quantizer.readFrame(bytes, 3, "ZFP")(Quantizer.readMins(_, "ZFP"))
+    val dims = sections.zip(Seq(mx, my, mz)).map { case (section, min) =>
       Quantizer.dequantizeArray(decodeDim(section, n), min, eb)
     }
     Frame(dims(0), dims(1), dims(2))

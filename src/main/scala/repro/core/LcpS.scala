@@ -1,6 +1,6 @@
 package repro.core
 
-import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
+import java.io.ByteArrayInputStream
 import repro.coding.{ByteIO, IntCoder, Zigzag}
 import repro.core.Quantizer.QFrame
 
@@ -42,17 +42,13 @@ object LcpS {
     * scores every candidate p through this and needs only the size. */
   private[core] def encode(qf: QFrame, p: Int): (Array[Byte], BlockIndex.Grouped) = {
     val (grouped, plans) = plan(qf, p)
-
-    val out = new ByteArrayOutputStream(qf.n + 96)
-    Zigzag.writeVarLong(out, qf.n.toLong)
-    ByteIO.writeDouble(out, qf.eb)
-    Zigzag.writeVarLong(out, grouped.p.toLong)
-    Quantizer.writeMins(out, qf.minX, qf.minY, qf.minZ)
-    Zigzag.writeVarLong(out, grouped.bnx)
-    Zigzag.writeVarLong(out, grouped.bny)
-    // The frame body runs Zstd once over the five sections.
-    ByteIO.writeBody(out, plans.map(_.pack()): _*)
-    (out.toByteArray, grouped)
+    val bytes = Quantizer.writeFrame(qf.n, qf.eb, plans.map(_.pack())) { out =>
+      Zigzag.writeVarLong(out, grouped.p.toLong)
+      Quantizer.writeMins(out, qf.minX, qf.minY, qf.minZ)
+      Zigzag.writeVarLong(out, grouped.bnx)
+      Zigzag.writeVarLong(out, grouped.bny)
+    }
+    (bytes, grouped)
   }
 
   /** `qf` grouped at [[BlockIndex.fittingP]], and the plans of its five
@@ -65,17 +61,14 @@ object LcpS {
   /** Decompress a frame written by [[compress]] (returned in block order).
     * The five sections decode concurrently ([[Fork]]). */
   def decompress(bytes: Array[Byte]): Frame = {
-    val in  = new ByteArrayInputStream(bytes)
-    val n   = ByteIO.readCount(in, Int.MaxValue, "LCP-S particle count")
-    val eb  = Quantizer.requireBound(ByteIO.readDouble(in), "LCP-S error bound")
-    val p   = ByteIO.readCount(in, Int.MaxValue, "LCP-S block size")
-    val (mx, my, mz) = Quantizer.readMins(in, "LCP-S")
-    val bnx = Zigzag.readVarLong(in)
-    val bny = Zigzag.readVarLong(in)
+    val (n, eb, (p, (mx, my, mz), bnx, bny), sections) = Quantizer.readFrame(bytes, 5, "LCP-S") { in =>
+      (ByteIO.readCount(in, Int.MaxValue, "LCP-S block size"), Quantizer.readMins(in, "LCP-S"),
+        Zigzag.readVarLong(in), Zigzag.readVarLong(in))
+    }
     // Every block holds at least one particle, so no array has more than n
     // values.
     val Seq(blockIds, counts, relX, relY, relZ) =
-      Fork.map(ByteIO.readBody(in, 5).toSeq)(s => IntCoder.decode(new ByteArrayInputStream(s), n))
+      Fork.map(sections.toSeq)(s => IntCoder.decode(new ByteArrayInputStream(s), n))
     require(relX.length == n, s"decoded ${relX.length} particles, expected $n")
     BlockIndex.ungroup(blockIds, counts, relX, relY, relZ, p, bnx, bny, mx, my, mz, eb)
   }

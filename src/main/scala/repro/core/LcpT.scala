@@ -1,7 +1,7 @@
 package repro.core
 
-import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
-import repro.coding.{ByteIO, IntCoder, Zigzag}
+import java.io.ByteArrayInputStream
+import repro.coding.IntCoder
 
 /** LCP-T — the temporal compressor (§7.1).
   *
@@ -34,14 +34,14 @@ object LcpT {
     * next frame's prediction basis, and `maxBytes`, an upper bound on the
     * frame's size, exact up to what Zstd makes of the body. */
   final class Trial private[LcpT] (n: Int, eb: Double, plans: Seq[IntCoder.Plan], val recon: Frame) {
-    val maxBytes: Long = Zigzag.varLongLen(n.toLong) + 8L + ByteIO.maxBodySize(plans.map(_.size))
+    val maxBytes: Long = Quantizer.maxFrameSize(n, plans.map(_.size))
 
     /** The frame, its three arrays packed concurrently ([[Fork]]). */
-    def pack(): Array[Byte] = writeFrame(n, eb, Fork.map(plans)(_.pack()))
+    def pack(): Array[Byte] = Quantizer.writeFrame(n, eb, Fork.map(plans)(_.pack()))(_ => ())
 
     /** The frame, packed on the calling thread alone: for a pool task, whose
       * forks would compete with the chain's own for the pool's threads. */
-    def packHere(): Array[Byte] = writeFrame(n, eb, plans.map(_.pack()))
+    def packHere(): Array[Byte] = Quantizer.writeFrame(n, eb, plans.map(_.pack()))(_ => ())
   }
 
   /** The chain step of [[compress]]: the three dimensions are quantized,
@@ -72,31 +72,12 @@ object LcpT {
   /** Decompress a frame written by [[compress]] given the same `prevRecon`.
     * The three residual sections decode concurrently ([[Fork]]). */
   def decompress(bytes: Array[Byte], prevRecon: Frame): Frame = {
-    val (n, eb, sections) = readFrame(bytes, 3, "LCP-T")
+    val (n, eb, _, sections) = Quantizer.readFrame(bytes, 3, "LCP-T")(_ => ())
     require(n == prevRecon.n, s"frame length $n does not match previous frame ${prevRecon.n}")
     val step = (q: Long) => Quantizer.residualStep(q, eb)
     val dims = Fork.map(sections.toSeq.zip(Seq(prevRecon.x, prevRecon.y, prevRecon.z))) {
       case (section, prev) => IntCoder.decodeResiduals(new ByteArrayInputStream(section), prev, step)
     }
     Frame(dims(0), dims(1), dims(2))
-  }
-
-  /** The residual frame layout of LCP-T, SZ2, SZ3 and SPERR: the particle
-    * count `n`, the error bound, then a body of the coded `arrays`. */
-  def writeFrame(n: Int, eb: Double, arrays: Seq[Array[Byte]]): Array[Byte] = {
-    val out = new ByteArrayOutputStream(n + 64)
-    Zigzag.writeVarLong(out, n.toLong)
-    ByteIO.writeDouble(out, eb)
-    ByteIO.writeBody(out, arrays: _*)
-    out.toByteArray
-  }
-
-  /** The particle count, error bound and `arrays` coded arrays of a frame
-    * written by [[writeFrame]]; errors name `what`. */
-  def readFrame(bytes: Array[Byte], arrays: Int, what: String): (Int, Double, Array[Array[Byte]]) = {
-    val in = new ByteArrayInputStream(bytes)
-    val n  = ByteIO.readCount(in, Int.MaxValue, s"$what particle count")
-    val eb = Quantizer.requireBound(ByteIO.readDouble(in), s"$what error bound")
-    (n, eb, ByteIO.readBody(in, arrays))
   }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
-import java.io.{ByteArrayOutputStream, InputStream}
-import repro.coding.ByteIO
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, InputStream}
+import repro.coding.{ByteIO, Zigzag}
 
 /** Error-bound-aware quantization (§6.1, Eq. 5):
   *
@@ -83,6 +83,35 @@ object Quantizer {
   def requireBound(eb: Double, what: String): Double = {
     require(eb > 0 && eb < Double.PositiveInfinity, s"$what must be finite and > 0, got $eb")
     eb
+  }
+
+  /** The frame layout of LCP-S, LCP-T, ZFP, TMC13, SZ2, SZ3 and SPERR
+    * (§6.2.2, §7.1): the particle count `n`, the error bound, the codec's
+    * own header `fields`, then a body of the coded `arrays`. Draco writes
+    * its own: its step follows its minima and is no error bound. */
+  def writeFrame(n: Int, eb: Double, arrays: Seq[Array[Byte]])(fields: ByteArrayOutputStream => Unit): Array[Byte] = {
+    val out = new ByteArrayOutputStream(n + 64)
+    Zigzag.writeVarLong(out, n.toLong)
+    ByteIO.writeDouble(out, eb)
+    fields(out)
+    ByteIO.writeBody(out, arrays: _*)
+    out.toByteArray
+  }
+
+  /** The most bytes [[writeFrame]] writes for `n` particles, no fields, and
+    * arrays of these sizes. */
+  def maxFrameSize(n: Int, sizes: Seq[Long]): Long = Zigzag.varLongLen(n.toLong) + 8L + ByteIO.maxBodySize(sizes)
+
+  /** The particle count, error bound ([[requireBound]]), header fields and
+    * `arrays` coded arrays of a frame written by [[writeFrame]], checked in
+    * that order; `fields` reads and checks the codec's own, and errors name
+    * `what`. */
+  def readFrame[H](bytes: Array[Byte], arrays: Int, what: String)
+                  (fields: ByteArrayInputStream => H): (Int, Double, H, Array[Array[Byte]]) = {
+    val in = new ByteArrayInputStream(bytes)
+    val n  = ByteIO.readCount(in, Int.MaxValue, s"$what particle count")
+    val eb = requireBound(ByteIO.readDouble(in), s"$what error bound")
+    (n, eb, fields(in), ByteIO.readBody(in, arrays))
   }
 
   /** Quantize a whole dimension array against `min`; every value must be

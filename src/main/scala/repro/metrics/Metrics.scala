@@ -40,8 +40,8 @@ object Metrics {
     m
   }
 
-  /** Mean squared error with correspondence (see [[maxAbsError]]). */
-  def mse(orig: Frame, recon: Frame, perm: Array[Int]): Double = {
+  /** Sum of squared errors with correspondence (see [[maxAbsError]]). */
+  private def squaredError(orig: Frame, recon: Frame, perm: Array[Int]): Double = {
     var s = 0.0
     var i = 0
     while (i < recon.n) {
@@ -50,15 +50,15 @@ object Metrics {
       s += dx * dx + dy * dy + dz * dz
       i += 1
     }
-    s / (3.0 * recon.n)
+    s
   }
 
-  /** PSNR over a frame sequence (Eq. 3): 20·log10(range/RMSE), range from
-    * the original data across all frames. */
+  /** PSNR over a frame sequence (Eq. 3): 20·log10(range/RMSE), range and
+    * RMSE over all particles of all frames, so an empty frame adds nothing. */
   def psnr(orig: Seq[Frame], recon: Seq[Frame], perms: Seq[Array[Int]]): Double = {
     val range = orig.map(_.valueRange).max
     val totalN = orig.map(_.n.toLong * 3).sum
-    val sse = orig.lazyZip(recon).lazyZip(perms).map { (o, r, p) => mse(o, r, p) * 3.0 * r.n }.sum
+    val sse = orig.lazyZip(recon).lazyZip(perms).map(squaredError).sum
     val rmse = math.sqrt(sse / totalN)
     if (rmse == 0) Double.PositiveInfinity else 20.0 * math.log10(range / rmse)
   }

@@ -52,17 +52,23 @@ object LcpSpark {
     frames.zipWithIndex.map { case (f, t) => FrameRow(t, f.x, f.y, f.z) }.toDF()
   }
 
+  /** The frames in a group of `batchesPerGroup` (at least 1) batches, as a
+    * `Long`: a group larger than any input holds every frame, not none. */
+  private def framesPerGroup(cfg: LcpConfig, batchesPerGroup: Int): Long = {
+    require(batchesPerGroup >= 1, s"batchesPerGroup must be at least 1, got $batchesPerGroup")
+    cfg.batchSize.toLong * batchesPerGroup
+  }
+
   /** Compress a frame DataFrame from [[framesToDf]]: one task per group of
     * `batchesPerGroup` consecutive batches. Returns one blob row per group.
     * A group's frame indices must be consecutive and distinct, since a group
     * stores only its first index and its frame count. */
   def compress(df: DataFrame, cfg: LcpConfig, batchesPerGroup: Int): Dataset[CompressedGroup] = {
-    require(batchesPerGroup >= 1, s"batchesPerGroup must be at least 1, got $batchesPerGroup")
-    val spark = df.sparkSession
+    val perGroup = framesPerGroup(cfg, batchesPerGroup)
+    val spark    = df.sparkSession
     import spark.implicits._
-    val framesPerGroup = cfg.batchSize * batchesPerGroup
     df.as[FrameRow]
-      .groupByKey(_.frame / framesPerGroup)
+      .groupByKey(r => (r.frame / perGroup).toInt)
       .mapGroups { (group, rows) =>
         val sorted = rows.toIndexedSeq.sortBy(_.frame)
         require(sorted.indices.forall(k => sorted(k).frame == sorted.head.frame + k),
@@ -112,10 +118,9 @@ object LcpSpark {
     * does not hold gives no rows. */
   def readFrameBatch(spark: SparkSession, path: String, cfg: LcpConfig,
                      batchesPerGroup: Int, frameIdx: Int): DataFrame = {
-    require(batchesPerGroup >= 1, s"batchesPerGroup must be at least 1, got $batchesPerGroup")
+    val group = (frameIdx / framesPerGroup(cfg, batchesPerGroup)).toInt
     require(frameIdx >= 0, s"frameIdx must be non-negative, got $frameIdx")
     import spark.implicits._
-    val group = frameIdx / (cfg.batchSize * batchesPerGroup)
     readStore(spark, path)
       .where($"group" === group)
       .flatMap { g =>

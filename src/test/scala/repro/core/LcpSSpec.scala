@@ -109,6 +109,10 @@ class LcpSSpec extends AnyFunSuite with PropSupport {
     val f = TestFrames.helium(2000).head
     val c = LcpS.sectionCosts(f, 1e-2, 64)
     assert(c.fixed.size == 5 && c.fixed.forall(_ > 0))
+    // Larger blocks: fewer block ids to store, wider relative positions.
+    val small = LcpS.sectionCosts(f, 1e-2, 8)
+    assert(c.blockIdFixed < small.blockIdFixed, s"block ids ${small.blockIdFixed} -> ${c.blockIdFixed}")
+    assert(c.relPosFixed > small.relPosFixed, s"relative positions ${small.relPosFixed} -> ${c.relPosFixed}")
   }
 
   test("Table 3 reports the sizes of the arrays LCP-S stores: Helium, Copper and 3DEP at eb 1e-1, 1e-2, 1e-3") {

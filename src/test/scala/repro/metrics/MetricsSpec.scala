@@ -2,7 +2,7 @@ package repro.metrics
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestFrames
-import repro.core.{BlockIndex, Frame, Quantizer}
+import repro.core.{BlockIndex, Frame, LcpS, Quantizer}
 
 class MetricsSpec extends AnyFunSuite {
 
@@ -44,6 +44,14 @@ class MetricsSpec extends AnyFunSuite {
     val p1 = Metrics.psnr(Seq(f), Seq(noisy(0.001)), Seq(null))
     val p2 = Metrics.psnr(Seq(f), Seq(noisy(0.01)), Seq(null))
     assert(p1 > p2)
+  }
+
+  test("psnr of a sequence is unchanged by an empty frame") {
+    val f = TestFrames.helium(200, 1).head
+    val r = LcpS.compress(f, 1e-2, 64)
+    val one = Metrics.psnr(Seq(f), Seq(r.recon), Seq(r.perm))
+    assert(!one.isNaN && !one.isInfinite)
+    assert(Metrics.psnr(Seq(f, Frame.empty), Seq(r.recon, Frame.empty), Seq(r.perm, null)) == one)
   }
 
   test("entropy of a constant array is 0, of uniform 2^k alphabet is k") {
