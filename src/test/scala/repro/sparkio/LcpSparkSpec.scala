@@ -228,8 +228,8 @@ class LcpSparkSpec extends SparkSpec {
   test("a group larger than the input holds every frame: batch 16 at 1 << 28 batches per group") {
     // 16 · 2^28 frames per group is 2^32, past Int.
     val big    = LcpConfig(eb = 0.02, batchSize = 16)
-    val frames = TestFrames.copper(200, 32)
-    val df     = LcpSpark.framesToDf(spark, frames)
+    val many   = TestFrames.copper(200, 32)
+    val df     = LcpSpark.framesToDf(spark, many)
     val groups = LcpSpark.compress(df, big, batchesPerGroup = 1 << 28).collect()
     assert(groups.map(g => (g.group, g.firstFrame, g.numFrames)).toSeq == Seq((0, 0, 32)))
 
@@ -238,10 +238,10 @@ class LcpSparkSpec extends SparkSpec {
     val rows  = LcpSpark.readFrameBatch(spark, dir, big, batchesPerGroup = 1 << 28, frameIdx = 5)
       .collect().groupBy(_.getInt(0))
     assert(rows.keySet == (0 until 16).toSet, "batch 0 holds frames 0..15")
-    val perms = Lcp.compress(frames, big).perms
+    val perms = Lcp.compress(many, big).perms
     val slack = big.eb * (1 + 1e-9)
     for ((t, got) <- rows) {
-      val ref = frames(t).reorder(perms(t))
+      val ref = many(t).reorder(perms(t))
       assert(got.length == ref.n, s"frame $t")
       got.foreach { r =>
         val s = r.getInt(1)
