@@ -5,7 +5,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.jdk.CollectionConverters._
 import repro.TestFrames
 import repro.baselines.{DracoLike, MdzLike, ParticleCodec, SperrLike, Sz2Like, Sz3Like, Tmc13Like, ZfpLike}
-import repro.core.Lcp.LcpArchive
+import repro.core.Lcp.{LcpArchive, LcpConfig}
 import repro.data.Particles
 
 /** Decode-side byte-identity gate: pins the SHA-256 of the decoded doubles
@@ -45,6 +45,20 @@ class DecodeDigestSpec extends AnyFunSuite {
       }
       for (f <- all.indices) assert(sameFrame(Lcp.decompressFrame(a, f), all(f)), s"frame $f")
     }
+
+  test("LCP decoded digest: helium 500x2 then helium 600x2, eb 0.01, batch 4, the count changes at a mid-batch LCP-S frame") {
+    val r = Lcp.compress(TestFrames.helium(500, 2) ++ TestFrames.helium(600, 2), LcpConfig(0.01, batchSize = 4))
+    assert(r.methods.mkString == "STST")
+    val a   = LcpArchive.fromBytes(r.archive.toBytes)
+    val all = Lcp.decompressAll(a)
+    assert(all.map(_.n) == Seq(500, 500, 600, 600))
+    val want = "c92ca26f429480140764893e19f0da7a0a31557563a2d4392d2de3b4f87b76cf"
+    assert(sha256(all) == want, s"DECODED decompressAll -> ${sha256(all)}")
+    val batches = a.batches.indices.flatMap(Lcp.decompressBatch(a, _))
+    assert(sha256(batches) == want, s"DECODED decompressBatch -> ${sha256(batches)}")
+    val frames = a.entries.indices.map(Lcp.decompressFrame(a, _))
+    assert(sha256(frames) == want, s"DECODED decompressFrame -> ${sha256(frames)}")
+  }
 
   test("LCP golden archives decoded from several threads at once keep their digests") {
     val cells    = LcpGoldenCells.all

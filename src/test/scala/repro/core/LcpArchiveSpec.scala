@@ -225,6 +225,37 @@ class LcpArchiveSpec extends AnyFunSuite {
       .startsWith("LCP archive: frame 9 (batch 2, stored as LCP-S) does not decode: "))
   }
 
+  test("with undecodable frames 1 and 3 of one batch, every entry point names frame 1") {
+    // Frame 3's chain runs through frame 1, which fails first in frame order.
+    val b0 = helium.batches(0)
+    val a  = LcpArchive.fromBytes(rewritten(helium)(batches =
+      helium.batches.updated(0, b0.updated(0, b0(0) ++ Array[Byte](0, 0)).updated(2, b0(2) ++ Array[Byte](0, 0, 0)))))
+    val want = "LCP archive: frame 1 (batch 0, stored as LCP-T) does not decode: "
+    val e    = intercept[IllegalArgumentException](Lcp.decompressAll(a))
+    assert(e.getMessage.startsWith(want) && e.getMessage.endsWith("2 bytes after the frame body"), e.getMessage)
+    assert(intercept[IllegalArgumentException](Lcp.decompressBatch(a, 0)).getMessage == e.getMessage)
+    assert(intercept[IllegalArgumentException](Lcp.decompressFrame(a, 3)).getMessage == e.getMessage)
+    assert(intercept[IllegalArgumentException](Lcp.decompressFrame(a, 1)).getMessage == e.getMessage)
+  }
+
+  test("an LCP-T payload with width-0 arrays of 2^31 - 1 values is rejected naming the frame, before allocating") {
+    val width0 = Array(0, 0xff, 0xff, 0xff, 0xff, 0x07, 0, 0).map(_.toByte) // fixed, count, width 0, no payload
+    // The header count is 2^31 - 1, then the basis's own 500.
+    for (count <- Seq(Int.MaxValue, 500)) withClue(s"header count $count: ") {
+      val out = new ByteArrayOutputStream()
+      Zigzag.writeVarLong(out, count.toLong)
+      ByteIO.writeDouble(out, 0.01)
+      ByteIO.writeBody(out, width0, width0, width0)
+      val a    = LcpArchive.fromBytes(rewritten(helium)(batches =
+        helium.batches.updated(0, helium.batches(0).updated(0, out.toByteArray))))
+      val want = "LCP archive: frame 1 (batch 0, stored as LCP-T) does not decode: "
+      val e    = intercept[IllegalArgumentException](Lcp.decompressAll(a))
+      assert(e.getMessage.startsWith(want), e.getMessage)
+      assert(intercept[IllegalArgumentException](Lcp.decompressBatch(a, 0)).getMessage == e.getMessage)
+      assert(intercept[IllegalArgumentException](Lcp.decompressFrame(a, 2)).getMessage == e.getMessage)
+    }
+  }
+
   test("bytes after the last batch are rejected") {
     rejected(helium.toBytes :+ 0.toByte)
   }
