@@ -304,16 +304,15 @@ object Huffman {
       out
     }
 
-    /** [[decode]] fused with the residual reconstruction of LCP-T: decodes
-      * `prev.length` symbols and writes `prev(i) + step(symbol i)` with no
-      * intermediate symbol array. `step` runs once per distinct symbol of
-      * the table, not once per value. */
-    def decodeResiduals(bytes: Array[Byte], prev: Array[Double], step: Long => Double): Array[Double] = {
+    /** [[decode]] fused with LCP-T's residual step: decodes `m` symbols
+      * and writes `step(symbol i)` with no intermediate symbol array. `step`
+      * runs once per distinct symbol of the table, not once per value. */
+    def decodeSteps(bytes: Array[Byte], m: Int, step: Long => Double): Array[Double] = {
       val steps = new Array[Double](n)
       var j = 0
       while (j < n) { steps(j) = step(vals(j)); j += 1 }
-      val out = new Array[Double](prev.length)
-      decodeCodes(bytes, prev.length, (i, k) => out(i) = prev(i) + steps(k))
+      val out = new Array[Double](m)
+      decodeCodes(bytes, m, (i, k) => out(i) = steps(k))
       out
     }
 

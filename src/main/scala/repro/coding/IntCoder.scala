@@ -137,21 +137,21 @@ object IntCoder {
   }
 
   /** Decode a residual array, written by `encode(q, delta = false)`,
-    * straight into `prev(i) + step(q(i))` (LCP-T's reconstruction). The
-    * count must be `prev.length`, and a delta-coded array is rejected. A
-    * Huffman array decodes with no intermediate `Long` array and `step`
-    * evaluated once per distinct symbol; a fixed-length array is unpacked,
-    * then reconstructed in one pass. */
-  def decodeResiduals(in: ByteArrayInputStream, prev: Array[Double], step: Long => Double): Array[Double] = {
-    val s = read(in, prev.length)
+    * straight into its steps `step(q(i))`: LCP-T's decode before its basis
+    * is added. The count must be `n`, the basis's particle count, and a
+    * delta-coded array is rejected. A Huffman array decodes with no
+    * intermediate `Long` array and `step` evaluated once per distinct
+    * symbol; a fixed-length array is unpacked, then stepped in one pass. */
+  def decodeSteps(in: ByteArrayInputStream, n: Int, step: Long => Double): Array[Double] = {
+    val s = read(in, n)
     require(!s.delta, "IntCoder: a residual array is never delta coded")
-    require(s.n == prev.length, s"IntCoder: ${s.n} residuals for ${prev.length} predictions")
-    if (s.huffman != null) s.huffman.decodeResiduals(s.payload, prev, step)
+    require(s.n == n, s"IntCoder: ${s.n} residuals for $n predictions")
+    if (s.huffman != null) s.huffman.decodeSteps(s.payload, n, step)
     else {
-      val c   = FixedLength.decode(s.payload, s.n, s.width)
-      val out = new Array[Double](s.n)
+      val c   = FixedLength.decode(s.payload, n, s.width)
+      val out = new Array[Double](n)
       var i   = 0
-      while (i < s.n) { out(i) = prev(i) + step(Zigzag.decode(c(i))); i += 1 }
+      while (i < n) { out(i) = step(Zigzag.decode(c(i))); i += 1 }
       out
     }
   }

@@ -293,46 +293,62 @@ object Lcp {
             s"does not decode: ${err.getMessage}", err)
     }
 
-  /** The §7.3 retrieval primitive: decode frames `from..to` of batch
-    * `batchIdx`, lazily and in order. `from` must start a temporal chain:
-    * a spatial frame, or the batch head, whose temporal basis is the anchor
-    * frame it references. Each later temporal frame decodes against its
-    * predecessor, so only the previous frame is kept live. `anchor(k)` is
-    * the decoded anchor frame k, for a spatial frame stored as an anchor
-    * and for a head's temporal basis alike; it names anchor k's own frame
-    * when that does not decode. */
-  private def decodeChain(a: LcpArchive, batchIdx: Int, from: Int, to: Int, anchor: Int => Frame): Iterator[Frame] = {
-    val head = batchIdx * a.batchSize
-    var prev: Frame = null
-    (from to to).iterator.map { i =>
-      val e = a.entries(i)
-      prev =
-        if (e.inAnchor) anchor(e.slot)
-        else {
-          val basis = if (e.temporal && i == head) anchor(e.anchorRef) else prev
-          named(a, i) {
-            if (e.temporal) LcpT.decompress(a.batches(batchIdx)(e.slot), basis)
-            else LcpS.decompress(a.batches(batchIdx)(e.slot))
-          }
-        }
-      prev
+  /** The one chain decoder, behind [[decompressAll]], [[decompressBatch]]
+    * and [[decompressFrame]] (§7.3): the frames of `ranges`, each a run of
+    * frames of one batch, in frame order, whose first frame starts a
+    * temporal chain (a spatial frame, or the batch head, whose temporal
+    * basis is the anchor it references). It decodes in two phases.
+    *
+    * Phase 1 needs no basis. One flat [[Fork.map]] runs over the anchors
+    * the ranges use, then every other frame of the ranges in frame order:
+    * an LCP-S frame decodes whole, an LCP-T frame to its residual steps
+    * ([[LcpT.steps]]), bounded by the header particle count of its chain
+    * start. That is the nearest earlier LCP-S frame of its batch, or the
+    * anchor its batch head references, so a chain's count may change at a
+    * mid-batch LCP-S frame. Only this phase can fail; the failure raised is
+    * the first in that order, named by [[named]].
+    *
+    * Phase 2 adds each LCP-T frame's basis in place ([[LcpT.addBasis]]),
+    * along its chain, the previous frame or the anchor. x, y and z chain
+    * independently, so it is one [[Fork.map]] over (range, dimension).
+    */
+  private def decode(a: LcpArchive, ranges: Seq[Range]): Seq[IndexedSeq[Frame]] = {
+    val e = a.entries
+    def bytes(i: Int): Array[Byte] = if (e(i).inAnchor) a.anchors(e(i).slot) else a.batches(i / a.batchSize)(e(i).slot)
+    val anchors  = ranges.map(_.start).filter(_ % a.batchSize == 0)
+      .map(i => if (e(i).inAnchor) e(i).slot else e(i).anchorRef).distinct.sorted
+    // Every payload frame of the ranges, with the bytes of its chain start.
+    val payloads = ranges.flatMap { r =>
+      var start = if (e(r.start).temporal) a.anchors(e(r.start).anchorRef) else bytes(r.start)
+      r.filterNot(e(_).inAnchor).map { i =>
+        if (!e(i).temporal) start = bytes(i)
+        (i, start)
+      }
     }
-  }
-
-  /** Anchor k, decoded under its frame's name. */
-  private def decodeAnchor(a: LcpArchive, k: Int): Frame = named(a, a.anchorFrames(k))(LcpS.decompress(a.anchors(k)))
-
-  private def batchChain(a: LcpArchive, batchIdx: Int, anchor: Int => Frame): IndexedSeq[Frame] = {
-    val frames = a.batchFrames(batchIdx)
-    decodeChain(a, batchIdx, frames.start, frames.last, anchor).toIndexedSeq
+    val decoded = Fork.map(anchors.map(k => () => named(a, a.anchorFrames(k))(LcpS.decompress(a.anchors(k)))) ++
+      payloads.map { case (i, start) =>
+        () => named(a, i) {
+          if (e(i).temporal) LcpT.steps(bytes(i), Quantizer.frameCount(start, "LCP-S")) else LcpS.decompress(bytes(i))
+        }
+      })(_())
+    val frames = new Array[Frame](a.numFrames)
+    anchors.zip(decoded).foreach { case (k, f) => frames(a.anchorFrames(k)) = f }
+    payloads.zip(decoded.drop(anchors.size)).foreach { case ((i, _), f) => frames(i) = f }
+    // Frame i's temporal basis: its anchor at a batch head, else frame i - 1.
+    def basis(i: Int): Frame = if (i % a.batchSize == 0) frames(a.anchorFrames(e(i).anchorRef)) else frames(i - 1)
+    val dims = Seq[Frame => Array[Double]](_.x, _.y, _.z)
+    Fork.map(for (r <- ranges if r.exists(a.temporal); dim <- dims) yield (r, dim)) { case (r, dim) =>
+      r.foreach(i => if (e(i).temporal) LcpT.addBasis(dim(frames(i)), dim(basis(i))))
+    }
+    ranges.map(_.map(frames))
   }
 
   /** Decompress every frame of one batch — the paper's retrieval unit
     * (§2.1.3). Only the batch's payloads plus (at most) one anchor frame
-    * are touched, the anchor decoded on demand. */
+    * are touched. */
   def decompressBatch(a: LcpArchive, batchIdx: Int): IndexedSeq[Frame] = {
     require(a.batches.indices.contains(batchIdx), s"batch $batchIdx outside 0 until ${a.batches.size}")
-    batchChain(a, batchIdx, decodeAnchor(a, _))
+    decode(a, Seq(a.batchFrames(batchIdx))).head
   }
 
   /** Decompress a single frame: decode only its batch up to the frame (plus
@@ -344,16 +360,12 @@ object Lcp {
     // target, or at the batch head — only that suffix of the batch is decoded.
     var chainStart = frameIdx
     while (chainStart > batchIdx * a.batchSize && a.entries(chainStart).temporal) chainStart -= 1
-    decodeChain(a, batchIdx, chainStart, frameIdx, decodeAnchor(a, _)).reduceLeft((_, f) => f)
+    decode(a, Seq(chainStart to frameIdx)).head.last
   }
 
-  /** Decompress the whole archive. Every anchor is a batch-head frame of
-    * its own, so each is decoded once, up front, and shared by every batch
-    * head that references it; the anchors, then the batches, decode
-    * concurrently ([[Fork]]). A failure is the first in frame order among
-    * the anchors, else among the batches. */
-  def decompressAll(a: LcpArchive): IndexedSeq[Frame] = {
-    val anchors = Fork.map(a.anchors.indices)(decodeAnchor(a, _))
-    Fork.map(a.batches.indices)(batchChain(a, _, anchors)).flatten
-  }
+  /** Decompress the whole archive, every batch through one [[decode]]: each
+    * anchor is decoded once and shared by every batch head that references
+    * it. */
+  def decompressAll(a: LcpArchive): IndexedSeq[Frame] =
+    decode(a, a.batches.indices.map(a.batchFrames)).flatten.toIndexedSeq
 }

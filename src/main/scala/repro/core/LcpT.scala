@@ -69,15 +69,34 @@ object LcpT {
     new Trial(n, eb, dims.map(_._1), Frame(dims(0)._2, dims(1)._2, dims(2)._2))
   }
 
-  /** Decompress a frame written by [[compress]] given the same `prevRecon`.
-    * The three residual sections decode concurrently ([[Fork]]). */
+  /** Decompress a frame written by [[compress]] given the same `prevRecon`:
+    * its [[steps]], then the basis added ([[addBasis]]). */
   def decompress(bytes: Array[Byte], prevRecon: Frame): Frame = {
-    val (n, eb, _, sections) = Quantizer.readFrame(bytes, 3, "LCP-T")(_ => ())
-    require(n == prevRecon.n, s"frame length $n does not match previous frame ${prevRecon.n}")
-    val step = (q: Long) => Quantizer.residualStep(q, eb)
-    val dims = Fork.map(sections.toSeq.zip(Seq(prevRecon.x, prevRecon.y, prevRecon.z))) {
-      case (section, prev) => IntCoder.decodeResiduals(new ByteArrayInputStream(section), prev, step)
-    }
-    Frame(dims(0), dims(1), dims(2))
+    val d = steps(bytes, prevRecon.n)
+    addBasis(d.x, prevRecon.x)
+    addBasis(d.y, prevRecon.y)
+    addBasis(d.z, prevRecon.z)
+    d
+  }
+
+  /** The part of a decode that needs no basis: each coordinate's residual
+    * step `2·eb·q` ([[Quantizer.residualStep]]). `n` is the basis's particle
+    * count; the frame's count must equal it, and it bounds every residual
+    * array before anything is sized by it. The three residual sections
+    * decode concurrently ([[Fork]]). */
+  def steps(bytes: Array[Byte], n: Int): Frame = {
+    val (count, eb, _, sections) = Quantizer.readFrame(bytes, 3, "LCP-T")(_ => ())
+    require(count == n, s"frame length $count does not match previous frame $n")
+    val step         = (q: Long) => Quantizer.residualStep(q, eb)
+    val Seq(x, y, z) = Fork.map(sections.toSeq)(s => IntCoder.decodeSteps(new ByteArrayInputStream(s), n, step))
+    Frame(x, y, z)
+  }
+
+  /** The rest of the decode: `steps(i) = basis(i) + steps(i)` in place, one
+    * dimension. This is the encoder's `reconResidual(basis(i), q, eb)`, the
+    * same IEEE sum of the same two doubles, so the bits agree. */
+  def addBasis(steps: Array[Double], basis: Array[Double]): Unit = {
+    var i = 0
+    while (i < steps.length) { steps(i) = basis(i) + steps(i); i += 1 }
   }
 }

@@ -114,6 +114,11 @@ object Quantizer {
     (n, eb, fields(in), ByteIO.readBody(in, arrays))
   }
 
+  /** The particle count of a frame written by [[writeFrame]], read and
+    * checked as [[readFrame]] reads it, without the rest of the frame. */
+  def frameCount(bytes: Array[Byte], what: String): Int =
+    ByteIO.readCount(new ByteArrayInputStream(bytes), Int.MaxValue, s"$what particle count")
+
   /** Quantize a whole dimension array against `min`; every value must be
     * finite. */
   private def quantizeArray(a: Array[Double], min: Double, eb: Double): Array[Long] = {

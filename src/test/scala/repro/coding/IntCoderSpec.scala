@@ -188,15 +188,13 @@ class IntCoderSpec extends AnyFunSuite with PropSupport {
   test("bytes after an array's payload are rejected") {
     val rng  = new java.util.Random(17)
     val q    = Array.fill(300)(rng.nextInt(9).toLong - 4)
-    val prev = Array.fill(300)(0.0)
     for (a <- Seq(Array.emptyLongArray, q); useHuffman <- Seq(true, false)) {
       val coded = IntCoder.encodeForced(a, delta = false, useHuffman)
       assert(IntCoder.decode(new ByteArrayInputStream(coded)).sameElements(a))
       val padded = coded ++ Array[Byte](0, 1, 2)
       assertThrows[IllegalArgumentException](IntCoder.decode(new ByteArrayInputStream(padded)))
-      val p = prev.take(a.length)
-      assert(IntCoder.decodeResiduals(new ByteArrayInputStream(coded), p, _.toDouble).length == a.length)
-      assertThrows[IllegalArgumentException](IntCoder.decodeResiduals(new ByteArrayInputStream(padded), p, _.toDouble))
+      assert(IntCoder.decodeSteps(new ByteArrayInputStream(coded), a.length, _.toDouble).sameElements(a.map(_.toDouble)))
+      assertThrows[IllegalArgumentException](IntCoder.decodeSteps(new ByteArrayInputStream(padded), a.length, _.toDouble))
     }
   }
 }

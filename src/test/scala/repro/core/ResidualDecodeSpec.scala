@@ -6,9 +6,10 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.PropSupport
 import repro.coding.{ByteIO, FixedLength, Huffman, IntCoder, Zigzag}
 
-/** LCP-T's residual decode (`IntCoder.decodeResiduals`, directly and
-  * through `LcpT.decompress`) against its reference: every decoded double
-  * equals `Quantizer.reconResidual(prev, q, eb)` of the bins `IntCoder.decode`
+/** LCP-T's residual decode (`IntCoder.decodeSteps` then `LcpT.addBasis`,
+  * directly and through `LcpT.decompress`) against its reference: every
+  * step equals `Quantizer.residualStep(q, eb)` and every decoded double
+  * `Quantizer.reconResidual(prev, q, eb)` of the bins `IntCoder.decode`
   * returns, bit for bit. The sections cover the Huffman window table and
   * codes longer than it (the canonical walk), every fixed-length width that
   * takes its own unpack path (0, 1 and 57–64), and n = 1.
@@ -25,9 +26,12 @@ class ResidualDecodeSpec extends AnyFunSuite with PropSupport {
     out.toByteArray
   }
 
+  /** The bins of one residual section. */
+  private def bins(section: Array[Byte], n: Int): Array[Long] = IntCoder.decode(new ByteArrayInputStream(section), n)
+
   /** The reference reconstruction of one residual section. */
   private def reference(section: Array[Byte], prev: Array[Double], eb: Double): Array[Double] = {
-    val q = IntCoder.decode(new ByteArrayInputStream(section), prev.length)
+    val q = bins(section, prev.length)
     Array.tabulate(prev.length)(i => Quantizer.reconResidual(prev(i), q(i), eb))
   }
 
@@ -47,7 +51,9 @@ class ResidualDecodeSpec extends AnyFunSuite with PropSupport {
     for ((got, section, p) <- Seq((d.x, sx, prev.x), (d.y, sy, prev.y), (d.z, sz, prev.z))) {
       val expected = reference(section, p, eb)
       assert(sameBits(got, expected), s"n = $n, eb = $eb")
-      val direct = IntCoder.decodeResiduals(new ByteArrayInputStream(section), p, Quantizer.residualStep(_, eb))
+      val direct = IntCoder.decodeSteps(new ByteArrayInputStream(section), p.length, Quantizer.residualStep(_, eb))
+      assert(sameBits(direct, bins(section, n).map(Quantizer.residualStep(_, eb))), s"steps, n = $n, eb = $eb")
+      LcpT.addBasis(direct, p)
       assert(sameBits(direct, expected), s"n = $n, eb = $eb")
     }
   }
@@ -145,7 +151,7 @@ class ResidualDecodeSpec extends AnyFunSuite with PropSupport {
     for (sections <- Seq(Seq(section, ok, ok), Seq(ok, ok, section)))
       intercept[IllegalArgumentException](LcpT.decompress(frameBytes(prev, 1e-2, sections(0), sections(1), sections(2)), prev))
     intercept[IllegalArgumentException](
-      IntCoder.decodeResiduals(new ByteArrayInputStream(section), prev.x, Quantizer.residualStep(_, 1e-2)))
+      IntCoder.decodeSteps(new ByteArrayInputStream(section), prev.n, Quantizer.residualStep(_, 1e-2)))
   }
 
   private val prev500 = repro.TestFrames.helium(500, 1).head
