@@ -6,8 +6,9 @@ import java.util.concurrent.RecursiveAction
   * residual arrays (§7.1), the packing and Zstd of an LCP-T frame that
   * LCP-FSM committed before it was packed ([[start]], while later frames'
   * chain steps run), the §7.4.1 block-size candidates and the §7.4.2 trial
-  * arms. On decode: an archive's anchors, then its batches (§7.3), LCP-T's
-  * three residual sections and LCP-S's five sections (§6.2). The baselines
+  * arms. On decode: every frame a retrieval needs, then each chain's basis
+  * additions per dimension (§7.3, `Lcp.decode`), LCP-T's three residual
+  * sections and LCP-S's five sections (§6.2). The baselines
   * fork their frames (frame-wise codecs), SZ2, SZ3 and SPERR's three
   * dimensions and MDZ's batches, both ways, and the bench sweeps fork their
   * cells. (The paper's codec is parallel per block and per frame.)
