@@ -60,6 +60,24 @@ class DecodeDigestSpec extends AnyFunSuite {
     assert(sha256(frames) == want, s"DECODED decompressFrame -> ${sha256(frames)}")
   }
 
+  test("in a batch S T S T with frame 1 undecodable, frames 2 and 3 decode intact and every other entry point names frame 1") {
+    // Frames 2 and 3 form their own chain from the mid-batch LCP-S frame 2,
+    // so a retrieval of either never touches frame 1.
+    val r = Lcp.compress(TestFrames.helium(500, 2) ++ TestFrames.helium(600, 2), LcpConfig(0.01, batchSize = 4))
+    assert(r.methods.mkString == "STST")
+    val intact = LcpArchive.fromBytes(r.archive.toBytes)
+    val b0     = intact.batches(0)
+    assert(!intact.entries(1).inAnchor && intact.entries(1).slot == 0)
+    val a      = intact.copy(batches = intact.batches.updated(0, b0.updated(0, b0(0) ++ Array[Byte](0, 0))))
+    val all    = Lcp.decompressAll(intact)
+    for (f <- Seq(2, 3)) assert(sameFrame(Lcp.decompressFrame(a, f), all(f)), s"frame $f")
+    val want = "LCP archive: frame 1 (batch 0, stored as LCP-T) does not decode: "
+    val e    = intercept[IllegalArgumentException](Lcp.decompressAll(a))
+    assert(e.getMessage.startsWith(want) && e.getMessage.endsWith("2 bytes after the frame body"), e.getMessage)
+    assert(intercept[IllegalArgumentException](Lcp.decompressBatch(a, 0)).getMessage == e.getMessage)
+    assert(intercept[IllegalArgumentException](Lcp.decompressFrame(a, 1)).getMessage == e.getMessage)
+  }
+
   test("LCP golden archives decoded from several threads at once keep their digests") {
     val cells    = LcpGoldenCells.all
     val archives = cells.map(c => c.name -> LcpArchive.fromBytes(Lcp.compress(c.frames(), c.cfg).archive.toBytes)).toMap

@@ -238,6 +238,19 @@ class LcpArchiveSpec extends AnyFunSuite {
     assert(intercept[IllegalArgumentException](Lcp.decompressFrame(a, 1)).getMessage == e.getMessage)
   }
 
+  test("with anchor frame 4 and payload frame 1 undecodable, decompressAll names the anchor") {
+    // Anchors decode first, so the anchor's error wins over an earlier frame's.
+    val b0 = twoAnchors.batches(0)
+    val a  = twoAnchors.copy(anchors = twoAnchors.anchors.updated(1, twoAnchors.anchors(1) ++ Array[Byte](0, 0)),
+      batches = twoAnchors.batches.updated(0, b0.updated(0, b0(0) ++ Array[Byte](0, 0))))
+    assert(twoAnchors.entries(4).inAnchor && twoAnchors.entries(4).slot == 1 && !twoAnchors.entries(1).inAnchor)
+    val e = intercept[IllegalArgumentException](Lcp.decompressAll(a))
+    assert(e.getMessage.startsWith("LCP archive: frame 4 (batch 1, stored as LCP-S) does not decode: "), e.getMessage)
+    assert(intercept[IllegalArgumentException](Lcp.decompressBatch(a, 2)).getMessage == e.getMessage)
+    assert(intercept[IllegalArgumentException](Lcp.decompressBatch(a, 0)).getMessage
+      .startsWith("LCP archive: frame 1 (batch 0, stored as LCP-T) does not decode: "))
+  }
+
   test("an LCP-T payload with width-0 arrays of 2^31 - 1 values is rejected naming the frame, before allocating") {
     val width0 = Array(0, 0xff, 0xff, 0xff, 0xff, 0x07, 0, 0).map(_.toByte) // fixed, count, width 0, no payload
     // The header count is 2^31 - 1, then the basis's own 500.
