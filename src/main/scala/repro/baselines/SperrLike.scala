@@ -42,7 +42,7 @@ object SperrLike extends SzFrameCodec {
   }
 
   override protected def decodeDim(arrays: Seq[Array[Long]], eb: Double): Array[Double] = {
-    val Seq(q, corrIdx, corrQ) = arrays
+    val (q, corrIdx, corrQ) = (arrays(0), arrays(1), arrays(2))
     val n = q.length
     require(corrQ.length == corrIdx.length, "SPERR: correction arrays disagree")
     val rec = reconstruct(q, eb)

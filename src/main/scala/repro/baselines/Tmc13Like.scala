@@ -64,12 +64,13 @@ object Tmc13Like extends FrameWiseCodec {
   }
 
   override def decompressFrame(bytes: Array[Byte]): Frame = {
-    val (n, eb, ((mx, my, mz), depth), Array(occ, dupBytes)) = Quantizer.readFrame(bytes, 2, "TMC13") { in =>
+    val (n, eb, ((mx, my, mz), depth), sections) = Quantizer.readFrame(bytes, 2, "TMC13") { in =>
       val mins  = Quantizer.readMins(in, "TMC13")
       val depth = in.read()
       require(depth >= 1 && depth <= Morton.MaxBits, s"TMC13: bad octree depth $depth")
       (mins, depth)
     }
+    val (occ, dupBytes) = (sections(0), sections(1))
     // No leaf is empty, so there are at most n of them.
     val dups = IntCoder.decode(new ByteArrayInputStream(dupBytes), n)
     // Every point sits in one leaf, so the leaf counts bound the header's count.

@@ -188,10 +188,10 @@ object Lcp {
         prefix.map(_.reorder(idx))
       }
     // The two arms run concurrently.
-    val Seq(base, scaled) = Fork.map(Seq(Off, Forced(EbScale.Factor))) { mode =>
+    val sizes = Fork.map(Seq(Off, Forced(EbScale.Factor))) { mode =>
       compress(sampled, cfg.copy(ebScaleMode = mode, blockSizeP = Some(p))).archive.compressedSizeBytes
     }
-    scaled < base
+    sizes(1) < sizes(0)
   }
 
   /** Algorithm 1 with LCP-FSM selection and both §7.4 optimizations. */

@@ -67,10 +67,10 @@ object LcpS {
     }
     // Every block holds at least one particle, so no array has more than n
     // values.
-    val Seq(blockIds, counts, relX, relY, relZ) =
-      Fork.map(sections.toSeq)(s => IntCoder.decode(new ByteArrayInputStream(s), n))
-    require(relX.length == n, s"decoded ${relX.length} particles, expected $n")
-    BlockIndex.ungroup(blockIds, counts, relX, relY, relZ, p, bnx, bny, mx, my, mz, eb)
+    val a = Fork.map(sections.toSeq)(s => IntCoder.decode(new ByteArrayInputStream(s), n))
+    require(a(2).length == n, s"decoded ${a(2).length} particles, expected $n")
+    // Block ids, counts, relX, relY and relZ.
+    BlockIndex.ungroup(a(0), a(1), a(2), a(3), a(4), p, bnx, bny, mx, my, mz, eb)
   }
 
   /** The fixed-length and Huffman sizes of the plans [[compress]] packs for

@@ -88,8 +88,8 @@ object LcpT {
     val (count, eb, _, sections) = Quantizer.readFrame(bytes, 3, "LCP-T")(_ => ())
     require(count == n, s"frame length $count does not match previous frame $n")
     val step         = (q: Long) => Quantizer.residualStep(q, eb)
-    val Seq(x, y, z) = Fork.map(sections.toSeq)(s => IntCoder.decodeSteps(new ByteArrayInputStream(s), n, step))
-    Frame(x, y, z)
+    val d            = Fork.map(sections.toSeq)(s => IntCoder.decodeSteps(new ByteArrayInputStream(s), n, step))
+    Frame(d(0), d(1), d(2))
   }
 
   /** The rest of the decode: `steps(i) = basis(i) + steps(i)` in place, one

@@ -211,8 +211,8 @@ class BaselineRoundtripSpec extends AnyFunSuite {
     Zigzag.readVarLong(in)
     in.skip(4 * 8 + 1) // eb, the three minima, the depth
     val header = bytes.take(bytes.length - in.available())
-    val Array(occ, dups) = ByteIO.readBody(in, 2)
-    val (occ2, dups2) = edit(occ, dups)
+    val body   = ByteIO.readBody(in, 2)
+    val (occ2, dups2) = edit(body(0), body(1))
     val out = new java.io.ByteArrayOutputStream()
     out.write(header)
     ByteIO.writeBody(out, occ2, dups2)

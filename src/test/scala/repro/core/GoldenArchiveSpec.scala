@@ -49,8 +49,8 @@ class GoldenArchiveSpec extends AnyFunSuite {
   }
 
   test("the two-anchor golden cells store frame 4 in a second anchor, which frame 8 predicts from") {
-    val Seq(auto, scaled) = Seq(LcpGoldenCells.twoAnchors, LcpGoldenCells.twoAnchorsScaled)
-      .map(c => Lcp.compress(c.frames(), c.cfg).archive)
+    def archive(c: LcpGoldenCells.Cell) = Lcp.compress(c.frames(), c.cfg).archive
+    val (auto, scaled) = (archive(LcpGoldenCells.twoAnchors), archive(LcpGoldenCells.twoAnchorsScaled))
     for (a <- Seq(auto, scaled)) {
       assert(a.anchors.size == 2 && a.entries(4).inAnchor)
       assert(a.entries(8).temporal && a.entries(8).anchorRef == 1)

@@ -46,7 +46,7 @@ class ResidualDecodeSpec extends AnyFunSuite with PropSupport {
     val rng  = new java.util.Random(seed)
     val prev = Frame(Array.fill(n)(rng.nextDouble() * 100 - 50), Array.fill(n)(rng.nextGaussian() * 1e4),
       Array.fill(n)(rng.nextDouble() * 1e-3))
-    val Seq(sx, sy, sz) = sections
+    val (sx, sy, sz) = (sections(0), sections(1), sections(2))
     val d    = LcpT.decompress(frameBytes(prev, eb, sx, sy, sz), prev)
     for ((got, section, p) <- Seq((d.x, sx, prev.x), (d.y, sy, prev.y), (d.z, sz, prev.z))) {
       val expected = reference(section, p, eb)
