@@ -42,6 +42,7 @@ object Metrics {
 
   /** Sum of squared errors with correspondence (see [[maxAbsError]]). */
   private def squaredError(orig: Frame, recon: Frame, perm: Array[Int]): Double = {
+    require(orig.n == recon.n, s"frame size mismatch ${orig.n} vs ${recon.n}")
     var s = 0.0
     var i = 0
     while (i < recon.n) {
@@ -54,8 +55,13 @@ object Metrics {
   }
 
   /** PSNR over a frame sequence (Eq. 3): 20·log10(range/RMSE), range and
-    * RMSE over all particles of all frames, so an empty frame adds nothing. */
+    * RMSE over all particles of all frames, so an empty frame adds nothing.
+    * The three sequences must have one entry per frame, and each frame pair
+    * the same particle count. */
   def psnr(orig: Seq[Frame], recon: Seq[Frame], perms: Seq[Array[Int]]): Double = {
+    require(orig.nonEmpty, "PSNR of no frames")
+    require(recon.size == orig.size && perms.size == orig.size,
+      s"PSNR of ${orig.size} frames against ${recon.size} decoded frames and ${perms.size} permutations")
     val range = orig.map(_.valueRange).max
     val totalN = orig.map(_.n.toLong * 3).sum
     val sse = orig.lazyZip(recon).lazyZip(perms).map(squaredError).sum

@@ -54,6 +54,23 @@ class MetricsSpec extends AnyFunSuite {
     assert(Metrics.psnr(Seq(f, Frame.empty), Seq(r.recon, Frame.empty), Seq(r.perm, null)) == one)
   }
 
+  test("psnr rejects a decode with a frame too few or too many, a missing permutation and no frames") {
+    val fs = TestFrames.helium(200, 3)
+    for ((recon, perms) <- Seq((fs.init, fs.map(_ => null)), (fs :+ fs.head, fs.map(_ => null)), (fs, Seq(null))))
+      withClue(s"${recon.size} decoded frames, ${perms.size} permutations: ") {
+        intercept[IllegalArgumentException](Metrics.psnr(fs, recon, perms))
+      }
+    intercept[IllegalArgumentException](Metrics.psnr(Seq.empty, Seq.empty, Seq.empty))
+  }
+
+  test("psnr rejects a decoded frame whose particle count differs from the original's") {
+    val f = TestFrames.bunny(100)
+    for (r <- Seq(TestFrames.bunny(101), f.reorder(Array.range(0, 99)))) withClue(s"${r.n} particles: ") {
+      val e = intercept[IllegalArgumentException](Metrics.psnr(Seq(f), Seq(r), Seq(null)))
+      assert(e.getMessage.contains(s"frame size mismatch 100 vs ${r.n}"), e.getMessage)
+    }
+  }
+
   test("entropy of a constant array is 0, of uniform 2^k alphabet is k") {
     assert(Metrics.shannonEntropy(Array.fill(100)(5L)) == 0.0)
     val a = Array.tabulate(1024)(i => (i % 16).toLong)
