@@ -294,53 +294,58 @@ object Lcp {
     }
 
   /** The one chain decoder, behind [[decompressAll]], [[decompressBatch]]
-    * and [[decompressFrame]] (§7.3): the frames of `ranges`, each a run of
-    * frames of one batch, in frame order, whose first frame starts a
-    * temporal chain (a spatial frame, or the batch head, whose temporal
-    * basis is the anchor it references). It decodes in two phases.
+    * and [[decompressFrame]] (§7.3): the frames `wanted`, in that order. It
+    * adds each frame's basis chain: none for an LCP-S frame, the anchor it
+    * references at a temporal batch head, else the frame before it. So a
+    * retrieval touches its frames' batches and at most one anchor per batch.
+    * It decodes in two phases.
     *
-    * Phase 1 needs no basis. One flat [[Fork.map]] runs over the anchors
-    * the ranges use, then every other frame of the ranges in frame order:
-    * an LCP-S frame decodes whole, an LCP-T frame to its residual steps
-    * ([[LcpT.steps]]), bounded by the header particle count of its chain
-    * start. That is the nearest earlier LCP-S frame of its batch, or the
-    * anchor its batch head references, so a chain's count may change at a
+    * Phase 1 needs no basis. One flat [[Fork.map]] runs over the needed
+    * anchors, then every other needed frame in frame order: an LCP-S frame
+    * decodes whole, an LCP-T frame to its residual steps ([[LcpT.steps]]),
+    * bounded by the header particle count of its chain start, the LCP-S
+    * frame its basis chain ends at, so a chain's count may change at a
     * mid-batch LCP-S frame. Only this phase can fail; the failure raised is
     * the first in that order, named by [[named]].
     *
-    * Phase 2 adds each LCP-T frame's basis in place ([[LcpT.addBasis]]),
-    * along its chain, the previous frame or the anchor. x, y and z chain
-    * independently, so it is one [[Fork.map]] over (range, dimension).
+    * Phase 2 adds each LCP-T frame's basis in place ([[LcpT.addBasis]]), in
+    * frame order. A basis outside the frame's batch is an anchor, whole after
+    * phase 1, and x, y and z chain independently, so it is one [[Fork.map]]
+    * over (batch, dimension).
     */
-  private def decode(a: LcpArchive, ranges: Seq[Range]): Seq[IndexedSeq[Frame]] = {
+  private def decode(a: LcpArchive, wanted: Seq[Int]): IndexedSeq[Frame] = {
     val e = a.entries
     def bytes(i: Int): Array[Byte] = if (e(i).inAnchor) a.anchors(e(i).slot) else a.batches(i / a.batchSize)(e(i).slot)
-    val anchors  = ranges.map(_.start).filter(_ % a.batchSize == 0)
-      .map(i => if (e(i).inAnchor) e(i).slot else e(i).anchorRef).distinct.sorted
-    // Every payload frame of the ranges, with the bytes of its chain start.
-    val payloads = ranges.flatMap { r =>
-      var start = if (e(r.start).temporal) a.anchors(e(r.start).anchorRef) else bytes(r.start)
-      r.filterNot(e(_).inAnchor).map { i =>
-        if (!e(i).temporal) start = bytes(i)
-        (i, start)
+    // LCP-T frame i's basis: its anchor at a batch head, else frame i - 1.
+    def basis(i: Int): Int = if (i % a.batchSize == 0) a.anchorFrames(e(i).anchorRef) else i - 1
+    val need   = new Array[Boolean](a.numFrames)
+    val needed = Array.newBuilder[Int]
+    wanted.foreach { w =>
+      var i = w
+      while (i >= 0 && !need(i)) {
+        need(i) = true
+        needed += i
+        i = if (e(i).temporal) basis(i) else -1
       }
     }
-    val decoded = Fork.map(anchors.map(k => () => named(a, a.anchorFrames(k))(LcpS.decompress(a.anchors(k)))) ++
-      payloads.map { case (i, start) =>
-        () => named(a, i) {
-          if (e(i).temporal) LcpT.steps(bytes(i), Quantizer.frameCount(start, "LCP-S")) else LcpS.decompress(bytes(i))
-        }
-      })(_())
+    val order = needed.result().sorted
+    // A basis precedes its frame, so chain starts fill in frame order.
+    val start = new Array[Int](a.numFrames)
+    order.foreach(i => start(i) = if (e(i).temporal) start(basis(i)) else i)
+    val (anchors, others) = order.partition(e(_).inAnchor)
     val frames = new Array[Frame](a.numFrames)
-    anchors.zip(decoded).foreach { case (k, f) => frames(a.anchorFrames(k)) = f }
-    payloads.zip(decoded.drop(anchors.size)).foreach { case ((i, _), f) => frames(i) = f }
-    // Frame i's temporal basis: its anchor at a batch head, else frame i - 1.
-    def basis(i: Int): Frame = if (i % a.batchSize == 0) frames(a.anchorFrames(e(i).anchorRef)) else frames(i - 1)
-    val dims = Seq[Frame => Array[Double]](_.x, _.y, _.z)
-    Fork.map(for (r <- ranges if r.exists(a.temporal); dim <- dims) yield (r, dim)) { case (r, dim) =>
-      r.foreach(i => if (e(i).temporal) LcpT.addBasis(dim(frames(i)), dim(basis(i))))
+    Fork.map((anchors ++ others).toIndexedSeq) { i =>
+      frames(i) = named(a, i) {
+        if (!e(i).temporal) LcpS.decompress(bytes(i))
+        else LcpT.steps(bytes(i), Quantizer.frameCount(bytes(start(i)), "LCP-S"))
+      }
     }
-    ranges.map(_.map(frames))
+    val dims    = Seq[Frame => Array[Double]](_.x, _.y, _.z)
+    val batches = others.filter(e(_).temporal).map(_ / a.batchSize).distinct
+    Fork.map(for (b <- batches.toSeq; dim <- dims) yield (b, dim)) { case (b, dim) =>
+      a.batchFrames(b).foreach(i => if (need(i) && e(i).temporal) LcpT.addBasis(dim(frames(i)), dim(frames(basis(i)))))
+    }
+    wanted.map(frames(_)).toIndexedSeq
   }
 
   /** Decompress every frame of one batch — the paper's retrieval unit
@@ -348,24 +353,17 @@ object Lcp {
     * are touched. */
   def decompressBatch(a: LcpArchive, batchIdx: Int): IndexedSeq[Frame] = {
     require(a.batches.indices.contains(batchIdx), s"batch $batchIdx outside 0 until ${a.batches.size}")
-    decode(a, Seq(a.batchFrames(batchIdx))).head
+    decode(a, a.batchFrames(batchIdx))
   }
 
-  /** Decompress a single frame: decode only its batch up to the frame (plus
-    * one anchor when needed) — the §7.3 worst case. */
+  /** Decompress a single frame: only its chain back to an LCP-S frame of its
+    * batch or to its batch's anchor is decoded — the §7.3 worst case. */
   def decompressFrame(a: LcpArchive, frameIdx: Int): Frame = {
     require(a.entries.indices.contains(frameIdx), s"frame $frameIdx outside 0 until ${a.numFrames}")
-    val batchIdx = frameIdx / a.batchSize
-    // A temporal chain starts at the nearest spatial frame at or before the
-    // target, or at the batch head — only that suffix of the batch is decoded.
-    var chainStart = frameIdx
-    while (chainStart > batchIdx * a.batchSize && a.entries(chainStart).temporal) chainStart -= 1
-    decode(a, Seq(chainStart to frameIdx)).head.last
+    decode(a, Seq(frameIdx)).head
   }
 
-  /** Decompress the whole archive, every batch through one [[decode]]: each
-    * anchor is decoded once and shared by every batch head that references
-    * it. */
-  def decompressAll(a: LcpArchive): IndexedSeq[Frame] =
-    decode(a, a.batches.indices.map(a.batchFrames)).flatten.toIndexedSeq
+  /** Decompress the whole archive through one [[decode]]: each anchor is
+    * decoded once and shared by every batch head that references it. */
+  def decompressAll(a: LcpArchive): IndexedSeq[Frame] = decode(a, a.entries.indices)
 }
